@@ -27,9 +27,9 @@ from .reflection import (BoundaryClassification, FlowSample, GrazingSingular,
                          JacobianReport, NoConvergence, OutsideRange,
                          RfmVerdict, ShadowPoint, StepInvalid,
                          classify_boundary_point, flow_map, invert_flow,
-                         jacobian_analytic, jacobian_fd, rank_one_det,
-                         rank_one_inv, reflect_direction, reflected_phase_at,
-                         tangency_margin, verify_rfm, xi_reflected)
+                         jacobian_analytic, jacobian_fd, reflect_direction,
+                         reflected_phase_at, tangency_margin, verify_rfm,
+                         xi_reflected)
 from .specio import SpecError, parse_obstacle, parse_phase
 
 __version__ = "0.1.0"

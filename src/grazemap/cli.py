@@ -71,6 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args):
     obstacle = parse_obstacle(args.obstacle)
     phase = parse_phase(args.phase, dim=obstacle.dim)
+    if not all(math.isfinite(x) for x in (args.tol, args.window, args.s0)):
+        raise SpecError("<flags>", 0, "tolerance, window, and s0 overrides must be finite")
     if args.tol <= 0 or args.window < 0 or args.s0 <= 0:
         raise SpecError("<flags>", 0, "tolerance, window, and s0 overrides must be positive")
     return obstacle, phase

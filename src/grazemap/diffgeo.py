@@ -49,6 +49,16 @@ class UnsupportedSurface(TypeError):
 J_MAX_DEFAULT = 16
 
 
+def _central_difference(f, x, h: float) -> np.ndarray:
+    """Jacobian of f at x whose column k is (f(x + h e_k) - f(x - h e_k)) / 2h.
+
+    A scalar-valued f gives its gradient vector.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.stack([(np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * h)
+                     for e in h * np.eye(x.size)], axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # Multivariate polynomials over the tangential variables
 # ---------------------------------------------------------------------------
@@ -344,21 +354,12 @@ class GenericSmooth:
         if self.grad is not None:
             return np.asarray(self.grad(x), dtype=float)
         h = EPS ** (1.0 / 3.0) * max(1.0, float(np.max(np.abs(x))))
-        out = np.zeros(self.dim)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = h
-            out[i] = (self.value(x + e) - self.value(x - e)) / (2.0 * h)
-        return out
+        return _central_difference(self.value, x, h)
 
     def hessian(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         h = EPS ** 0.25 * max(1.0, float(np.max(np.abs(x))))
-        out = np.zeros((self.dim, self.dim))
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = h
-            out[:, i] = (self.gradient(x + e) - self.gradient(x - e)) / (2.0 * h)
+        out = _central_difference(self.gradient, x, h)
         return 0.5 * (out + out.T)
 
     def directional_taylor(self, direction, order: int) -> list[float]:

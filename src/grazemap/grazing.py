@@ -285,13 +285,51 @@ class GrazingCurve:
         return np.vstack([b.vertices for b in self.branches])
 
 
+def _bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
+    """Root of f in [lo, hi], where f(lo) = f_lo and f(hi) differ in sign.
+
+    Halves the bracket, keeping the half across which f changes sign (a zero
+    value counts as positive), until it is narrower than ``tol`` (checked
+    before each evaluation) or f vanishes at the midpoint; at most 200 halvings.
+    """
+    for _ in range(200):
+        if hi - lo < tol:
+            break
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return float(mid)
+        if (f_mid < 0.0) != (f_lo < 0.0):
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return float(0.5 * (lo + hi))
+
+
+def _scan_roots(f, grid, tol: float) -> list[float]:
+    """Roots of f on a grid: sign changes refined by bisection, and exact
+    zeros at grid points, a run of them counting once."""
+    vals = [f(v) for v in grid]
+    roots = []
+    i = 0
+    while i < len(grid) - 1:
+        a, b = vals[i], vals[i + 1]
+        if a == 0.0:
+            roots.append(float(grid[i]))
+            while i < len(grid) - 1 and vals[i + 1] == 0.0:
+                i += 1
+        elif a * b < 0.0:
+            roots.append(_bisect(f, grid[i], grid[i + 1], a, tol))
+        i += 1
+    return roots
+
+
 def _line_roots(gf, obstacle, t_axis, offset, window, n=1024, refine_tol=1e-13):
     """Sign-change roots of the grazing function along a transverse scan line."""
     g_axis = 1 - t_axis
     lim = min(window, math.sqrt(max(obstacle.radius**2 - offset**2, 0.0)) * 0.999)
     if lim <= 0.0:
         return []
-    grid = np.linspace(-lim, lim, n)
 
     def g_of(v):
         p = np.zeros(2)
@@ -299,31 +337,7 @@ def _line_roots(gf, obstacle, t_axis, offset, window, n=1024, refine_tol=1e-13):
         p[g_axis] = v
         return gf.value(obstacle, p)
 
-    vals = np.array([g_of(v) for v in grid])
-    roots = []
-    i = 0
-    while i < n - 1:
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(grid[i])
-            while i < n - 1 and vals[i + 1] == 0.0:
-                i += 1
-        elif a * b < 0.0:
-            lo, hi = grid[i], grid[i + 1]
-            flo = a
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                fm = g_of(mid)
-                if fm == 0.0 or hi - lo < refine_tol:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            roots.append(0.5 * (lo + hi))
-        i += 1
-    return roots
+    return _scan_roots(g_of, np.linspace(-lim, lim, n), refine_tol)
 
 
 def _detect_orientation(gf, obstacle, window, seed_offset):
@@ -589,30 +603,8 @@ def grazing_zero_scan_1d(gf: GrazingFunction, obstacle: Obstacle, window: float 
     if obstacle.dim_tangential != 1:
         raise UnsupportedSurface("scan requires a 2D obstacle (one tangential variable)")
     window = min(window, obstacle.radius)
-    grid = np.linspace(-window, window, n)
-    vals = np.array([gf.value(obstacle, np.array([v])) for v in grid])
-    zeros = []
-    i = 0
-    while i < n - 1:
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            zeros.append(float(grid[i]))
-            while i < n - 1 and vals[i + 1] == 0.0:
-                i += 1
-        elif a * b < 0.0:
-            lo, hi, flo = grid[i], grid[i + 1], a
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                fm = gf.value(obstacle, np.array([mid]))
-                if fm == 0.0 or hi - lo < 1e-14:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            zeros.append(0.5 * (lo + hi))
-        i += 1
+    zeros = _scan_roots(lambda v: gf.value(obstacle, np.array([v])),
+                        np.linspace(-window, window, n), 1e-14)
     return len(zeros), zeros
 
 
@@ -663,59 +655,46 @@ def slice_grazing_count(obstacle: Obstacle, bbar, x2_star: float,
     def k_fn(p) -> float:
         return float((obst_r.value(p) - 1.0) * (x2_star - a) + (p[0] - a) * (1.0 - f_star))
 
+    def k_meridian(v) -> float:
+        return k_fn(np.array([v, 0.0]))
+
     # Second intersection of the slice plane with the meridian x3 = 0.
     lim = obst_r.radius * 0.999
     grid = np.linspace(1e-9, lim, 600)
-    vals = [k_fn(np.array([v, 0.0])) for v in grid]
-    x2_dd = None
-    for i in range(len(grid) - 1):
-        if vals[i] * vals[i + 1] < 0.0:
-            lo, hi, flo = grid[i], grid[i + 1], vals[i]
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                fm = k_fn(np.array([mid, 0.0]))
-                if fm == 0.0 or hi - lo < 1e-14:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            x2_dd = 0.5 * (lo + hi)
-            break
-    if x2_dd is None:
+    vals = [k_meridian(v) for v in grid]
+    crossing = next((i for i in range(len(grid) - 1) if vals[i] * vals[i + 1] < 0.0), None)
+    if crossing is None:
         raise SliceMiss("slice plane does not re-enter the window on the far side")
+    x2_dd = _bisect(k_meridian, grid[crossing], grid[crossing + 1], vals[crossing], 1e-14)
 
     center = np.array([0.5 * (x2_star + x2_dd), 0.0])
-    if k_fn(center) <= 0.0:
+    k_center = k_fn(center)
+    if k_center <= 0.0:
         raise SliceMiss("slice curve is degenerate at this parameter")
 
     def radial_point(phi: float) -> np.ndarray:
         u = np.array([math.cos(phi), math.sin(phi)])
+
+        def k_ray(r):
+            return k_fn(center + r * u)
+
         r_bound = lim - float(np.linalg.norm(center))
-        lo, hi = 0.0, None
+        lo, k_lo = 0.0, k_center
         r = r_bound / 50.0
         while r <= r_bound:
-            if k_fn(center + r * u) < 0.0:
-                hi = r
-                break
-            lo = r
+            k_r = k_ray(r)
+            if k_r < 0.0:
+                return center + _bisect(k_ray, lo, r, k_lo, 1e-14) * u
+            lo, k_lo = r, k_r
             r += r_bound / 50.0
-        if hi is None:
-            raise SliceMiss("slice curve leaves the obstacle domain")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if hi - lo < 1e-14:
-                break
-            if k_fn(center + mid * u) < 0.0:
-                hi = mid
-            else:
-                lo = mid
-        return center + 0.5 * (lo + hi) * u
+        raise SliceMiss("slice curve leaves the obstacle domain")
 
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     pts = [radial_point(p) for p in phis]
     hvals = [gf.value(obst_r, p) for p in pts]
+
+    def h_of(phi) -> float:
+        return gf.value(obst_r, radial_point(phi))
 
     crossings = []
     for i in range(n_phi):
@@ -723,19 +702,8 @@ def slice_grazing_count(obstacle: Obstacle, bbar, x2_star: float,
         if hvals[i] == 0.0:
             crossings.append(pts[i])
         elif hvals[i] * hvals[j] < 0.0:
-            lo, hi = phis[i], phis[i] + (2.0 * np.pi / n_phi)
-            flo = hvals[i]
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                fm = gf.value(obst_r, radial_point(mid))
-                if fm == 0.0 or hi - lo < 1e-13:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            crossings.append(radial_point(0.5 * (lo + hi)))
+            phi = _bisect(h_of, phis[i], phis[i] + (2.0 * np.pi / n_phi), hvals[i], 1e-13)
+            crossings.append(radial_point(phi))
 
     pos = sum(1 for p in crossings if p[1] > 0.0)
     neg = sum(1 for p in crossings if p[1] < 0.0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffgeo import Obstacle
+from .diffgeo import Obstacle, _central_difference
 
 
 class SourceOnBoundary(ValueError):
@@ -165,23 +165,14 @@ def xi_jacobian(phase: Phase, obstacle: Obstacle, xbar) -> tuple[np.ndarray, np.
         d_a1 = (grad_f - a1 * grad_rho) / rho
         return d_a1, d_abar
     h = _richardson_step(obstacle, xbar)
-    d_xi1 = np.zeros(d)
-    d_xibar = np.zeros((d, d))
 
-    def column(k, step):
-        e = np.zeros(d)
-        e[k] = step
-        hi = xi_incoming(phase, obstacle, xbar + e)
-        lo = xi_incoming(phase, obstacle, xbar - e)
-        return (hi.xi1 - lo.xi1) / (2.0 * step), (hi.xibar - lo.xibar) / (2.0 * step)
+    def covector(x):
+        return xi_incoming(phase, obstacle, x).vector
 
     # Richardson-extrapolated central differences (O(h^4) truncation).
-    for k in range(d):
-        c1_h, cb_h = column(k, h)
-        c1_2, cb_2 = column(k, 0.5 * h)
-        d_xi1[k] = (4.0 * c1_2 - c1_h) / 3.0
-        d_xibar[:, k] = (4.0 * cb_2 - cb_h) / 3.0
-    return d_xi1, d_xibar
+    jac = (4.0 * _central_difference(covector, xbar, 0.5 * h)
+           - _central_difference(covector, xbar, h)) / 3.0
+    return jac[0], jac[1:]
 
 
 def boundary_trace(phase: Phase, obstacle: Obstacle, xbar) -> float:
@@ -199,19 +190,13 @@ def boundary_trace_gradient(phase: Phase, obstacle: Obstacle, xbar) -> np.ndarra
 def boundary_trace_hessian(phase: Phase, obstacle: Obstacle, xbar) -> np.ndarray:
     """hess Psi by Richardson-extrapolated differences of the exact gradient."""
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
-    d = obstacle.dim_tangential
     h = _richardson_step(obstacle, xbar)
-    out = np.zeros((d, d))
 
-    def column(k, step):
-        e = np.zeros(d)
-        e[k] = step
-        hi = boundary_trace_gradient(phase, obstacle, xbar + e)
-        lo = boundary_trace_gradient(phase, obstacle, xbar - e)
-        return (hi - lo) / (2.0 * step)
+    def grad(x):
+        return boundary_trace_gradient(phase, obstacle, x)
 
-    for k in range(d):
-        out[:, k] = (4.0 * column(k, 0.5 * h) - column(k, h)) / 3.0
+    out = (4.0 * _central_difference(grad, xbar, 0.5 * h)
+           - _central_difference(grad, xbar, h)) / 3.0
     return 0.5 * (out + out.T)
 
 

@@ -3,22 +3,22 @@
 A boundary covector xi splits into a reflected covector xi_r by subtracting
 twice its conormal component; the reflected flow map sends (s, xbar, t) to the
 point at parameter s on the reflected ray leaving (F(xbar), xbar, t).  The
-Jacobian of that map factors through small dense matrices (here named B, C,
-K, L after their roles: boundary shear, cone metric, curvature of the
-incoming field, curvature of the obstacle), giving the lower bound
-j >= 2 * margin on the illuminated region.  Everything here is checked two
-ways: closed forms against central differences.
+Jacobian of that map is a closed form from the chain rule through the
+incoming covector field and hess F; it factors through small dense matrices
+(here named B, C, K, L after their roles: boundary shear, cone metric,
+curvature of the incoming field, curvature of the obstacle), giving the lower
+bound j >= 2 * margin on the illuminated region.  Closed forms are checked
+against central differences.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .diffgeo import EPS, Obstacle
-from .phases import (BoundaryCovector, Phase, SphericalPhase, boundary_trace,
-                     xi_incoming, xi_jacobian)
+from .diffgeo import Obstacle, _central_difference
+from .phases import BoundaryCovector, Phase, boundary_trace, xi_incoming, xi_jacobian
 
 GRAZING_TOL = 1e-10
 FD_STEP = 1e-5
@@ -47,25 +47,6 @@ class NoConvergence(RuntimeError):
 
 class OutsideRange(ValueError):
     """Target point cannot lie on any reflected ray."""
-
-
-# ---------------------------------------------------------------------------
-# Rank-one update identities (tested internal helpers)
-# ---------------------------------------------------------------------------
-
-def rank_one_det(a, b) -> float:
-    """det(I + a (x) b) = 1 + <a, b>."""
-    return 1.0 + float(np.dot(a, b))
-
-
-def rank_one_inv(a, b) -> np.ndarray:
-    """(I + a (x) b)^-1 = I - a (x) b / (1 + <a, b>)."""
-    denom = 1.0 + float(np.dot(a, b))
-    if denom == 0.0:
-        raise ZeroDivisionError("rank-one update is singular")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return np.eye(a.size) - np.outer(a, b) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -162,86 +143,70 @@ class JacobianReport:
     j_analytic: float
     lower_bound: float  # 2 * margin
     margin: float
-    B: np.ndarray = field(repr=False)
-    C: np.ndarray = field(repr=False)
-    K: np.ndarray = field(repr=False)
-    L: np.ndarray = field(repr=False)
-    A: np.ndarray = field(repr=False)
-    d_xir: np.ndarray = field(repr=False)  # FD derivative of the reflected field
-    j_fd: float | None = None
 
 
-def _reflected_field_jacobian_fd(obstacle: Obstacle, phase: Phase, xbar,
-                                 step: float = FD_STEP) -> tuple[np.ndarray, np.ndarray]:
-    """(grad xi1_r, d xibar_r / d xbar) by central differences of reflect_direction."""
-    xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
-    d = obstacle.dim_tangential
-    d_xi1 = np.zeros(d)
-    d_xibar = np.zeros((d, d))
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = step
-        hi = xi_reflected(obstacle, phase, xbar + e)
-        lo = xi_reflected(obstacle, phase, xbar - e)
-        d_xi1[k] = (hi.xi1 - lo.xi1) / (2.0 * step)
-        d_xibar[:, k] = (hi.xibar - lo.xibar) / (2.0 * step)
-    return d_xi1, d_xibar
+def _reflected_field_derivative(obstacle: Obstacle, phase: Phase, xbar):
+    """Reflected covector over xbar and its tangential derivative, in closed form.
 
-
-def factor_matrices(obstacle: Obstacle, phase: Phase, xbar):
-    """Closed-form B, C, K, L at an illuminated boundary point.
-
-    K carries the curvature of the incoming covector field, L the curvature
-    of the obstacle; their sum is the tangential derivative of the reflected
-    field.  The K formula is written so that no division by xi1 occurs (the
-    unit-length identity removes it), so plane waves (xi1 = 0) are fine.
+    Differentiates xi_r = xi - f (1, -grad F), f = 2 (xi1 - <grad F, xibar>) /
+    (1 + |grad F|^2), by the chain rule through ``xi_jacobian`` and hess F.
+    Returns (xi_r, grad xi1_r, K, L) with d xibar_r / d xbar = K + L: K carries
+    the derivative of the incoming field, L the curvature of the obstacle.
     """
-    xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
-    d = obstacle.dim_tangential
     grad_f = obstacle.gradient(xbar)
     hess_f = obstacle.hessian(xbar)
     xi = xi_incoming(phase, obstacle, xbar)
     xr = reflect_direction(obstacle, xbar, xi)
-    one_plus = 1.0 + float(grad_f @ grad_f)
-    mu = float(grad_f @ xi.xibar - xi.xi1)
+    d_xi1, d_xibar = xi_jacobian(phase, obstacle, xbar)
+    w = 2.0 / (1.0 + float(grad_f @ grad_f))
+    # grad f splits into an incoming-field part and an obstacle-curvature part.
+    df_field = w * (d_xi1 - grad_f @ d_xibar)
+    df_curv = -w * (hess_f @ xr.xibar)
+    k_mat = d_xibar + np.outer(grad_f, df_field)
+    l_mat = (xi.xi1 - xr.xi1) * hess_f + np.outer(grad_f, df_curv)
+    return xr, d_xi1 - df_field - df_curv, k_mat, l_mat
 
+
+def factor_matrices(obstacle: Obstacle, phase: Phase, xbar):
+    """B, C, K, L at an illuminated boundary point.
+
+    K carries the curvature of the incoming covector field, L the curvature
+    of the obstacle; their sum is the tangential derivative of the reflected
+    field.  B and C divide by xi1_r, so points where the reflected ray runs
+    parallel to the tangent plane raise ``GrazingSingular``.
+    """
+    xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
+    d = obstacle.dim_tangential
+    xr, _, k_mat, l_mat = _reflected_field_derivative(obstacle, phase, xbar)
     if abs(xr.xi1) < 1e-13:
         raise GrazingSingular("reflected covector has vanishing normal-axis component")
-
-    b_mat = np.eye(d) - np.outer(xr.xibar, grad_f) / xr.xi1
+    b_mat = np.eye(d) - np.outer(xr.xibar, obstacle.gradient(xbar)) / xr.xi1
     c_mat = np.eye(d) + np.outer(xr.xibar, xr.xibar) / xr.xi1**2
-
-    if isinstance(phase, SphericalPhase):
-        point = obstacle.boundary_point(xbar)
-        rel = point - phase.source
-        rho = float(np.linalg.norm(rel))
-        a1 = rel[0] / rho
-        abar = rel[1:] / rho
-        w = a1 * grad_f + abar
-        k_mat = (np.eye(d) - np.outer(xr.xibar, w)) / rho
-    else:
-        d_xi1, d_xibar = xi_jacobian(phase, obstacle, xbar)
-        # (xibar + xi1 grad F)^T d_xibar = xi1 (grad F^T d_xibar - d_xi1)
-        row = grad_f @ d_xibar - d_xi1
-        k_mat = d_xibar - (2.0 / one_plus) * np.outer(grad_f, row)
-
-    l_mat = -(2.0 / one_plus) * (mu * hess_f + np.outer(grad_f, hess_f @ xr.xibar))
     return b_mat, c_mat, k_mat, l_mat
 
 
+def _spatial_block(obstacle: Obstacle, phase: Phase, s: float, xbar) -> np.ndarray:
+    """d(y1, ybar) / d(s, xbar) of the reflected flow map, in closed form."""
+    xr, d_xi1r, k_mat, l_mat = _reflected_field_derivative(obstacle, phase, xbar)
+    d = obstacle.dim_tangential
+    m = np.empty((d + 1, d + 1))
+    m[0, 0] = 2.0 * xr.xi1
+    m[0, 1:] = obstacle.gradient(xbar) + 2.0 * s * d_xi1r
+    m[1:, 0] = 2.0 * xr.xibar
+    m[1:, 1:] = np.eye(d) + 2.0 * s * (k_mat + l_mat)
+    return m
+
+
 def jacobian_analytic(obstacle: Obstacle, phase: Phase, s: float, xbar,
-                      tol: float = GRAZING_TOL, step: float = FD_STEP) -> JacobianReport:
-    """Flow-map Jacobian from the spatial block determinant.
+                      tol: float = GRAZING_TOL) -> JacobianReport:
+    """Flow-map Jacobian from the closed-form spatial block determinant.
 
     The determinant of d(y1, ybar)/d(s, xbar) is assembled from the boundary
-    geometry and the tangential derivative of the reflected field (central
-    differences of reflect_direction); this form stays regular even where
-    xi1_r crosses zero inside the illuminated region, where the Schur
-    factorization j = 2 xi1_r det(B + 2s C d_xir) degenerates numerically.
-    The closed-form B, C, K, L are computed independently and returned for
-    the factorization identities (A ~ B + 2s C (K + L), the B^T K closed
-    forms, the 2*margin lower bound); at s = 0 the determinant reduces to
-    2*margin exactly.  Requires an illuminated point.
+    geometry and the chain-rule derivative of the reflected field.  It never
+    divides by xi1_r, so it stays regular where xi1_r crosses zero inside the
+    illuminated region, where the Schur factorization
+    j = 2 xi1_r det(B + 2s C (K + L)) degenerates.  At s = 0 the determinant
+    reduces to 2*margin exactly.  Requires an illuminated point.
     """
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
     mu = tangency_margin(obstacle, phase, xbar)
@@ -249,23 +214,8 @@ def jacobian_analytic(obstacle: Obstacle, phase: Phase, s: float, xbar,
         raise GrazingSingular(f"margin {mu} within tolerance {tol} of grazing")
     if mu < 0.0:
         raise ShadowPoint(f"margin {mu} < 0: point is in shadow")
-
-    d = obstacle.dim_tangential
-    b_mat, c_mat, k_mat, l_mat = factor_matrices(obstacle, phase, xbar)
-    d_xi1r, d_xir = _reflected_field_jacobian_fd(obstacle, phase, xbar, step=step)
-    xr = xi_reflected(obstacle, phase, xbar)
-    grad_f = obstacle.gradient(xbar)
-
-    m = np.zeros((d + 1, d + 1))
-    m[0, 0] = 2.0 * xr.xi1
-    m[0, 1:] = grad_f + 2.0 * s * d_xi1r
-    m[1:, 0] = 2.0 * xr.xibar
-    m[1:, 1:] = np.eye(d) + 2.0 * s * d_xir
-    j = float(np.linalg.det(m))
-
-    a_mat = b_mat + 2.0 * s * (c_mat @ d_xir)
-    return JacobianReport(j_analytic=j, lower_bound=2.0 * mu, margin=mu,
-                          B=b_mat, C=c_mat, K=k_mat, L=l_mat, A=a_mat, d_xir=d_xir)
+    j = float(np.linalg.det(_spatial_block(obstacle, phase, s, xbar)))
+    return JacobianReport(j_analytic=j, lower_bound=2.0 * mu, margin=mu)
 
 
 def jacobian_fd(obstacle: Obstacle, phase: Phase, s: float, xbar, t: float = 0.0,
@@ -282,28 +232,18 @@ def jacobian_fd(obstacle: Obstacle, phase: Phase, s: float, xbar, t: float = 0.0
     if mu < 0.0:
         raise ShadowPoint(f"margin {mu} < 0: point is in shadow")
     d = obstacle.dim_tangential
-    n_vars = d + 2
 
     def z_full(v):
         space = _flow_point(obstacle, phase, v[0], v[1:1 + d])
         return np.concatenate((space, [v[-1] + 2.0 * v[0]]))
 
     v0 = np.concatenate(([s], xbar, [t]))
-    jac = np.zeros((n_vars, n_vars))
-    for k in range(n_vars):
-        e = np.zeros(n_vars)
-        e[k] = step
-        jac[:, k] = (z_full(v0 + e) - z_full(v0 - e)) / (2.0 * step)
-    return float(np.linalg.det(jac))
+    return float(np.linalg.det(_central_difference(z_full, v0, step)))
 
 
 # ---------------------------------------------------------------------------
 # Inversion and the reflected phase
 # ---------------------------------------------------------------------------
-
-def _spatial_map(obstacle: Obstacle, phase: Phase, v) -> np.ndarray:
-    return _flow_point(obstacle, phase, v[0], v[1:])
-
 
 def invert_flow(obstacle: Obstacle, phase: Phase, y, seed=None,
                 s_range: tuple[float, float] = (0.0, 2.0),
@@ -311,8 +251,8 @@ def invert_flow(obstacle: Obstacle, phase: Phase, y, seed=None,
                 grazing_floor: float = 1e-4) -> tuple[float, np.ndarray, float]:
     """Invert the reflected flow map at a spacetime point y = (y1, ybar, t').
 
-    Damped Newton on the spatial part with a finite-difference Jacobian,
-    seeded by a coarse grid search over (s, xbar) when no seed is given.
+    Damped Newton on the spatial part with the closed-form Jacobian of the
+    flow map, seeded by a coarse grid search over (s, xbar) when no seed is given.
     Near-grazing seeds are refused: the inverse is merely continuous there
     and the Newton system degenerates.
     """
@@ -338,19 +278,14 @@ def invert_flow(obstacle: Obstacle, phase: Phase, y, seed=None,
         raise GrazingSingular(f"seed margin {mu} below floor {grazing_floor}")
 
     def residual(v):
-        return _spatial_map(obstacle, phase, v) - y_space
+        return _flow_point(obstacle, phase, v[0], v[1:]) - y_space
 
     r = residual(v)
     rn = float(np.linalg.norm(r))
-    h = EPS ** (1.0 / 3.0)
     for it in range(max_iter):
         if rn <= 1e-14:
             break
-        jac = np.zeros((d + 1, d + 1))
-        for k in range(d + 1):
-            e = np.zeros(d + 1)
-            e[k] = h
-            jac[:, k] = (residual(v + e) - residual(v - e)) / (2.0 * h)
+        jac = _spatial_block(obstacle, phase, v[0], v[1:])
         try:
             delta = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
@@ -456,7 +391,8 @@ def verify_rfm(obstacle: Obstacle, phase: Phase, s0: float = 1.0,
         raise ValueError("budget must be positive")
     rng = np.random.default_rng(seed)
     d = obstacle.dim_tangential
-    r = obstacle.radius if radius is None else min(radius, obstacle.radius)
+    # Samples stay a difference step inside the domain, where jacobian_fd steps.
+    r = min(obstacle.radius if radius is None else radius, obstacle.radius - FD_STEP)
 
     samples = []
     tries = 0

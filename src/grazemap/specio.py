@@ -25,6 +25,8 @@ Phase::
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .diffgeo import NotNormalized, Obstacle, PolynomialSurface, SymmetricH, sphere_obstacle
@@ -59,6 +61,8 @@ def _floats(path, lineno, value, expect=None) -> list[float]:
         out = [float(tok) for tok in value.split()]
     except ValueError as exc:
         raise SpecError(path, lineno, f"expected numbers, got {value!r}") from exc
+    if not all(math.isfinite(x) for x in out):
+        raise SpecError(path, lineno, f"expected finite numbers, got {value!r}")
     if expect is not None and len(out) != expect:
         raise SpecError(path, lineno, f"expected {expect} numbers, got {len(out)}")
     return out
@@ -95,8 +99,8 @@ def parse_obstacle(path: str) -> Obstacle:
         radius = float(rad_raw)
     except ValueError as exc:
         raise SpecError(path, rad_line or 1, f"radius must be a number, got {rad_raw!r}") from exc
-    if radius <= 0.0:
-        raise SpecError(path, rad_line or 1, "radius must be positive")
+    if not (radius > 0.0 and math.isfinite(radius)):
+        raise SpecError(path, rad_line or 1, "radius must be positive and finite")
 
     if kind == "polynomial":
         if not terms:
@@ -112,6 +116,8 @@ def parse_obstacle(path: str) -> Obstacle:
                 expo = tuple(int(tok) for tok in nums[1:])
             except ValueError as exc:
                 raise SpecError(path, lineno, f"bad term {value!r}") from exc
+            if not math.isfinite(coeff):
+                raise SpecError(path, lineno, f"term coefficient must be finite, got {nums[0]!r}")
             if any(e < 0 for e in expo):
                 raise SpecError(path, lineno, "exponents must be nonnegative")
             if expo in poly_terms:
@@ -195,8 +201,8 @@ def parse_phase(path: str, dim: int = 3) -> Phase:
             radius = float(rraw)
         except ValueError as exc:
             raise SpecError(path, rline, f"radius must be a number, got {rraw!r}") from exc
-        if radius <= 0.0:
-            raise SpecError(path, rline, "radius must be positive")
+        if not (radius > 0.0 and math.isfinite(radius)):
+            raise SpecError(path, rline, "radius must be positive and finite")
         return ConvexPhase.distance_to_sphere(center, radius)
 
     raise SpecError(path, kind_line, f"unknown phase kind {kind!r}")

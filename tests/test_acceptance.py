@@ -12,6 +12,7 @@ import grazemap as gm
 from grazemap.cli import main
 from grazemap.diffgeo import MultiPoly
 from grazemap.phases import boundary_trace_hessian
+from grazemap.reflection import factor_matrices
 
 from conftest import (illuminated_samples, planar_c1_obstacle, planar_cusp_obstacle,
                       quartic_mixed_vsq, quartic_quartic, quartic_vsq, rounded_quartic)
@@ -75,14 +76,14 @@ def test_criterion_03_btk_closed_forms():
     rng = np.random.default_rng(103)
     worst_sph = 0.0
     for x, mu in illuminated_samples(SPHERE, SIDE_SOURCE, rng, 1000):
-        rep = gm.jacobian_analytic(SPHERE, SIDE_SOURCE, 0.5, x)
+        b_mat, _, k_mat, _ = factor_matrices(SPHERE, SIDE_SOURCE, x)
         pt = SPHERE.boundary_point(x)
         rel = pt - SIDE_SOURCE.source
         rho = float(np.linalg.norm(rel))
         g = SPHERE.gradient(x)
         w = (rel[0] / rho) * g + rel[1:] / rho
         closed = (np.eye(2) + np.outer(g, g) - np.outer(w, w)) / rho
-        worst_sph = max(worst_sph, float(np.max(np.abs(rep.B.T @ rep.K - closed))))
+        worst_sph = max(worst_sph, float(np.max(np.abs(b_mat.T @ k_mat - closed))))
     assert worst_sph <= 1e-10
 
     conv = gm.ConvexPhase.distance_to_sphere([1.0, -1.0, 0.0], 2.0)
@@ -95,10 +96,10 @@ def test_criterion_03_btk_closed_forms():
             # parallel to the tangent plane; skip that thin set
             if abs(gm.xi_reflected(SPHERE, conv, x).xi1) < 0.05:
                 continue
-            rep = gm.jacobian_analytic(SPHERE, conv, 0.5, x)
+            b_mat, _, k_mat, _ = factor_matrices(SPHERE, conv, x)
             xi = gm.xi_incoming(conv, SPHERE, x)
             rhs = boundary_trace_hessian(conv, SPHERE, x) - xi.xi1 * SPHERE.hessian(x)
-            worst_gen = max(worst_gen, float(np.max(np.abs(rep.B.T @ rep.K - rhs))))
+            worst_gen = max(worst_gen, float(np.max(np.abs(b_mat.T @ k_mat - rhs))))
             min_eig = min(min_eig, float(np.linalg.eigvalsh(0.5 * (rhs + rhs.T))[0]))
             checked += 1
     assert worst_gen <= 1e-9

@@ -105,6 +105,15 @@ def test_rfm_check_pass(specs, tmp_path, capsys):
     assert len(lines) == 201
 
 
+def test_rfm_check_sample_near_domain_edge(specs, tmp_path, capsys):
+    # This seed draws a sample within the difference step of the domain edge.
+    code = main(["rfm-check", "--obstacle", specs["sphere.obstacle"], "--phase",
+                 specs["side.phase"], "--budget", "100", "--s0", "1.0",
+                 "--seed", "726285599", "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert capsys.readouterr().out.strip().endswith("RFM PASS")
+
+
 def test_rfm_check_plane_wave(specs, tmp_path, capsys):
     code = main(["rfm-check", "--obstacle", specs["sphere.obstacle"], "--phase",
                  specs["plane.phase"], "--budget", "200", "--out", str(tmp_path / "o")])
@@ -127,6 +136,30 @@ def test_reflect_csv(specs, tmp_path):
     lines = (out / "reflect.csv").read_text().splitlines()
     assert lines[0].split(",")[:4] == ["x2", "x3", "mu", "label"]
     assert len(lines) == 51
+
+
+@pytest.mark.parametrize("command, kind, text, line", [
+    ("classify", "obstacle", SPHERE_OBSTACLE.replace("radius = 0.5", "radius = nan"), 4),
+    ("classify", "obstacle", CUSP_OBSTACLE.replace("term = -1 4 0", "term = nan 4 0"), 5),
+    ("reflect", "phase", "kind = spherical\nb = inf -1 0\n", 2),
+], ids=["radius", "term", "source"])
+def test_non_finite_spec_number_is_spec_error(specs, tmp_path, capsys, command, kind, text, line):
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_text(text, encoding="utf-8")
+    files = {"obstacle": specs["sphere.obstacle"], "phase": specs["side.phase"], kind: str(bad)}
+    code = main([command, "--obstacle", files["obstacle"], "--phase", files["phase"],
+                 "--budget", "10", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert f"{bad}:{line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [("rfm-check", "--s0"), ("classify", "--window"),
+                                           ("classify", "--tol")])
+def test_non_finite_flag_is_usage_error(specs, tmp_path, capsys, command, flag):
+    code = main([command, "--obstacle", specs["cusp.obstacle"], "--phase", specs["side.phase"],
+                 "--budget", "10", flag, "nan", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "<flags>:0:" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_hard_error(specs, tmp_path):

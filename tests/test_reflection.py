@@ -3,6 +3,7 @@ import pytest
 
 import grazemap as gm
 from grazemap.phases import boundary_trace_hessian
+from grazemap.reflection import _reflected_field_derivative, factor_matrices
 
 from conftest import illuminated_samples, quartic_vsq, sample_disk
 
@@ -75,16 +76,6 @@ def test_flow_map(sphere, side_source):
         gm.flow_map(sphere, side_source, 0.1, [0.3, 0.0])
 
 
-def test_rank_one_update_identities():
-    rng = np.random.default_rng(23)
-    for _ in range(100):
-        a, b = rng.normal(size=2), rng.normal(size=2)
-        m = np.eye(2) + np.outer(a, b)
-        assert abs(gm.rank_one_det(a, b) - np.linalg.det(m)) < 1e-12
-        if abs(1 + a @ b) > 1e-3:
-            assert np.max(np.abs(gm.rank_one_inv(a, b) - np.linalg.inv(m))) < 1e-12
-
-
 def test_jacobian_at_zero_is_twice_margin(sphere, side_source):
     rng = np.random.default_rng(24)
     for x, mu in illuminated_samples(sphere, side_source, rng, 50):
@@ -106,13 +97,12 @@ def test_jacobian_bound_and_fd_agreement(sphere, side_source):
 def test_jacobian_factor_identities(sphere, side_source):
     rng = np.random.default_rng(26)
     for x, mu in illuminated_samples(sphere, side_source, rng, 80):
-        s = rng.uniform(0.0, 1.0)
-        rep = gm.jacobian_analytic(sphere, side_source, s, x)
-        btk = rep.B.T @ rep.K
+        b_mat, _, k_mat, l_mat = factor_matrices(sphere, side_source, x)
+        btk = b_mat.T @ k_mat
         assert np.max(np.abs(btk - btk.T)) < 1e-9
         xi = gm.xi_incoming(side_source, sphere, x)
         xr = gm.xi_reflected(sphere, side_source, x)
-        assert np.max(np.abs(rep.B.T @ rep.L - (xi.xi1 - xr.xi1) * sphere.hessian(x))) < 1e-9
+        assert np.max(np.abs(b_mat.T @ l_mat - (xi.xi1 - xr.xi1) * sphere.hessian(x))) < 1e-9
         # spherical closed form for B^T K
         pt = sphere.boundary_point(x)
         rel = pt - side_source.source
@@ -121,10 +111,70 @@ def test_jacobian_factor_identities(sphere, side_source):
         g = sphere.gradient(x)
         closed = (np.eye(2) + np.outer(g, g) - np.outer(w, w)) / rho
         assert np.max(np.abs(btk - closed)) < 1e-10
-        # factorization consistency where the factors are well conditioned
-        if abs(xr.xi1) > 0.2:
-            a2 = rep.B + 2.0 * s * rep.C @ (rep.K + rep.L)
-            assert np.max(np.abs(a2 - rep.A)) < 1e-6
+
+
+def _fd_reflected_field(obstacle, phase, x, h=1e-6):
+    """(grad xi1_r, d xibar_r / d xbar) by central differences of xi_reflected."""
+    cols = []
+    for k in range(x.size):
+        e = np.zeros(x.size)
+        e[k] = h
+        hi = gm.xi_reflected(obstacle, phase, x + e).vector
+        lo = gm.xi_reflected(obstacle, phase, x - e).vector
+        cols.append((hi - lo) / (2.0 * h))
+    jac = np.column_stack(cols)
+    return jac[0], jac[1:]
+
+
+@pytest.mark.parametrize("phase", [
+    gm.SphericalPhase(source=[1.0, -1.0, 0.0]),
+    gm.PlanePhase(theta=[0.0, 1.0, 0.0]),
+    gm.ConvexPhase.distance_to_sphere([1.0, -1.0, 0.0], 2.0),
+], ids=["spherical", "plane", "convex-distance"])
+@pytest.mark.parametrize("obstacle", [gm.sphere_obstacle(2, radius=0.5), quartic_vsq()],
+                         ids=["sphere", "quartic_vsq"])
+def test_reflected_field_derivative_matches_differences(obstacle, phase):
+    # The closed-form chain rule against central differences of the
+    # reflected covector itself, which share none of its algebra.
+    rng = np.random.default_rng(29)
+    for x, mu in illuminated_samples(obstacle, phase, rng, 40):
+        xr, d_xi1r, k_mat, l_mat = _reflected_field_derivative(obstacle, phase, x)
+        fd_xi1r, fd_xibar_r = _fd_reflected_field(obstacle, phase, x)
+        assert np.array_equal(xr.vector, gm.xi_reflected(obstacle, phase, x).vector)
+        assert np.max(np.abs(d_xi1r - fd_xi1r)) < 1e-6
+        assert np.max(np.abs(k_mat + l_mat - fd_xibar_r)) < 1e-6
+
+
+def test_jacobian_regular_where_reflected_xi1_vanishes(sphere, side_source):
+    # Bisect xi1_r along a segment of the illuminated region on which it
+    # changes sign; the factor matrices divide by xi1_r there, the closed
+    # spatial block does not.
+    a, b = np.array([-0.3, 0.0]), np.array([-0.108381, 0.390274])
+
+    def xi1r(u):
+        return gm.xi_reflected(sphere, side_source, a + u * (b - a)).xi1
+
+    lo, hi = 0.0, 1.0
+    assert xi1r(lo) * xi1r(hi) < 0.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if xi1r(mid) * xi1r(lo) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    u = min((lo, hi), key=lambda v: abs(xi1r(v)))
+    x = a + u * (b - a)
+    assert abs(xi1r(u)) < 1e-13
+    assert np.max(np.abs(x - [-0.12605, 0.35429])) < 1e-4
+    mu = gm.tangency_margin(sphere, side_source, x)
+    assert abs(mu - 0.116) < 1e-3
+    with pytest.raises(gm.GrazingSingular):
+        factor_matrices(sphere, side_source, x)
+    for s in (0.0, 0.3, 1.0):
+        rep = gm.jacobian_analytic(sphere, side_source, s, x)
+        assert rep.j_analytic >= 2.0 * mu - 1e-9
+        jf = gm.jacobian_fd(sphere, side_source, s, x)
+        assert abs(rep.j_analytic - jf) / abs(jf) < 1e-6
 
 
 def test_general_phase_btk_identity(sphere):
@@ -134,10 +184,10 @@ def test_general_phase_btk_identity(sphere):
     for x, mu in illuminated_samples(sphere, conv, rng, 200):
         if abs(gm.xi_reflected(sphere, conv, x).xi1) < 0.05:
             continue  # factor matrices are near-singular there
-        rep = gm.jacobian_analytic(sphere, conv, 0.4, x)
+        b_mat, _, k_mat, _ = factor_matrices(sphere, conv, x)
         xi = gm.xi_incoming(conv, sphere, x)
         rhs = boundary_trace_hessian(conv, sphere, x) - xi.xi1 * sphere.hessian(x)
-        assert np.max(np.abs(rep.B.T @ rep.K - rhs)) < 1e-9
+        assert np.max(np.abs(b_mat.T @ k_mat - rhs)) < 1e-9
         assert np.linalg.eigvalsh(0.5 * (rhs + rhs.T))[0] >= -1e-8
         checked += 1
     assert checked > 100
@@ -153,11 +203,11 @@ def test_flat_limit_drops_curvature_term():
     mu = gm.tangency_margin(plane, src, x)
     assert mu > 0.5
     s = 0.5
-    rep = gm.jacobian_analytic(plane, src, s, x)
-    assert np.max(np.abs(rep.L)) < 1e-12
+    b_mat, c_mat, k_mat, l_mat = factor_matrices(plane, src, x)
+    assert np.max(np.abs(l_mat)) < 1e-12
     j_without_l = 2.0 * gm.xi_reflected(plane, src, x).xi1 * np.linalg.det(
-        rep.B + 2.0 * s * rep.C @ rep.K)
-    assert abs(rep.j_analytic - j_without_l) < 1e-6
+        b_mat + 2.0 * s * c_mat @ k_mat)
+    assert abs(gm.jacobian_analytic(plane, src, s, x).j_analytic - j_without_l) < 1e-6
 
 
 def test_jacobian_errors(sphere, side_source):
@@ -240,6 +290,12 @@ def test_verify_rfm_catches_focusing_field(sphere):
     assert not verdict.passed
     assert verdict.bound_failures
     assert any(row[4] < 0.0 for row in verdict.rows if not np.isnan(row[4]))
+
+
+def test_verify_rfm_keeps_difference_steps_inside_domain(sphere, side_source):
+    # A sample within the difference step of the domain edge used to make
+    # jacobian_fd raise DomainExceeded on this seed.
+    assert gm.verify_rfm(sphere, side_source, s0=1.0, budget=100, seed=726285599).passed
 
 
 def test_verify_rfm_rejects_zero_budget(sphere, side_source):
