@@ -285,6 +285,13 @@ class GrazingCurve:
         return np.vstack([b.vertices for b in self.branches])
 
 
+H_MIN = 1e-6          # smallest continuation step before StepCollapse
+H_MAX = 1e-2          # largest continuation step
+SEED_OFFSET = 1e-3    # transverse offset of the two branch seeds
+SHRINK_STOP = 1e-5    # inward shrink stops below this transverse offset
+SHRINK_FACTOR = 0.85  # ratio of successive transverse offsets in the shrink
+
+
 def _bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
     """Root of f in [lo, hi], where f(lo) = f_lo and f(hi) differ in sign.
 
@@ -340,79 +347,50 @@ def _line_roots(gf, obstacle, t_axis, offset, window, n=1024, refine_tol=1e-13):
     return _scan_roots(g_of, np.linspace(-lim, lim, n), refine_tol)
 
 
-def _detect_orientation(gf, obstacle, window, seed_offset):
+def _detect_orientation(gf, obstacle, window):
     """Pick the transverse axis: the one whose both offset lines see one root."""
-    candidates = []
-    for t_axis in (1, 0):
-        roots_p = _line_roots(gf, obstacle, t_axis, +seed_offset, window)
-        roots_m = _line_roots(gf, obstacle, t_axis, -seed_offset, window)
-        candidates.append((t_axis, roots_p, roots_m))
     scored = []
-    for t_axis, rp, rm in candidates:
-        if len(rp) >= 1 and len(rm) >= 1:
+    for t_axis in (1, 0):
+        rp = _line_roots(gf, obstacle, t_axis, +SEED_OFFSET, window)
+        rm = _line_roots(gf, obstacle, t_axis, -SEED_OFFSET, window)
+        if rp and rm:
             # Prefer single roots and roots close to the apex.
             penalty = (len(rp) - 1) + (len(rm) - 1)
             size = min(abs(r) for r in rp) + min(abs(r) for r in rm)
             scored.append((penalty, size, t_axis, rp, rm))
     if not scored:
-        raise SeedNotFound(f"no sign change at transverse offset {seed_offset} in window {window}")
+        raise SeedNotFound(f"no sign change at transverse offset {SEED_OFFSET} in window {window}")
     scored.sort(key=lambda item: (item[0], item[1]))
     _, _, t_axis, rp, rm = scored[0]
-    root_p = min(rp, key=abs)
-    root_m = min(rm, key=abs)
-    return t_axis, root_p, root_m
+    return t_axis, min(rp, key=abs), min(rm, key=abs)
 
 
-def _newton_on_graph(gf, obstacle, t_axis, t_val, g_guess, tol, max_iter=80):
-    """Solve g = 0 over the graph axis at fixed transverse value.
+def _correct(gf, obstacle, point, tol, axis=None):
+    """Newton correction back onto the zero set, along the gradient or, when
+    ``axis`` is given, along that coordinate axis only.
 
-    Iterates to machine stall, not just to ``tol``: near the apex the
-    derivative along the graph axis can be ~1e-10, so a residual at the
-    acceptance bound would leave the coordinate essentially unresolved.
-    """
-    g_axis = 1 - t_axis
-
-    def make(v):
-        p = np.zeros(2)
-        p[t_axis] = t_val
-        p[g_axis] = v
-        return p
-
-    v = float(g_guess)
-    f = gf.value(obstacle, make(v))
-    for _ in range(max_iter):
-        if f == 0.0:
-            return v, 0.0
-        df = gf.gradient(obstacle, make(v))[g_axis]
-        if df == 0.0:
-            break
-        v_new = v - f / df
-        f_new = gf.value(obstacle, make(v_new))
-        if abs(f_new) >= abs(f):
-            if abs(f_new) <= tol:
-                v, f = v_new, f_new
-            break
-        v, f = v_new, f_new
-    if abs(f) <= tol:
-        return v, abs(f)
-    return None
-
-
-def _correct(gf, obstacle, point, tol, max_iter=40):
-    """Newton correction along the gradient direction back onto the zero set.
-
-    Runs to machine stall; ``tol`` is the acceptance bound on the residual.
+    Iterates to machine stall, not just to ``tol``, which is the acceptance
+    bound on the residual: near the apex the derivative along the graph axis
+    can be ~1e-10, so a residual at the bound would leave the coordinate
+    essentially unresolved.  A zero derivative ends the iteration.  At most
+    40 gradient steps or 80 axis steps.
     """
     p = np.array(point, dtype=float)
     f = gf.value(obstacle, p)
-    for _ in range(max_iter):
+    for _ in range(40 if axis is None else 80):
         if f == 0.0:
             return p, 0.0
         grad = gf.gradient(obstacle, p)
-        g2 = float(grad @ grad)
-        if g2 == 0.0:
-            return None
-        p_new = p - grad * (f / g2)
+        if axis is None:
+            g2 = float(grad @ grad)
+            if g2 == 0.0:
+                break
+            p_new = p - grad * (f / g2)
+        else:
+            if grad[axis] == 0.0:
+                break
+            p_new = p.copy()
+            p_new[axis] = p[axis] - f / grad[axis]
         f_new = gf.value(obstacle, p_new)
         if abs(f_new) >= abs(f):
             if abs(f_new) <= tol:
@@ -425,17 +403,15 @@ def _correct(gf, obstacle, point, tol, max_iter=40):
 
 
 def trace_grazing_curve(gf: GrazingFunction, obstacle: Obstacle, window: float = 0.3,
-                        trace_tol: float = 1e-10, h_min: float = 1e-6,
-                        h_max: float = 1e-2, seed_offset: float = 1e-3,
-                        shrink_stop: float = 1e-5, shrink_factor: float = 0.85,
-                        ) -> GrazingCurve:
+                        trace_tol: float = 1e-10) -> GrazingCurve:
     """Trace both branches of the grazing curve through the apex.
 
     The apex itself is singular whenever the tangency order exceeds two, so
-    branches are seeded at transverse offsets +-seed_offset found by scanning
+    branches are seeded at transverse offsets +-SEED_OFFSET found by scanning
     for sign changes; each branch then runs a geometric shrink toward the
-    apex (down to ``shrink_stop``) and a pseudo-arclength continuation away
-    from it, out to the window boundary.
+    apex (ratio SHRINK_FACTOR, down to SHRINK_STOP) and a pseudo-arclength
+    continuation away from it (steps between H_MIN and H_MAX), out to the
+    window boundary.
     """
     if obstacle.dim_tangential != 2:
         raise UnsupportedSurface("curve tracing requires a 3D obstacle (two tangential variables)")
@@ -444,35 +420,33 @@ def trace_grazing_curve(gf: GrazingFunction, obstacle: Obstacle, window: float =
         raise SeedNotFound(f"apex residual {apex} is nonzero: apex is not a grazing point")
     window = min(window, obstacle.radius / math.sqrt(2.0) * 0.999)
 
-    t_axis, root_p, root_m = _detect_orientation(gf, obstacle, window, seed_offset)
+    t_axis, root_p, root_m = _detect_orientation(gf, obstacle, window)
     g_axis = 1 - t_axis
 
     branches = []
     for side, root in ((1, root_p), (-1, root_m)):
         seed = np.zeros(2)
-        seed[t_axis] = side * seed_offset
+        seed[t_axis] = side * SEED_OFFSET
         seed[g_axis] = root
 
         # Inward: geometric shrink of the transverse coordinate toward the apex.
         inward = []
-        g_prev = root
-        t_val = side * seed_offset * shrink_factor
-        while abs(t_val) >= shrink_stop:
-            sol = _newton_on_graph(gf, obstacle, t_axis, t_val, g_prev, trace_tol)
+        guess = seed.copy()
+        t_val = side * SEED_OFFSET * SHRINK_FACTOR
+        while abs(t_val) >= SHRINK_STOP:
+            guess[t_axis] = t_val
+            sol = _correct(gf, obstacle, guess, trace_tol, axis=g_axis)
             if sol is None:
                 break
-            g_prev = sol[0]
-            p = np.zeros(2)
-            p[t_axis] = t_val
-            p[g_axis] = g_prev
-            inward.append((p, sol[1]))
-            t_val *= shrink_factor
+            inward.append(sol)
+            guess[g_axis] = sol[0][g_axis]
+            t_val *= SHRINK_FACTOR
 
         # Outward: predictor-corrector continuation.
         outward = []
         current = seed.copy()
         prev_dir = None
-        h = 10.0 * h_min
+        h = 10.0 * H_MIN
         while True:
             grad = gf.gradient(obstacle, current)
             norm = float(np.linalg.norm(grad))
@@ -485,11 +459,11 @@ def trace_grazing_curve(gf: GrazingFunction, obstacle: Obstacle, window: float =
             elif float(tangent @ prev_dir) < 0.0:
                 tangent = -tangent
             t_here = abs(current[t_axis])
-            h_cap = min(h_max, max(10.0 * h_min, 0.2 * t_here))
+            h_cap = min(H_MAX, max(10.0 * H_MIN, 0.2 * t_here))
             step = min(h, h_cap)
             accepted = False
             left_domain = False
-            while step >= h_min:
+            while step >= H_MIN:
                 predicted = current + step * tangent
                 if np.linalg.norm(predicted) > obstacle.radius * 0.995:
                     left_domain = True
@@ -510,7 +484,7 @@ def trace_grazing_curve(gf: GrazingFunction, obstacle: Obstacle, window: float =
             outward.append((point, res))
             prev_dir = (point - current) / max(float(np.linalg.norm(point - current)), 1e-300)
             current = point
-            h = min(step * 1.4, h_max)
+            h = min(step * 1.4, H_MAX)
             if len(outward) > 100000:
                 break
 
@@ -660,12 +634,10 @@ def slice_grazing_count(obstacle: Obstacle, bbar, x2_star: float,
 
     # Second intersection of the slice plane with the meridian x3 = 0.
     lim = obst_r.radius * 0.999
-    grid = np.linspace(1e-9, lim, 600)
-    vals = [k_meridian(v) for v in grid]
-    crossing = next((i for i in range(len(grid) - 1) if vals[i] * vals[i + 1] < 0.0), None)
-    if crossing is None:
+    meridian_roots = _scan_roots(k_meridian, np.linspace(1e-9, lim, 600), 1e-14)
+    if not meridian_roots:
         raise SliceMiss("slice plane does not re-enter the window on the far side")
-    x2_dd = _bisect(k_meridian, grid[crossing], grid[crossing + 1], vals[crossing], 1e-14)
+    x2_dd = meridian_roots[0]
 
     center = np.array([0.5 * (x2_star + x2_dd), 0.0])
     k_center = k_fn(center)
@@ -689,21 +661,13 @@ def slice_grazing_count(obstacle: Obstacle, bbar, x2_star: float,
             r += r_bound / 50.0
         raise SliceMiss("slice curve leaves the obstacle domain")
 
-    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    pts = [radial_point(p) for p in phis]
-    hvals = [gf.value(obst_r, p) for p in pts]
-
     def h_of(phi) -> float:
         return gf.value(obst_r, radial_point(phi))
 
-    crossings = []
-    for i in range(n_phi):
-        j = (i + 1) % n_phi
-        if hvals[i] == 0.0:
-            crossings.append(pts[i])
-        elif hvals[i] * hvals[j] < 0.0:
-            phi = _bisect(h_of, phis[i], phis[i] + (2.0 * np.pi / n_phi), hvals[i], 1e-13)
-            crossings.append(radial_point(phi))
+    # Closed angular grid: angle 0 repeats at 2 pi, so a crossing across the
+    # wrap-around is seen once.
+    phis = _scan_roots(h_of, np.linspace(0.0, 2.0 * np.pi, n_phi + 1), 1e-13)
+    crossings = [radial_point(phi) for phi in phis]
 
     pos = sum(1 for p in crossings if p[1] > 0.0)
     neg = sum(1 for p in crossings if p[1] < 0.0)
@@ -760,11 +724,20 @@ VERDICT_C1 = "GS-HOLDS-C1-EVIDENCE"
 VERDICT_CUSP = "GS-FAILS-CUSP-EVIDENCE"
 VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
 
+# Verdict for each curve regularity class once no-branching holds and the
+# leading Hessian is not positive definite; any other class is inconclusive.
+_REGULARITY_VERDICTS = {"cusp": VERDICT_CUSP, "c1-not-c2": VERDICT_C1, "smooth": VERDICT_C1}
+
+SLICE_PARAMS = (-0.05,)        # x2* of the no-branching slice curves
+FIT_WINDOW = (1e-4, 1e-2)      # transverse range of the regularity fit
+
 
 def gs_assumption_report(obstacle: Obstacle, phase: Phase, window: float = 0.3,
-                         trace_tol: float = 1e-10, slice_params=(-0.05,),
-                         fit_window=(1e-4, 1e-2)) -> GsReport:
+                         trace_tol: float = 1e-10) -> GsReport:
     """Bundle order, Hessian-positivity, tracing, regularity, and slice counts.
+
+    The regularity fit covers transverse offsets in FIT_WINDOW; slice counts
+    are taken at each x2* in SLICE_PARAMS (spherical sources only).
 
     Evidence-level verdicts are numerical evidence, never proofs; the one
     verdict backed by an exact hypothesis check is the smooth case, certified
@@ -800,13 +773,13 @@ def gs_assumption_report(obstacle: Obstacle, phase: Phase, window: float = 0.3,
         gf = grazing_function_for(obstacle, phase)
         try:
             curve = trace_grazing_curve(gf, obstacle, window=window, trace_tol=trace_tol)
-            regularity = estimate_regularity(curve, fit_window=fit_window)
+            regularity = estimate_regularity(curve, fit_window=FIT_WINDOW)
         except (SeedNotFound, StepCollapse, InsufficientPoints) as exc:
             notes.append(f"tracing failed: {exc}")
             return GsReport(VERDICT_INCONCLUSIVE, order, u1ww, curve, None,
                             (), tuple(notes))
         if isinstance(phase, SphericalPhase):
-            for x2s in slice_params:
+            for x2s in SLICE_PARAMS:
                 try:
                     slices.append(slice_grazing_count(obstacle, phase.source[1:], x2s))
                 except SliceMiss as exc:
@@ -814,28 +787,14 @@ def gs_assumption_report(obstacle: Obstacle, phase: Phase, window: float = 0.3,
         else:
             notes.append("slice counts apply to spherical sources only")
 
-    branching_ok = all(sc.count_pos == 1 and sc.count_neg == 1 for sc in slices)
-    if not branching_ok:
+    if not all(sc.count_pos == 1 and sc.count_neg == 1 for sc in slices):
         notes.append("slice counts differ from (1,1): no-branching evidence failed")
-        return GsReport(VERDICT_INCONCLUSIVE, order, u1ww, curve, regularity,
-                        tuple(slices), tuple(notes))
-
-    if u1ww is not None and u1ww.passed:
-        return GsReport(VERDICT_SMOOTH, order, u1ww, curve, regularity,
-                        tuple(slices), tuple(notes))
-
-    if regularity is None:
-        return GsReport(VERDICT_INCONCLUSIVE, order, u1ww, curve, regularity,
-                        tuple(slices), tuple(notes))
-    if regularity.verdict == "cusp":
-        return GsReport(VERDICT_CUSP, order, u1ww, curve, regularity,
-                        tuple(slices), tuple(notes))
-    if regularity.verdict == "c1-not-c2":
-        return GsReport(VERDICT_C1, order, u1ww, curve, regularity,
-                        tuple(slices), tuple(notes))
-    if regularity.verdict == "smooth":
-        notes.append("graph fit is analytic to fit tolerance; C1 evidence reported")
-        return GsReport(VERDICT_C1, order, u1ww, curve, regularity,
-                        tuple(slices), tuple(notes))
-    return GsReport(VERDICT_INCONCLUSIVE, order, u1ww, curve, regularity,
-                    tuple(slices), tuple(notes))
+        verdict = VERDICT_INCONCLUSIVE
+    elif u1ww is not None and u1ww.passed:
+        verdict = VERDICT_SMOOTH
+    else:
+        kind = regularity.verdict if regularity is not None else None
+        verdict = _REGULARITY_VERDICTS.get(kind, VERDICT_INCONCLUSIVE)
+        if kind == "smooth":
+            notes.append("graph fit is analytic to fit tolerance; C1 evidence reported")
+    return GsReport(verdict, order, u1ww, curve, regularity, tuple(slices), tuple(notes))
