@@ -428,6 +428,10 @@ def trace_grazing_curve(gf: GrazingFunction, obstacle: Obstacle, window: float =
         seed = np.zeros(2)
         seed[t_axis] = side * SEED_OFFSET
         seed[g_axis] = root
+        # Polish the bisected root onto the zero set; keep it if that fails.
+        polished = _correct(gf, obstacle, seed, trace_tol, axis=g_axis)
+        seed_vertex = polished if polished is not None else (seed, abs(gf.value(obstacle, seed)))
+        seed = seed_vertex[0]
 
         # Inward: geometric shrink of the transverse coordinate toward the apex.
         inward = []
@@ -488,8 +492,7 @@ def trace_grazing_curve(gf: GrazingFunction, obstacle: Obstacle, window: float =
             if len(outward) > 100000:
                 break
 
-        seed_res = abs(gf.value(obstacle, seed))
-        chain = list(reversed(inward)) + [(seed, seed_res)] + outward
+        chain = list(reversed(inward)) + [seed_vertex] + outward
         verts = np.array([p for p, _ in chain])
         resid = np.array([r for _, r in chain])
         arcs = np.concatenate(([0.0], np.cumsum(np.linalg.norm(np.diff(verts, axis=0), axis=1))))
@@ -737,7 +740,9 @@ def gs_assumption_report(obstacle: Obstacle, phase: Phase, window: float = 0.3,
     """Bundle order, Hessian-positivity, tracing, regularity, and slice counts.
 
     The regularity fit covers transverse offsets in FIT_WINDOW; slice counts
-    are taken at each x2* in SLICE_PARAMS (spherical sources only).
+    are taken at each x2* in SLICE_PARAMS (spherical sources only).  A trace
+    or fit that fails is recorded as a note, and the verdict then rests on
+    the slice counts and the Hessian-positivity check.
 
     Evidence-level verdicts are numerical evidence, never proofs; the one
     verdict backed by an exact hypothesis check is the smooth case, certified
@@ -776,8 +781,6 @@ def gs_assumption_report(obstacle: Obstacle, phase: Phase, window: float = 0.3,
             regularity = estimate_regularity(curve, fit_window=FIT_WINDOW)
         except (SeedNotFound, StepCollapse, InsufficientPoints) as exc:
             notes.append(f"tracing failed: {exc}")
-            return GsReport(VERDICT_INCONCLUSIVE, order, u1ww, curve, None,
-                            (), tuple(notes))
         if isinstance(phase, SphericalPhase):
             for x2s in SLICE_PARAMS:
                 try:

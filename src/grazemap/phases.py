@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffgeo import Obstacle, _central_difference
+from .diffgeo import DomainExceeded, Obstacle, _central_difference
 
 
 class SourceOnBoundary(ValueError):
@@ -135,10 +135,14 @@ def xi_incoming(phase: Phase, obstacle: Obstacle, xbar) -> BoundaryCovector:
 
 
 def _richardson_step(obstacle: Obstacle, xbar) -> float:
-    """Step for 4th-order differencing: rounding-optimal, clipped to the domain."""
+    """Step for 4th-order differencing: rounding-optimal, at most half the
+    distance to the domain edge, so every difference point stays inside."""
     h = 3e-4 * max(1.0, float(np.max(np.abs(xbar))))
     room = obstacle.radius - float(np.linalg.norm(xbar))
-    return min(h, max(1e-6, 0.5 * room))
+    if room <= 0.0:
+        raise DomainExceeded(f"xbar = {np.asarray(xbar).tolist()} leaves no room for "
+                             f"differences inside radius {obstacle.radius}")
+    return min(h, 0.5 * room)
 
 
 def xi_jacobian(phase: Phase, obstacle: Obstacle, xbar) -> tuple[np.ndarray, np.ndarray]:

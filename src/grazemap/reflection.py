@@ -440,17 +440,16 @@ def verify_rfm(obstacle: Obstacle, phase: Phase, s0: float = 1.0,
     if len(samples) >= 2:
         n_pairs = min(10000, 5 * len(samples))
         idx = rng.integers(0, len(samples), size=(n_pairs, 2))
-        for i, j in idx:
-            if i == j:
-                continue
-            s1, x1, t1, _ = samples[i]
-            s2, x2, t2, _ = samples[j]
-            p1 = np.concatenate((_flow_point(obstacle, phase, s1, x1), [t1 + 2 * s1]))
-            p2 = np.concatenate((_flow_point(obstacle, phase, s2, x2), [t2 + 2 * s2]))
-            dom = np.sqrt((s1 - s2) ** 2 + np.sum((x1 - x2) ** 2) + (t1 - t2) ** 2)
-            img = float(np.linalg.norm(p1 - p2))
-            if img < 1e-9 and dom > 1e-6:
-                injectivity_failures.append(((s1, x1, t1), (s2, x2, t2), dom, img))
+        idx = idx[idx[:, 0] != idx[:, 1]]
+        # One domain point (s, xbar, t) and one image per sample.
+        dom_pts = np.array([np.concatenate(([s], xb, [t])) for s, xb, t, _ in samples])
+        img_pts = np.array([np.concatenate((_flow_point(obstacle, phase, s, xb), [t + 2 * s]))
+                            for s, xb, t, _ in samples])
+        dom = np.linalg.norm(dom_pts[idx[:, 0]] - dom_pts[idx[:, 1]], axis=1)
+        img = np.linalg.norm(img_pts[idx[:, 0]] - img_pts[idx[:, 1]], axis=1)
+        for k in np.flatnonzero((img < 1e-9) & (dom > 1e-6)):
+            (s1, x1, t1, _), (s2, x2, t2, _) = samples[idx[k, 0]], samples[idx[k, 1]]
+            injectivity_failures.append(((s1, x1, t1), (s2, x2, t2), float(dom[k]), float(img[k])))
 
     passed = not (bound_failures or fd_failures or injectivity_failures)
     return RfmVerdict(passed=passed, n_samples=len(samples), n_illuminated=n_illum,

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import grazemap
 from grazemap.cli import main
 
 CUSP_OBSTACLE = ("dim = 3\nkind = polynomial\nradius = 1.0\n"
@@ -44,6 +47,25 @@ def test_classify_sphere(specs, tmp_path):
     report = (out / "classify_report.txt").read_text()
     assert "order = 2 diffractive" in report
     assert "verdict = GS-HOLDS-SMOOTH" in report
+
+
+TOP_SOURCE = "kind = spherical\nb = 1 0 1\n"
+
+
+@pytest.mark.parametrize("obstacle,phase,verdict", [
+    # The graph fit of the x2^4 curve is analytic once its seed is polished.
+    (CUSP_OBSTACLE, TOP_SOURCE, "GS-HOLDS-C1-EVIDENCE"),
+    # The grazing line x2 = 0 leaves no graph values to fit; the exact
+    # Hessian-positivity check still decides.
+    (SPHERE_OBSTACLE, PLANE_PHASE, "GS-HOLDS-SMOOTH"),
+], ids=["cusp-top", "sphere-plane"])
+def test_classify_definite_verdicts(tmp_path, capsys, obstacle, phase, verdict):
+    (tmp_path / "o.obstacle").write_text(obstacle, encoding="utf-8")
+    (tmp_path / "p.phase").write_text(phase, encoding="utf-8")
+    code = main(["classify", "--obstacle", str(tmp_path / "o.obstacle"),
+                 "--phase", str(tmp_path / "p.phase"), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"verdict = {verdict}"
 
 
 def test_classify_malformed_spec(tmp_path, capsys):
@@ -169,8 +191,12 @@ def test_unknown_flag_is_hard_error(specs, tmp_path):
 
 
 def test_console_entry_point_help():
+    # The child imports grazemap from wherever this process did, installed or not.
+    src = str(Path(grazemap.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run([sys.executable, "-m", "grazemap.cli", "trace", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     for flag in ("--obstacle", "--phase", "--out", "--s0", "--budget", "--window",
                  "--tol", "--seed", "--format"):

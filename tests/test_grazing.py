@@ -127,6 +127,17 @@ def test_trace_cusp_curve():
         assert np.all(np.diff(b.arc_params) > 0)
 
 
+def test_trace_top_source_curve_to_rounding():
+    # Source straight above the x3 axis: the grazing curve is the graph
+    # x3 = 1 - sqrt(1 - 3 x2^4), written cancellation-free.  The seed vertex
+    # is polished like every other vertex, so none is left at bisection
+    # accuracy.
+    gf = gm.SphericalGrazing(bbar=[0.0, 1.0])
+    curve = gm.trace_grazing_curve(gf, quartic_vsq(), window=0.3)
+    t, u = curve.all_vertices().T
+    assert np.max(np.abs(u - 3.0 * t**4 / (1.0 + np.sqrt(1.0 - 3.0 * t**4)))) < 1e-15
+
+
 def test_trace_circle_curve(sphere):
     gf = gm.SphericalGrazing(bbar=[-1.0, 0.0])
     curve = gm.trace_grazing_curve(gf, sphere, window=0.3)

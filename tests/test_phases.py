@@ -135,3 +135,19 @@ def test_validate_phase_accepts_and_rejects(sphere):
 def test_plane_phase_requires_unit_theta():
     with pytest.raises(gm.phases.PhaseValidationError):
         gm.PlanePhase(theta=[0.0, 2.0, 0.0])
+
+
+def test_richardson_differences_stay_inside_domain():
+    # 5e-7 from the edge: the difference steps shrink with the room left.
+    # The convex-distance phase has the same gradient as the spherical one,
+    # whose Jacobian is a closed form.
+    from grazemap.phases import xi_jacobian
+    obstacle = gm.sphere_obstacle(2, radius=0.5)
+    conv = gm.ConvexPhase.distance_to_sphere([1.0, -1.0, 0.0], 2.0)
+    sph = gm.SphericalPhase(source=[1.0, -1.0, 0.0])
+    x = (-0.4999995, 0.0)
+    j_conv = gm.jacobian_analytic(obstacle, conv, 0.5, x).j_analytic
+    j_sph = gm.jacobian_analytic(obstacle, sph, 0.5, x).j_analytic
+    assert abs(j_conv - j_sph) < 1e-9 * abs(j_sph)
+    with pytest.raises(gm.DomainExceeded, match=r"xbar = \[0\.5, 0\.0\]"):
+        xi_jacobian(conv, obstacle, [0.5, 0.0])

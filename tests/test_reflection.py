@@ -292,6 +292,33 @@ def test_verify_rfm_catches_focusing_field(sphere):
     assert any(row[4] < 0.0 for row in verdict.rows if not np.isnan(row[4]))
 
 
+def test_verify_rfm_injectivity_pass_fires(sphere, side_source, monkeypatch):
+    # A collapsing map: every sample gets s = 0 and t = lo = -1, and the
+    # spatial flow point is constant, so all images coincide while the
+    # boundary points differ.  The pass must record the pairs.
+    import grazemap.reflection as refl
+    real_rng = np.random.default_rng
+
+    class ScalarDrawsAtLow:
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+
+        def uniform(self, lo=0.0, hi=1.0, size=None):
+            return lo if size is None else self.rng.uniform(lo, hi, size)
+
+        def integers(self, *args, **kwargs):
+            return self.rng.integers(*args, **kwargs)
+
+    monkeypatch.setattr(refl.np.random, "default_rng", ScalarDrawsAtLow)
+    monkeypatch.setattr(refl, "_flow_point", lambda obstacle, phase, s, xbar: np.zeros(3))
+    verdict = gm.verify_rfm(sphere, side_source, s0=1.0, budget=50, seed=3)
+    assert not verdict.passed
+    assert len(verdict.injectivity_failures) > 200
+    for (s1, x1, t1), (s2, x2, t2), dom, img in verdict.injectivity_failures:
+        assert (s1, t1, s2, t2) == (0.0, -1.0, 0.0, -1.0)
+        assert img == 0.0 and abs(dom - np.linalg.norm(x1 - x2)) < 1e-15
+
+
 def test_verify_rfm_keeps_difference_steps_inside_domain(sphere, side_source):
     # A sample within the difference step of the domain edge used to make
     # jacobian_fd raise DomainExceeded on this seed.
