@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args):
     obstacle = parse_obstacle(args.obstacle)
-    phase = parse_phase(args.phase, dim=obstacle.dim)
+    phase = parse_phase(args.phase, dim=obstacle.dim, obstacle=obstacle)
     if not all(math.isfinite(x) for x in (args.tol, args.window, args.s0)):
         raise SpecError("<flags>", 0, "tolerance, window, and s0 overrides must be finite")
     if args.tol <= 0 or args.window < 0 or args.s0 <= 0:
@@ -164,6 +164,8 @@ def run_rfm_check(args) -> int:
     sys.stdout.write(f"worst_bound_gap = {_fmt(verdict.worst_bound_gap)}\n")
     sys.stdout.write(f"worst_fd_rel_error = {_fmt(verdict.worst_fd_rel_error)}\n")
     sys.stdout.write(f"RFM {verdict.summary()}\n")
+    if verdict.n_illuminated == 0:
+        return EXIT_INCONCLUSIVE
     return EXIT_OK if verdict.passed else EXIT_FAIL
 
 

@@ -59,6 +59,17 @@ def _central_difference(f, x, h: float) -> np.ndarray:
                      for e in h * np.eye(x.size)], axis=-1)
 
 
+def _rowdot(a, b) -> np.ndarray:
+    """Dot products a[k] @ b[k] of the rows of a (m, d) with those of b, or
+    with one vector b (d,).
+
+    The stacked matmul runs the same dot routine as a single ``a[k] @ b[k]``,
+    so each entry equals the per-point product bit for bit (a sum over the
+    product array need not: BLAS dots may fuse the multiply-adds).
+    """
+    return np.matmul(a[:, None, :], np.asarray(b)[..., :, None])[:, 0, 0]
+
+
 # ---------------------------------------------------------------------------
 # Multivariate polynomials over the tangential variables
 # ---------------------------------------------------------------------------
@@ -67,10 +78,20 @@ class MultiPoly:
     """Polynomial in ``dim`` variables stored as {exponent tuple: coefficient}.
 
     All evaluations are plain floating point combinations of the stored
-    coefficients; no approximation enters anywhere.
+    coefficients; no approximation enters anywhere.  Construction compiles
+    the terms once: an exponent matrix ``expo`` (terms x dim), a coefficient
+    vector ``coef``, and per term the (variable, exponent) pairs with a
+    nonzero exponent.  The first and second derivative polynomials are built
+    on the first ``gradient``/``hessian`` call and kept.
+
+    ``value``, ``gradient`` and ``hessian`` take one point (dim,) and return
+    a float, (dim,) and (dim, dim), or a batch (m, dim) and return (m,),
+    (m, dim) and (m, dim, dim).  A batch entry equals the single-point result
+    bit for bit: both raise each coordinate to its exponent with the C
+    library's ``pow`` and multiply and add in the same order.
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "terms", "expo", "coef", "_compiled", "_grad", "_hess")
 
     def __init__(self, dim: int, terms):
         self.dim = int(dim)
@@ -84,16 +105,46 @@ class MultiPoly:
             if coeff != 0.0:
                 clean[expo] = clean.get(expo, 0.0) + float(coeff)
         self.terms = {e: c for e, c in clean.items() if c != 0.0}
+        self.expo = np.array(list(self.terms), dtype=int).reshape(-1, self.dim)
+        self.coef = np.array(list(self.terms.values()), dtype=float)
+        self._compiled = tuple((c, tuple((i, e) for i, e in enumerate(expo) if e))
+                               for expo, c in self.terms.items())
+        self._grad = None
+        self._hess = None
 
-    def value(self, x) -> float:
+    def _eval_point(self, xs) -> float:
         total = 0.0
-        for expo, coeff in self.terms.items():
+        for coeff, powers in self._compiled:
             prod = coeff
-            for i, e in enumerate(expo):
-                if e:
-                    prod *= x[i] ** e
+            for i, e in powers:
+                prod *= xs[i] ** e
             total += prod
         return total
+
+    def _eval_batch(self, x: np.ndarray) -> np.ndarray:
+        total = np.zeros(len(x))
+        for coeff, powers in self._compiled:
+            prod = coeff
+            for i, e in powers:
+                # float_power calls pow() per entry, as ``float ** int`` does;
+                # ``np.power`` may take a vectorized path that differs in the
+                # last bit.
+                prod = prod * np.float_power(x[:, i], e)
+            total = total + prod
+        return total
+
+    def _derivatives(self):
+        if self._grad is None:
+            self._grad = tuple(self.derivative(i) for i in range(self.dim))
+            self._hess = {(i, j): self._grad[i].derivative(j)
+                          for i in range(self.dim) for j in range(i, self.dim)}
+        return self._grad, self._hess
+
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return self._eval_batch(x)
+        return self._eval_point(x.tolist())
 
     def derivative(self, var: int) -> "MultiPoly":
         out: dict[tuple[int, ...], float] = {}
@@ -108,23 +159,34 @@ class MultiPoly:
         return MultiPoly(self.dim, out)
 
     def gradient(self, x) -> np.ndarray:
-        return np.array([self.derivative(i).value(x) for i in range(self.dim)])
+        grad, _ = self._derivatives()
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return np.column_stack([g._eval_batch(x) for g in grad])
+        xs = x.tolist()
+        return np.array([g._eval_point(xs) for g in grad])
 
     def hessian(self, x) -> np.ndarray:
+        _, hess = self._derivatives()
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            h = np.zeros((len(x), self.dim, self.dim))
+            for i in range(self.dim):
+                for j in range(i, self.dim):
+                    h[:, i, j] = h[:, j, i] = hess[i, j]._eval_batch(x)
+            return h
+        xs = x.tolist()
         h = np.zeros((self.dim, self.dim))
         for i in range(self.dim):
-            di = self.derivative(i)
             for j in range(i, self.dim):
-                h[i, j] = di.derivative(j).value(x)
-                h[j, i] = h[i, j]
+                h[i, j] = h[j, i] = hess[i, j]._eval_point(xs)
         return h
 
     def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return int(self.expo.sum(axis=1).max(initial=0))
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        return len(set(self.expo.sum(axis=1).tolist())) <= 1
 
     def homogeneous_part(self, j: int) -> "MultiPoly":
         return MultiPoly(self.dim, {e: c for e, c in self.terms.items() if sum(e) == j})
@@ -144,7 +206,7 @@ class MultiPoly:
         return MultiPoly(self.dim, out)
 
     def scale(self, s: float) -> "MultiPoly":
-        return MultiPoly(self.dim, {e: s * c for e, c in self.terms.items()})
+        return MultiPoly(self.dim, zip(self.terms, s * self.coef))
 
     def compose_linear(self, mat: np.ndarray) -> "MultiPoly":
         """Return q(x) = p(M x), expanded exactly over the new variables."""
@@ -395,27 +457,45 @@ class Obstacle:
         return self.surface.dim
 
     def _check_domain(self, x) -> np.ndarray:
+        """x as a float array, one point (d,) or a batch (m, d), after one
+        radius check that names the largest |xbar| when it fails."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.surface.dim,):
-            raise ValueError(f"point has shape {x.shape}, expected ({self.surface.dim},)")
-        r = float(np.linalg.norm(x))
+        d = self.surface.dim
+        if x.shape == (d,):
+            r = math.sqrt(x @ x)  # np.linalg.norm's arithmetic, without its overhead
+        elif x.ndim == 2 and x.shape[1] == d:
+            r = float(np.sqrt(_rowdot(x, x)).max(initial=0.0))
+        else:
+            raise ValueError(f"point has shape {x.shape}, expected ({d},) or (m, {d})")
         if r > self.radius * (1.0 + 1e-12):
             raise DomainExceeded(f"|xbar| = {r} exceeds declared radius {self.radius}")
         return x
 
-    def value(self, x) -> float:
-        return self.surface.value(self._check_domain(x))
+    def _on_surface(self, fn, x: np.ndarray, shape: tuple):
+        """Surface method fn at a checked point or batch; per point for the
+        surfaces without a batch path."""
+        if x.ndim == 1 or isinstance(self.surface, PolynomialSurface):
+            return fn(x)
+        return np.array([fn(p) for p in x], dtype=float).reshape((len(x),) + shape)
+
+    def value(self, x):
+        """F at one point (d,) -> float, or at each row of a batch (m, d) -> (m,)."""
+        return self._on_surface(self.surface.value, self._check_domain(x), ())
 
     def gradient(self, x) -> np.ndarray:
-        return self.surface.gradient(self._check_domain(x))
+        """grad F at one point (d,) -> (d,), or per row of a batch (m, d) -> (m, d)."""
+        return self._on_surface(self.surface.gradient, self._check_domain(x), (self.surface.dim,))
 
     def hessian(self, x) -> np.ndarray:
-        return self.surface.hessian(self._check_domain(x))
+        """hess F at one point (d,) -> (d, d), or per row of a batch (m, d) -> (m, d, d)."""
+        return self._on_surface(self.surface.hessian, self._check_domain(x),
+                                (self.surface.dim,) * 2)
 
     def boundary_point(self, x) -> np.ndarray:
-        """Full spatial point (F(xbar), xbar)."""
+        """Full spatial point (F(xbar), xbar); (m, d + 1) for a batch (m, d)."""
         x = self._check_domain(x)
-        return np.concatenate(([self.value(x)], x))
+        f = np.asarray(self._on_surface(self.surface.value, x, ()))
+        return np.concatenate((f[..., None], x), axis=-1)
 
     def directional_taylor(self, direction, order: int, j_max: int = J_MAX_DEFAULT) -> list[float]:
         """Coefficients c_1..c_order of F(s*direction) = 1 + sum_j c_j s^j."""

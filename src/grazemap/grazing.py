@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffgeo import (J_MAX_DEFAULT, MultiPoly, NotNormalized, Obstacle,
-                      PolynomialSurface, SymmetricH, UnsupportedSurface,
+                      PolynomialSurface, SymmetricH, UnsupportedSurface, _rowdot,
                       rotate_coordinates)
 from .phases import Phase, PlanePhase, SphericalPhase, xi_incoming
 from .reflection import tangency_margin
@@ -69,8 +69,11 @@ class SphericalGrazing:
     def __post_init__(self):
         object.__setattr__(self, "bbar", np.atleast_1d(np.asarray(self.bbar, dtype=float)))
 
-    def value(self, obstacle: Obstacle, x) -> float:
+    def value(self, obstacle: Obstacle, x):
+        """H at one point (d,) -> float, or per row of a batch (m, d) -> (m,)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.ndim == 2:
+            return obstacle.value(x) - 1.0 - _rowdot(obstacle.gradient(x), x - self.bbar)
         return float(obstacle.value(x) - 1.0 - obstacle.gradient(x) @ (x - self.bbar))
 
     def gradient(self, obstacle: Obstacle, x) -> np.ndarray:
@@ -91,8 +94,11 @@ class PlanarGrazing:
     def __post_init__(self):
         object.__setattr__(self, "thetabar", np.atleast_1d(np.asarray(self.thetabar, dtype=float)))
 
-    def value(self, obstacle: Obstacle, x) -> float:
+    def value(self, obstacle: Obstacle, x):
+        """g at one point (d,) -> float, or per row of a batch (m, d) -> (m,)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.ndim == 2:
+            return _rowdot(-obstacle.gradient(x), self.thetabar)
         return float(-obstacle.gradient(x) @ self.thetabar)
 
     def gradient(self, obstacle: Obstacle, x) -> np.ndarray:
@@ -113,7 +119,11 @@ class SymmetricZeta:
     def __post_init__(self):
         object.__setattr__(self, "bbar", np.atleast_1d(np.asarray(self.bbar, dtype=float)))
 
-    def value(self, obstacle: Obstacle, x) -> float:
+    def value(self, obstacle: Obstacle, x):
+        """zeta at one point (d,) -> float, or per row of a batch (m, d) -> (m,)."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.ndim == 2:
+            return np.array([symmetric_zeta(obstacle, self.bbar, p) for p in x], dtype=float)
         return symmetric_zeta(obstacle, self.bbar, x)
 
     def gradient(self, obstacle: Obstacle, x) -> np.ndarray:
@@ -240,16 +250,11 @@ def check_u1ww(g2k: MultiPoly, angle_samples: int = 360,
     if deg < 2 or deg % 2 != 0:
         raise NotHomogeneous(f"degree {deg} is not an even number >= 2")
     ang = np.linspace(0.0, 2.0 * np.pi, angle_samples, endpoint=False)
-    best = np.inf
-    arg = np.zeros(2)
-    for a in ang:
-        p = np.array([np.cos(a), np.sin(a)])
-        w = np.linalg.eigvalsh(g2k.hessian(p))
-        if w[0] < best:
-            best = float(w[0])
-            arg = p
-    return HessianPositivityVerdict(passed=bool(best > pd_tol), min_eig=best,
-                                    argmin=arg, degree=deg)
+    pts = np.column_stack([np.cos(ang), np.sin(ang)])
+    low = np.linalg.eigvalsh(g2k.hessian(pts))[:, 0]
+    k = int(np.argmin(low))
+    return HessianPositivityVerdict(passed=bool(low[k] > pd_tol), min_eig=float(low[k]),
+                                    argmin=pts[k], degree=deg)
 
 
 def leading_homogeneous_part(surface: PolynomialSurface) -> MultiPoly | None:
@@ -313,21 +318,47 @@ def _bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
     return float(0.5 * (lo + hi))
 
 
-def _scan_roots(f, grid, tol: float) -> list[float]:
-    """Roots of f on a grid: sign changes refined by bisection, and exact
-    zeros at grid points, a run of them counting once."""
-    vals = [f(v) for v in grid]
+def _bisect_lanes(f, lo, hi, f_lo, tol: float) -> np.ndarray:
+    """``_bisect`` on many brackets at once: lane k bisects [lo[k], hi[k]]
+    with the same steps and arithmetic as ``_bisect`` would alone.
+
+    ``f(t, idx)`` returns f at the parameters t of the lanes idx.
+    """
+    lo, hi, f_lo = (np.array(v, dtype=float) for v in (lo, hi, f_lo))
+    out = np.empty(len(lo))
+    todo = np.arange(len(lo))
+    for _ in range(200):
+        narrow = hi[todo] - lo[todo] < tol
+        out[todo[narrow]] = 0.5 * (lo[todo[narrow]] + hi[todo[narrow]])
+        todo = todo[~narrow]
+        if not todo.size:
+            return out
+        mid = 0.5 * (lo[todo] + hi[todo])
+        f_mid = f(mid, todo)
+        zero = f_mid == 0.0
+        out[todo[zero]] = mid[zero]
+        flip = ~zero & ((f_mid < 0.0) != (f_lo[todo] < 0.0))
+        keep = ~zero & ~flip
+        hi[todo[flip]] = mid[flip]
+        lo[todo[keep]], f_lo[todo[keep]] = mid[keep], f_mid[keep]
+        todo = todo[~zero]
+    out[todo] = 0.5 * (lo[todo] + hi[todo])
+    return out
+
+
+def _scan_roots(f, grid, vals, tol: float) -> list[float]:
+    """Roots of f on a grid, given its values ``vals`` there as an array:
+    exact zeros at grid points, a run of them counting once, and sign changes
+    refined by bisection of f, which takes one parameter at a time."""
+    vals = np.asarray(vals, dtype=float)
+    zero = vals[:-1] == 0.0
+    run_start = zero & np.concatenate(([True], vals[:-1] != 0.0))[:-1]
     roots = []
-    i = 0
-    while i < len(grid) - 1:
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
+    for i in np.flatnonzero(run_start | (vals[:-1] * vals[1:] < 0.0)):
+        if zero[i]:
             roots.append(float(grid[i]))
-            while i < len(grid) - 1 and vals[i + 1] == 0.0:
-                i += 1
-        elif a * b < 0.0:
-            roots.append(_bisect(f, grid[i], grid[i + 1], a, tol))
-        i += 1
+        else:
+            roots.append(_bisect(f, grid[i], grid[i + 1], vals[i], tol))
     return roots
 
 
@@ -338,13 +369,18 @@ def _line_roots(gf, obstacle, t_axis, offset, window, n=1024, refine_tol=1e-13):
     if lim <= 0.0:
         return []
 
+    grid = np.linspace(-lim, lim, n)
+    pts = np.zeros((n, 2))
+    pts[:, t_axis] = offset
+    pts[:, g_axis] = grid
+
     def g_of(v):
         p = np.zeros(2)
         p[t_axis] = offset
         p[g_axis] = v
         return gf.value(obstacle, p)
 
-    return _scan_roots(g_of, np.linspace(-lim, lim, n), refine_tol)
+    return _scan_roots(g_of, grid, gf.value(obstacle, pts), refine_tol)
 
 
 def _detect_orientation(gf, obstacle, window):
@@ -580,8 +616,9 @@ def grazing_zero_scan_1d(gf: GrazingFunction, obstacle: Obstacle, window: float 
     if obstacle.dim_tangential != 1:
         raise UnsupportedSurface("scan requires a 2D obstacle (one tangential variable)")
     window = min(window, obstacle.radius)
-    zeros = _scan_roots(lambda v: gf.value(obstacle, np.array([v])),
-                        np.linspace(-window, window, n), 1e-14)
+    grid = np.linspace(-window, window, n)
+    zeros = _scan_roots(lambda v: gf.value(obstacle, np.array([v])), grid,
+                        gf.value(obstacle, grid[:, None]), 1e-14)
     return len(zeros), zeros
 
 
@@ -606,6 +643,13 @@ def slice_grazing_count(obstacle: Obstacle, bbar, x2_star: float,
     grazing function is scanned in angle and each sign change is refined by
     bisection.  No-branching predicts exactly one point on each side x3 > 0
     and x3 < 0.
+
+    The curve point at each of the n_phi + 1 grid angles is found by a
+    radial march from the curve's center and a bisection to 1e-14, run in
+    lockstep over all angles on (m, 2) batches; the grazing function is then
+    evaluated on all of them in one call.  Only the bisection of a sign
+    change in angle goes one angle at a time.  Each angle's arithmetic is
+    the same in both paths, so the counts and points do not depend on it.
     """
     if obstacle.dim_tangential != 2:
         raise UnsupportedSurface("slice counts require a 3D obstacle")
@@ -629,47 +673,74 @@ def slice_grazing_count(obstacle: Obstacle, bbar, x2_star: float,
         raise SliceMiss("slice parameter outside the obstacle domain")
     f_star = obst_r.value(np.array([x2_star, 0.0]))
 
-    def k_fn(p) -> float:
-        return float((obst_r.value(p) - 1.0) * (x2_star - a) + (p[0] - a) * (1.0 - f_star))
-
-    def k_meridian(v) -> float:
-        return k_fn(np.array([v, 0.0]))
+    def k_fn(p):
+        """Slice-plane function at one point (2,) or per row of a batch (m, 2)."""
+        return (obst_r.value(p) - 1.0) * (x2_star - a) + (p[..., 0] - a) * (1.0 - f_star)
 
     # Second intersection of the slice plane with the meridian x3 = 0.
     lim = obst_r.radius * 0.999
-    meridian_roots = _scan_roots(k_meridian, np.linspace(1e-9, lim, 600), 1e-14)
+    radii = np.linspace(1e-9, lim, 600)
+    meridian = np.column_stack((radii, np.zeros_like(radii)))
+    meridian_roots = _scan_roots(lambda v: float(k_fn(np.array([v, 0.0]))), radii,
+                                 k_fn(meridian), 1e-14)
     if not meridian_roots:
         raise SliceMiss("slice plane does not re-enter the window on the far side")
     x2_dd = meridian_roots[0]
 
     center = np.array([0.5 * (x2_star + x2_dd), 0.0])
-    k_center = k_fn(center)
+    k_center = float(k_fn(center))
     if k_center <= 0.0:
         raise SliceMiss("slice curve is degenerate at this parameter")
+    r_bound = lim - float(np.linalg.norm(center))
+    r_step = r_bound / 50.0
 
     def radial_point(phi: float) -> np.ndarray:
+        """First crossing of k = 0 along the ray from the center at angle phi:
+        a march in steps of r_step, then bisection to 1e-14."""
         u = np.array([math.cos(phi), math.sin(phi)])
 
         def k_ray(r):
-            return k_fn(center + r * u)
+            return float(k_fn(center + r * u))
 
-        r_bound = lim - float(np.linalg.norm(center))
         lo, k_lo = 0.0, k_center
-        r = r_bound / 50.0
+        r = r_step
         while r <= r_bound:
             k_r = k_ray(r)
             if k_r < 0.0:
                 return center + _bisect(k_ray, lo, r, k_lo, 1e-14) * u
             lo, k_lo = r, k_r
-            r += r_bound / 50.0
+            r += r_step
         raise SliceMiss("slice curve leaves the obstacle domain")
+
+    def radial_points(phis) -> np.ndarray:
+        """radial_point at every angle, the march and the bisection run in
+        lockstep over the angles with the same arithmetic per angle."""
+        u = np.array([[math.cos(phi), math.sin(phi)] for phi in phis])
+        lo = np.zeros(len(u))
+        k_lo = np.full(len(u), k_center)
+        hi = np.empty(len(u))
+        todo = np.arange(len(u))
+        r = r_step
+        while r <= r_bound and todo.size:
+            k_r = k_fn(center + r * u[todo])
+            crossed = k_r < 0.0
+            hi[todo[crossed]] = r
+            todo, k_r = todo[~crossed], k_r[~crossed]
+            lo[todo], k_lo[todo] = r, k_r
+            r += r_step
+        if todo.size:
+            raise SliceMiss("slice curve leaves the obstacle domain")
+        roots = _bisect_lanes(lambda t, idx: k_fn(center + t[:, None] * u[idx]),
+                              lo, hi, k_lo, 1e-14)
+        return center + roots[:, None] * u
 
     def h_of(phi) -> float:
         return gf.value(obst_r, radial_point(phi))
 
     # Closed angular grid: angle 0 repeats at 2 pi, so a crossing across the
     # wrap-around is seen once.
-    phis = _scan_roots(h_of, np.linspace(0.0, 2.0 * np.pi, n_phi + 1), 1e-13)
+    grid = np.linspace(0.0, 2.0 * np.pi, n_phi + 1)
+    phis = _scan_roots(h_of, grid, gf.value(obst_r, radial_points(grid)), 1e-13)
     crossings = [radial_point(phi) for phi in phis]
 
     pos = sum(1 for p in crossings if p[1] > 0.0)
@@ -741,8 +812,9 @@ def gs_assumption_report(obstacle: Obstacle, phase: Phase, window: float = 0.3,
 
     The regularity fit covers transverse offsets in FIT_WINDOW; slice counts
     are taken at each x2* in SLICE_PARAMS (spherical sources only).  A trace
-    or fit that fails is recorded as a note, and the verdict then rests on
-    the slice counts and the Hessian-positivity check.
+    or fit that fails is recorded as a note ("tracing failed: ..." or
+    "regularity fit failed: ..."), and the verdict then rests on the slice
+    counts and the Hessian-positivity check.
 
     Evidence-level verdicts are numerical evidence, never proofs; the one
     verdict backed by an exact hypothesis check is the smooth case, certified
@@ -778,9 +850,13 @@ def gs_assumption_report(obstacle: Obstacle, phase: Phase, window: float = 0.3,
         gf = grazing_function_for(obstacle, phase)
         try:
             curve = trace_grazing_curve(gf, obstacle, window=window, trace_tol=trace_tol)
-            regularity = estimate_regularity(curve, fit_window=FIT_WINDOW)
-        except (SeedNotFound, StepCollapse, InsufficientPoints) as exc:
+        except (SeedNotFound, StepCollapse) as exc:
             notes.append(f"tracing failed: {exc}")
+        else:
+            try:
+                regularity = estimate_regularity(curve, fit_window=FIT_WINDOW)
+            except InsufficientPoints as exc:
+                notes.append(f"regularity fit failed: {exc}")
         if isinstance(phase, SphericalPhase):
             for x2s in SLICE_PARAMS:
                 try:

@@ -18,7 +18,7 @@ Phase::
 
     kind = plane | spherical | convex-distance
     theta = ...      # plane
-    b = ...          # spherical
+    b = ...          # spherical; must lie outside the obstacle, when one is given
     center = ...     # convex-distance
     radius = ...     # convex-distance
 """
@@ -163,7 +163,10 @@ def parse_obstacle(path: str) -> Obstacle:
     raise SpecError(path, kind_line, f"unknown obstacle kind {kind!r}")
 
 
-def parse_phase(path: str, dim: int = 3) -> Phase:
+def parse_phase(path: str, dim: int = 3, obstacle: Obstacle | None = None) -> Phase:
+    """Parse a phase spec; with ``obstacle``, a spherical source on or inside
+    it (|bbar| <= radius and b1 <= F(bbar)) is a spec error, since it lights
+    no boundary point."""
     entries = _read_entries(path)
     values = {}
     for lineno, key, value in entries:
@@ -189,7 +192,13 @@ def parse_phase(path: str, dim: int = 3) -> Phase:
         line, raw = values.get("b", (0, None))
         if raw is None:
             raise SpecError(path, kind_line, "spherical phase needs 'b'")
-        return SphericalPhase(source=np.array(_floats(path, line, raw, expect=dim)))
+        source = np.array(_floats(path, line, raw, expect=dim))
+        if obstacle is not None and np.linalg.norm(source[1:]) <= obstacle.radius:
+            b1, f_b = float(source[0]), float(obstacle.value(source[1:]))
+            if b1 <= f_b:
+                raise SpecError(path, line, f"source {raw!r} is not outside the obstacle: "
+                                f"b1 = {b1!r} <= F(bbar) = {f_b!r}")
+        return SphericalPhase(source=source)
 
     if kind == "convex-distance":
         cline, craw = values.get("center", (0, None))

@@ -68,6 +68,18 @@ def test_classify_definite_verdicts(tmp_path, capsys, obstacle, phase, verdict):
     assert capsys.readouterr().out.splitlines()[-1] == f"verdict = {verdict}"
 
 
+def test_classify_sphere_plane_names_the_fit_failure(specs, tmp_path, capsys):
+    # The trace succeeds (the line x2 = 0); the regularity fit has no nonzero
+    # graph values to fit, and the verdict still rests on Hessian positivity.
+    code = main(["classify", "--obstacle", specs["sphere.obstacle"],
+                 "--phase", specs["plane.phase"], "--out", str(tmp_path / "out")])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "note = regularity fit failed: branch 1: 0 vertices in window, need 20" in lines
+    assert not any("tracing failed" in line for line in lines)
+    assert lines[-1] == "verdict = GS-HOLDS-SMOOTH"
+
+
 def test_classify_malformed_spec(tmp_path, capsys):
     bad = tmp_path / "bad.obstacle"
     bad.write_text("dim = 3\nkind = polynomial\nterm = oops\n", encoding="utf-8")
@@ -141,6 +153,32 @@ def test_rfm_check_plane_wave(specs, tmp_path, capsys):
                  specs["plane.phase"], "--budget", "200", "--out", str(tmp_path / "o")])
     assert code == 0
     assert capsys.readouterr().out.strip().endswith("RFM PASS")
+
+
+@pytest.mark.parametrize("source", ["1 0 0", "0.5 0 0"], ids=["apex", "inside"])
+def test_rfm_check_source_not_outside_obstacle_is_spec_error(specs, tmp_path, capsys, source):
+    phase = tmp_path / "bad.phase"
+    phase.write_text(f"kind = spherical\nb = {source}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    code = main(["rfm-check", "--obstacle", specs["sphere.obstacle"], "--phase", str(phase),
+                 "--budget", "20", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert f"{phase}:2: source '{source}' is not outside the obstacle" in captured.err
+    assert "RFM" not in captured.out
+    assert not (out / "rfm.csv").exists()
+
+
+def test_rfm_check_unlit_obstacle_is_inconclusive(specs, tmp_path, capsys):
+    # A plane wave travelling up, away from the cap, lights no boundary point.
+    phase = tmp_path / "up.phase"
+    phase.write_text("kind = plane\ntheta = 1 0 0\n", encoding="utf-8")
+    code = main(["rfm-check", "--obstacle", specs["sphere.obstacle"], "--phase", str(phase),
+                 "--budget", "20", "--out", str(tmp_path / "o")])
+    assert code == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "samples = 0"
+    assert lines[-1] == "RFM INCONCLUSIVE"
 
 
 def test_rfm_check_invalid_budget(specs, tmp_path, capsys):

@@ -179,3 +179,44 @@ def test_multipoly_compose_and_parts():
     for _ in range(50):
         x = rng.normal(size=2)
         assert abs(q.value(x) - p.value(m @ x)) < 1e-12
+
+
+def _batch_surfaces():
+    return [quartic_vsq(), rounded_quartic(), gm.sphere_obstacle(2, radius=0.5),
+            gm.rotate_coordinates(rounded_quartic(), [0.3, -0.8])[0]]
+
+
+@pytest.mark.parametrize("obs", _batch_surfaces(), ids=["cusp", "rounded", "sphere", "rotated"])
+def test_polynomial_batch_equals_per_point_exactly(obs):
+    pts = sample_disk(np.random.default_rng(5), obs.radius, 300)
+    for method in ("value", "gradient", "hessian", "boundary_point"):
+        batch = getattr(obs, method)(pts)
+        single = np.array([getattr(obs, method)(p) for p in pts])
+        assert batch.shape == single.shape
+        assert np.array_equal(batch, single), method
+    assert obs.value(pts[:0]).shape == (0,)
+    assert obs.hessian(pts[:0]).shape == (0, 2, 2)
+
+
+@pytest.mark.parametrize("surface", [
+    gm.SymmetricH.from_hcoeffs(2, [1.0, 0.5]),
+    gm.SymmetricH.exp_flat(2),
+    gm.GenericSmooth(2, lambda x: 1.0 - x[0] ** 2 - 2.0 * x[1] ** 4),
+], ids=["symmetric-h", "exp-flat", "generic"])
+def test_batch_fallback_equals_per_point(surface):
+    obs = gm.Obstacle(surface, radius=0.5)
+    pts = sample_disk(np.random.default_rng(6), 0.5, 40)
+    for method, shape in (("value", (40,)), ("gradient", (40, 2)), ("hessian", (40, 2, 2))):
+        batch = getattr(obs, method)(pts)
+        assert batch.shape == shape
+        assert np.array_equal(batch, np.array([getattr(obs, method)(p) for p in pts])), method
+
+
+def test_batch_domain_check_names_the_point_outside():
+    obs = quartic_vsq()
+    pts = np.array([[0.1, 0.2], [0.0, -1.25], [0.3, 0.0]])
+    for method in ("value", "gradient", "hessian", "boundary_point"):
+        with pytest.raises(gm.DomainExceeded, match=r"\|xbar\| = 1\.25 exceeds declared radius 1\.0"):
+            getattr(obs, method)(pts)
+    with pytest.raises(ValueError, match="expected"):
+        obs.value(np.zeros((4, 3)))

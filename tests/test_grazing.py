@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import grazemap as gm
 from grazemap.diffgeo import MultiPoly
-from grazemap.grazing import leading_homogeneous_part
+from grazemap.grazing import _bisect, _bisect_lanes, leading_homogeneous_part
 
 from conftest import (planar_c1_obstacle, planar_cusp_obstacle, quartic_mixed_vsq,
                       quartic_quartic, quartic_vsq, rounded_quartic)
@@ -322,3 +324,113 @@ def test_gs_report_sphere_and_symmetric(sphere, side_source):
     rep = gm.gs_assumption_report(flat, gm.SphericalPhase(source=[1.0, -0.5, 0.0]))
     assert rep.verdict == "GS-HOLDS-SMOOTH"
     assert rep.order.kind == "at-least"
+
+
+@pytest.mark.parametrize("make_obs,gf", [
+    (quartic_vsq, gm.SphericalGrazing(bbar=[-1.0, 0.0])),
+    (rounded_quartic, gm.SphericalGrazing(bbar=[0.3, -1.0])),
+    (rounded_quartic, gm.PlanarGrazing(thetabar=[0.6, 0.8])),
+], ids=["cusp-spherical", "rounded-spherical", "rounded-planar"])
+def test_grazing_function_batch_equals_per_point(make_obs, gf):
+    obs = make_obs()
+    pts = np.random.default_rng(7).uniform(-0.6, 0.6, (500, 2))
+    assert np.array_equal(gf.value(obs, pts), np.array([gf.value(obs, p) for p in pts]))
+
+
+def test_symmetric_zeta_batch_falls_back_per_point():
+    obs = gm.Obstacle(gm.SymmetricH.from_hcoeffs(2, [0.0, 1.0]), radius=0.6)
+    gf = gm.SymmetricZeta(bbar=[-1.0, 0.0])
+    pts = np.random.default_rng(8).uniform(-0.4, 0.4, (50, 2))
+    assert np.array_equal(gf.value(obs, pts), np.array([gf.value(obs, p) for p in pts]))
+
+
+def _plain_bisect(f, lo, hi, tol):
+    f_lo = f(lo)
+    while hi - lo >= tol:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) != (f_lo < 0.0):
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
+def _reference_slice_points(obs, a, x2_star, n_phi):
+    """Slice grazing points one angle at a time, for a source at (1, a, 0), a < 0."""
+    gf = gm.SphericalGrazing(bbar=[a, 0.0])
+    f_star = obs.value([x2_star, 0.0])
+
+    def k(p):
+        return (obs.value(p) - 1.0) * (x2_star - a) + (p[0] - a) * (1.0 - f_star)
+
+    lim = obs.radius * 0.999
+    vs = np.linspace(1e-9, lim, 600)
+    i = next(i for i in range(599) if k([vs[i], 0.0]) * k([vs[i + 1], 0.0]) < 0.0)
+    x2_dd = _plain_bisect(lambda v: k([v, 0.0]), vs[i], vs[i + 1], 1e-14)
+    center = np.array([0.5 * (x2_star + x2_dd), 0.0])
+    step = (lim - np.linalg.norm(center)) / 50.0
+
+    def radial(phi):
+        u = np.array([math.cos(phi), math.sin(phi)])
+        lo, r = 0.0, step
+        while k(center + r * u) >= 0.0:
+            lo, r = r, r + step
+        return center + _plain_bisect(lambda t: k(center + t * u), lo, r, 1e-14) * u
+
+    def h(phi):
+        return gf.value(obs, radial(phi))
+
+    phis = np.linspace(0.0, 2.0 * np.pi, n_phi + 1)
+    hs = [h(p) for p in phis]
+    return np.array([radial(_plain_bisect(h, phis[j], phis[j + 1], 1e-13))
+                     for j in range(n_phi) if hs[j] * hs[j + 1] < 0.0])
+
+
+@pytest.mark.parametrize("make_obs", [quartic_vsq, rounded_quartic], ids=["cusp", "rounded"])
+def test_slice_count_matches_per_angle_reference(make_obs):
+    obs = make_obs()
+    sc = gm.slice_grazing_count(obs, [-1.0, 0.0], -0.05)
+    ref = _reference_slice_points(obs, -1.0, -0.05, 1440)
+    assert (sc.count_pos, sc.count_neg) == (int(np.sum(ref[:, 1] > 0)), int(np.sum(ref[:, 1] < 0)))
+    assert sc.points.shape == ref.shape
+    assert np.max(np.abs(sc.points - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("terms", [
+    {(4, 0): 1.0, (2, 2): 1.0, (0, 4): 1.0},
+    {(4, 0): 1.0, (0, 4): 1.0},
+    {(2, 0): 1.0, (1, 1): 0.5, (0, 2): -1.0},
+    {(6, 0): 1.0, (3, 3): -0.7, (0, 6): 2.0},
+])
+def test_check_u1ww_matches_loop(terms):
+    poly = MultiPoly(2, terms)
+    best, arg = np.inf, None
+    for a in np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False):
+        p = np.array([np.cos(a), np.sin(a)])
+        w = np.linalg.eigvalsh(poly.hessian(p))[0]
+        if w < best:
+            best, arg = w, p
+    v = gm.check_u1ww(poly)
+    assert v.min_eig == best
+    assert np.array_equal(v.argmin, arg)
+
+
+@pytest.mark.parametrize("tol", [1e-14, 1e-6])
+def test_bisect_lanes_equals_bisect_per_lane(tol):
+    roots = np.linspace(-0.9, 0.9, 37)
+    lo, hi = roots - 1.0, roots + 0.7
+    roots[5], lo[5], hi[5] = -0.625, -1.125, -0.125     # exact zero at the first midpoint
+    sign = np.where(np.arange(37) % 2 == 0, 1.0, -1.0)   # rising and falling lanes
+
+    def f_lanes(t, idx):
+        return sign[idx] * (t - roots[idx]) * (1.0 + (t - roots[idx]) ** 2)
+
+    got = _bisect_lanes(f_lanes, lo, hi, f_lanes(lo, np.arange(37)), tol)
+    for k in range(37):
+        def f(t):
+            return float(f_lanes(np.array([t]), np.array([k]))[0])
+        assert got[k] == _bisect(f, lo[k], hi[k], f(lo[k]), tol)
+    assert got[5] == roots[5]
