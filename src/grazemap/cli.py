@@ -163,10 +163,9 @@ def run_rfm_check(args) -> int:
     sys.stdout.write(f"illuminated = {verdict.n_illuminated}\n")
     sys.stdout.write(f"worst_bound_gap = {_fmt(verdict.worst_bound_gap)}\n")
     sys.stdout.write(f"worst_fd_rel_error = {_fmt(verdict.worst_fd_rel_error)}\n")
-    sys.stdout.write(f"RFM {verdict.summary()}\n")
-    if verdict.n_illuminated == 0:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK if verdict.passed else EXIT_FAIL
+    summary = verdict.summary()
+    sys.stdout.write(f"RFM {summary}\n")
+    return {"PASS": EXIT_OK, "FAIL": EXIT_FAIL, "INCONCLUSIVE": EXIT_INCONCLUSIVE}[summary]
 
 
 def run_reflect(args) -> int:

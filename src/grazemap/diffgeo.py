@@ -79,10 +79,10 @@ class MultiPoly:
 
     All evaluations are plain floating point combinations of the stored
     coefficients; no approximation enters anywhere.  Construction compiles
-    the terms once: an exponent matrix ``expo`` (terms x dim), a coefficient
-    vector ``coef``, and per term the (variable, exponent) pairs with a
-    nonzero exponent.  The first and second derivative polynomials are built
-    on the first ``gradient``/``hessian`` call and kept.
+    the terms once: per term, the coefficient and the (variable, exponent)
+    pairs with a nonzero exponent.  The first and second derivative
+    polynomials are built on the first ``gradient``/``hessian`` call and
+    kept.
 
     ``value``, ``gradient`` and ``hessian`` take one point (dim,) and return
     a float, (dim,) and (dim, dim), or a batch (m, dim) and return (m,),
@@ -91,7 +91,7 @@ class MultiPoly:
     library's ``pow`` and multiply and add in the same order.
     """
 
-    __slots__ = ("dim", "terms", "expo", "coef", "_compiled", "_grad", "_hess")
+    __slots__ = ("dim", "terms", "_compiled", "_derivs")
 
     def __init__(self, dim: int, terms):
         self.dim = int(dim)
@@ -105,12 +105,9 @@ class MultiPoly:
             if coeff != 0.0:
                 clean[expo] = clean.get(expo, 0.0) + float(coeff)
         self.terms = {e: c for e, c in clean.items() if c != 0.0}
-        self.expo = np.array(list(self.terms), dtype=int).reshape(-1, self.dim)
-        self.coef = np.array(list(self.terms.values()), dtype=float)
         self._compiled = tuple((c, tuple((i, e) for i, e in enumerate(expo) if e))
                                for expo, c in self.terms.items())
-        self._grad = None
-        self._hess = None
+        self._derivs = None
 
     def _eval_point(self, xs) -> float:
         total = 0.0
@@ -134,11 +131,14 @@ class MultiPoly:
         return total
 
     def _derivatives(self):
-        if self._grad is None:
-            self._grad = tuple(self.derivative(i) for i in range(self.dim))
-            self._hess = {(i, j): self._grad[i].derivative(j)
-                          for i in range(self.dim) for j in range(i, self.dim)}
-        return self._grad, self._hess
+        # Built in locals and published in one assignment, so a thread that
+        # reads the cache sees either nothing or both derivative sets.
+        if self._derivs is None:
+            grad = tuple(self.derivative(i) for i in range(self.dim))
+            hess = {(i, j): grad[i].derivative(j)
+                    for i in range(self.dim) for j in range(i, self.dim)}
+            self._derivs = (grad, hess)
+        return self._derivs
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -183,10 +183,11 @@ class MultiPoly:
         return h
 
     def degree(self) -> int:
-        return int(self.expo.sum(axis=1).max(initial=0))
+        return max((sum(e) for e in self.terms), default=0)
 
     def is_homogeneous(self) -> bool:
-        return len(set(self.expo.sum(axis=1).tolist())) <= 1
+        degs = {sum(e) for e in self.terms}
+        return len(degs) <= 1
 
     def homogeneous_part(self, j: int) -> "MultiPoly":
         return MultiPoly(self.dim, {e: c for e, c in self.terms.items() if sum(e) == j})
@@ -206,7 +207,7 @@ class MultiPoly:
         return MultiPoly(self.dim, out)
 
     def scale(self, s: float) -> "MultiPoly":
-        return MultiPoly(self.dim, zip(self.terms, s * self.coef))
+        return MultiPoly(self.dim, {e: s * c for e, c in self.terms.items()})
 
     def compose_linear(self, mat: np.ndarray) -> "MultiPoly":
         """Return q(x) = p(M x), expanded exactly over the new variables."""

@@ -145,13 +145,11 @@ def _richardson_step(obstacle: Obstacle, xbar) -> float:
     return min(h, 0.5 * room)
 
 
-def xi_jacobian(phase: Phase, obstacle: Obstacle, xbar,
-                grad_f=None) -> tuple[np.ndarray, np.ndarray]:
+def xi_jacobian(phase: Phase, obstacle: Obstacle, xbar) -> tuple[np.ndarray, np.ndarray]:
     """Tangential derivatives of the incoming covector field.
 
     Returns (grad xi1, d xibar / d xbar).  Closed forms for plane and
-    spherical phases; central differences otherwise.  ``grad_f``, when
-    given, is grad F at xbar, already computed by the caller.
+    spherical phases; central differences otherwise.
     """
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
     d = obstacle.dim_tangential
@@ -165,8 +163,7 @@ def xi_jacobian(phase: Phase, obstacle: Obstacle, xbar,
             raise SourceOnBoundary("boundary point coincides with the source")
         a1 = rel[0] / rho
         abar = rel[1:] / rho
-        if grad_f is None:
-            grad_f = obstacle.gradient(xbar)
+        grad_f = obstacle.gradient(xbar)
         grad_rho = a1 * grad_f + abar
         d_abar = (np.eye(d) - np.outer(abar, grad_rho)) / rho
         d_a1 = (grad_f - a1 * grad_rho) / rho

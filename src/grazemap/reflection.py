@@ -53,28 +53,20 @@ class OutsideRange(ValueError):
 # Reflection of covectors
 # ---------------------------------------------------------------------------
 
-def tangency_margin(obstacle: Obstacle, phase: Phase, xbar, grad_f=None) -> float:
-    """<grad F, xibar> - xi1: zero at grazing, positive where rays reflect.
-
-    ``grad_f``, when given, is grad F at xbar, already computed by the caller.
-    """
+def tangency_margin(obstacle: Obstacle, phase: Phase, xbar) -> float:
+    """<grad F, xibar> - xi1: zero at grazing, positive where rays reflect."""
     xi = xi_incoming(phase, obstacle, xbar)
-    if grad_f is None:
-        grad_f = obstacle.gradient(xi.xbar)
-    return float(grad_f @ xi.xibar - xi.xi1)
+    return float(obstacle.gradient(xi.xbar) @ xi.xibar - xi.xi1)
 
 
-def reflect_direction(obstacle: Obstacle, xbar, xi: BoundaryCovector,
-                      grad_f=None) -> BoundaryCovector:
+def reflect_direction(obstacle: Obstacle, xbar, xi: BoundaryCovector) -> BoundaryCovector:
     """Reflected unit covector; total function of the incoming covector.
 
     The reflected covector differs from the incoming one by a multiple of the
     conormal (1, -grad F) and has unit length, which pins it down uniquely.
-    ``grad_f``, when given, is grad F at xbar.
     """
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
-    if grad_f is None:
-        grad_f = obstacle.gradient(xbar)
+    grad_f = obstacle.gradient(xbar)
     factor = 2.0 * (xi.xi1 - float(grad_f @ xi.xibar)) / (1.0 + float(grad_f @ grad_f))
     return BoundaryCovector(xbar=xbar,
                             xi1=xi.xi1 - factor,
@@ -153,19 +145,19 @@ class JacobianReport:
     margin: float
 
 
-def _reflected_field_derivative(obstacle: Obstacle, phase: Phase, xbar, grad_f):
+def _reflected_field_derivative(obstacle: Obstacle, phase: Phase, xbar):
     """Reflected covector over xbar and its tangential derivative, in closed form.
 
     Differentiates xi_r = xi - f (1, -grad F), f = 2 (xi1 - <grad F, xibar>) /
-    (1 + |grad F|^2), by the chain rule through ``xi_jacobian`` and hess F;
-    ``grad_f`` is grad F at xbar.  Returns (xi_r, grad xi1_r, K, L) with
-    d xibar_r / d xbar = K + L: K carries the derivative of the incoming
-    field, L the curvature of the obstacle.
+    (1 + |grad F|^2), by the chain rule through ``xi_jacobian`` and hess F.
+    Returns (xi_r, grad xi1_r, K, L) with d xibar_r / d xbar = K + L: K carries
+    the derivative of the incoming field, L the curvature of the obstacle.
     """
+    grad_f = obstacle.gradient(xbar)
     hess_f = obstacle.hessian(xbar)
     xi = xi_incoming(phase, obstacle, xbar)
-    xr = reflect_direction(obstacle, xbar, xi, grad_f=grad_f)
-    d_xi1, d_xibar = xi_jacobian(phase, obstacle, xbar, grad_f=grad_f)
+    xr = reflect_direction(obstacle, xbar, xi)
+    d_xi1, d_xibar = xi_jacobian(phase, obstacle, xbar)
     w = 2.0 / (1.0 + float(grad_f @ grad_f))
     # grad f splits into an incoming-field part and an obstacle-curvature part.
     df_field = w * (d_xi1 - grad_f @ d_xibar)
@@ -185,23 +177,21 @@ def factor_matrices(obstacle: Obstacle, phase: Phase, xbar):
     """
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
     d = obstacle.dim_tangential
-    grad_f = obstacle.gradient(xbar)
-    xr, _, k_mat, l_mat = _reflected_field_derivative(obstacle, phase, xbar, grad_f)
+    xr, _, k_mat, l_mat = _reflected_field_derivative(obstacle, phase, xbar)
     if abs(xr.xi1) < 1e-13:
         raise GrazingSingular("reflected covector has vanishing normal-axis component")
-    b_mat = np.eye(d) - np.outer(xr.xibar, grad_f) / xr.xi1
+    b_mat = np.eye(d) - np.outer(xr.xibar, obstacle.gradient(xbar)) / xr.xi1
     c_mat = np.eye(d) + np.outer(xr.xibar, xr.xibar) / xr.xi1**2
     return b_mat, c_mat, k_mat, l_mat
 
 
-def _spatial_block(obstacle: Obstacle, phase: Phase, s: float, xbar, grad_f) -> np.ndarray:
-    """d(y1, ybar) / d(s, xbar) of the reflected flow map, in closed form;
-    ``grad_f`` is grad F at xbar."""
-    xr, d_xi1r, k_mat, l_mat = _reflected_field_derivative(obstacle, phase, xbar, grad_f)
+def _spatial_block(obstacle: Obstacle, phase: Phase, s: float, xbar) -> np.ndarray:
+    """d(y1, ybar) / d(s, xbar) of the reflected flow map, in closed form."""
+    xr, d_xi1r, k_mat, l_mat = _reflected_field_derivative(obstacle, phase, xbar)
     d = obstacle.dim_tangential
     m = np.empty((d + 1, d + 1))
     m[0, 0] = 2.0 * xr.xi1
-    m[0, 1:] = grad_f + 2.0 * s * d_xi1r
+    m[0, 1:] = obstacle.gradient(xbar) + 2.0 * s * d_xi1r
     m[1:, 0] = 2.0 * xr.xibar
     m[1:, 1:] = np.eye(d) + 2.0 * s * (k_mat + l_mat)
     return m
@@ -216,17 +206,15 @@ def jacobian_analytic(obstacle: Obstacle, phase: Phase, s: float, xbar,
     divides by xi1_r, so it stays regular where xi1_r crosses zero inside the
     illuminated region, where the Schur factorization
     j = 2 xi1_r det(B + 2s C (K + L)) degenerates.  At s = 0 the determinant
-    reduces to 2*margin exactly.  Requires an illuminated point.  grad F is
-    evaluated once and passed to every step that needs it.
+    reduces to 2*margin exactly.  Requires an illuminated point.
     """
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
-    grad_f = obstacle.gradient(xbar)
-    mu = tangency_margin(obstacle, phase, xbar, grad_f=grad_f)
+    mu = tangency_margin(obstacle, phase, xbar)
     if abs(mu) <= tol:
         raise GrazingSingular(f"margin {mu} within tolerance {tol} of grazing")
     if mu < 0.0:
         raise ShadowPoint(f"margin {mu} < 0: point is in shadow")
-    j = float(np.linalg.det(_spatial_block(obstacle, phase, s, xbar, grad_f)))
+    j = float(np.linalg.det(_spatial_block(obstacle, phase, s, xbar)))
     return JacobianReport(j_analytic=j, lower_bound=2.0 * mu, margin=mu)
 
 
@@ -297,7 +285,7 @@ def invert_flow(obstacle: Obstacle, phase: Phase, y, seed=None,
     for it in range(max_iter):
         if rn <= 1e-14:
             break
-        jac = _spatial_block(obstacle, phase, v[0], v[1:], obstacle.gradient(v[1:]))
+        jac = _spatial_block(obstacle, phase, v[0], v[1:])
         try:
             delta = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:

@@ -220,3 +220,38 @@ def test_batch_domain_check_names_the_point_outside():
             getattr(obs, method)(pts)
     with pytest.raises(ValueError, match="expected"):
         obs.value(np.zeros((4, 3)))
+
+
+def test_derivative_cache_is_complete_for_every_thread():
+    # Threads that share a fresh MultiPoly race to fill its derivative cache;
+    # each must see either no cache or a complete one.
+    import sys
+    import threading
+
+    terms = {(i, j, k): 1.0 / (1 + i + j + k) for i in range(5) for j in range(5) for k in range(5)}
+    x = np.array([0.1, -0.2, 0.3])
+    expected = MultiPoly(3, terms).hessian(x)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            poly = MultiPoly(3, terms)
+            barrier = threading.Barrier(4)
+            results, errors = [], []
+
+            def work():
+                barrier.wait()
+                try:
+                    results.append(poly.hessian(x))
+                except Exception as exc:  # noqa: BLE001 - any failure is the finding
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert not errors
+            assert all(np.array_equal(r, expected) for r in results)
+    finally:
+        sys.setswitchinterval(interval)

@@ -138,8 +138,7 @@ def test_reflected_field_derivative_matches_differences(obstacle, phase):
     # reflected covector itself, which share none of its algebra.
     rng = np.random.default_rng(29)
     for x, mu in illuminated_samples(obstacle, phase, rng, 40):
-        xr, d_xi1r, k_mat, l_mat = _reflected_field_derivative(obstacle, phase, x,
-                                                               obstacle.gradient(x))
+        xr, d_xi1r, k_mat, l_mat = _reflected_field_derivative(obstacle, phase, x)
         fd_xi1r, fd_xibar_r = _fd_reflected_field(obstacle, phase, x)
         assert np.array_equal(xr.vector, gm.xi_reflected(obstacle, phase, x).vector)
         assert np.max(np.abs(d_xi1r - fd_xi1r)) < 1e-6
@@ -329,18 +328,3 @@ def test_verify_rfm_keeps_difference_steps_inside_domain(sphere, side_source):
 def test_verify_rfm_rejects_zero_budget(sphere, side_source):
     with pytest.raises(ValueError):
         gm.verify_rfm(sphere, side_source, budget=0)
-
-
-def test_jacobian_analytic_evaluates_the_gradient_once(sphere, side_source, monkeypatch):
-    calls = []
-    gradient = gm.Obstacle.gradient
-
-    def counting(self, x):
-        calls.append(np.array(x))
-        return gradient(self, x)
-
-    monkeypatch.setattr(gm.Obstacle, "gradient", counting)
-    rep = gm.jacobian_analytic(sphere, side_source, 0.5, [-0.3, 0.1])
-    assert len(calls) == 1
-    monkeypatch.undo()
-    assert rep.j_analytic == gm.jacobian_analytic(sphere, side_source, 0.5, [-0.3, 0.1]).j_analytic
