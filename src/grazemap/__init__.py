@@ -6,8 +6,8 @@ flow-map assumptions, grazing-curve tracing and classification, and the
 closed-form example curves that anchor the test suite.
 """
 
-from .diffgeo import (ConcavityReport, DomainExceeded, GenericSmooth, MultiPoly,
-                      NotNormalized, Obstacle, OrderTooHigh, PolynomialSurface,
+from .diffgeo import (ConcavityReport, DomainExceeded, GenericSmooth, GrazemapError,
+                      MultiPoly, NotNormalized, Obstacle, OrderTooHigh, PolynomialSurface,
                       SymmetricH, UnsupportedSurface, ZeroVector,
                       check_strict_concavity, polynomial_obstacle,
                       rotate_coordinates, sphere_obstacle)

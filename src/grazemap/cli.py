@@ -15,14 +15,19 @@ from pathlib import Path
 import numpy as np
 
 from . import grazing, reflection, svgplot
-from .diffgeo import DomainExceeded, NotNormalized, UnsupportedSurface
+from .diffgeo import GrazemapError
 from .phases import xi_incoming
-from .specio import SpecError, parse_obstacle, parse_phase
+from .specio import check_flags, parse_obstacle, parse_phase
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_FAIL = 3
+
+# Exit code of each verdict classify and rfm-check report.
+VERDICT_EXIT = {grazing.VERDICT_SMOOTH: EXIT_OK, grazing.VERDICT_C1: EXIT_OK,
+                grazing.VERDICT_CUSP: EXIT_OK, grazing.VERDICT_INCONCLUSIVE: EXIT_INCONCLUSIVE,
+                "PASS": EXIT_OK, "FAIL": EXIT_FAIL}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,9 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Reflected flow maps and grazing sets for convex obstacles")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, phase_required=True):
+    def common(p):
         p.add_argument("--obstacle", required=True, help="obstacle spec file")
-        p.add_argument("--phase", required=phase_required, help="phase spec file")
+        p.add_argument("--phase", required=True, help="phase spec file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--s0", type=float, default=1.0, help="flow parameter bound")
         p.add_argument("--budget", type=int, default=1000, help="sample budget")
@@ -71,10 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args):
     obstacle = parse_obstacle(args.obstacle)
     phase = parse_phase(args.phase, dim=obstacle.dim, obstacle=obstacle)
-    if not all(math.isfinite(x) for x in (args.tol, args.window, args.s0)):
-        raise SpecError("<flags>", 0, "tolerance, window, and s0 overrides must be finite")
-    if args.tol <= 0 or args.window < 0 or args.s0 <= 0:
-        raise SpecError("<flags>", 0, "tolerance, window, and s0 overrides must be positive")
+    check_flags(args.tol, args.window, args.s0, args.budget)
     return obstacle, phase
 
 
@@ -103,7 +105,7 @@ def run_classify(args) -> int:
     text = "\n".join(lines) + "\n"
     (_outdir(args) / "classify_report.txt").write_text(text, encoding="utf-8")
     sys.stdout.write(text)
-    return EXIT_INCONCLUSIVE if report.verdict == grazing.VERDICT_INCONCLUSIVE else EXIT_OK
+    return VERDICT_EXIT[report.verdict]
 
 
 def _trace(args, obstacle, phase):
@@ -144,9 +146,6 @@ def run_trace(args, with_svg: bool = False, with_sheet: bool = False) -> int:
 
 def run_rfm_check(args) -> int:
     obstacle, phase = _load(args)
-    if args.budget <= 0:
-        sys.stderr.write("InvalidBudget: --budget must be positive\n")
-        return EXIT_USAGE
     verdict = reflection.verify_rfm(obstacle, phase, s0=args.s0, budget=args.budget,
                                     seed=args.seed)
     out = _outdir(args)
@@ -165,7 +164,7 @@ def run_rfm_check(args) -> int:
     sys.stdout.write(f"worst_fd_rel_error = {_fmt(verdict.worst_fd_rel_error)}\n")
     summary = verdict.summary()
     sys.stdout.write(f"RFM {summary}\n")
-    return {"PASS": EXIT_OK, "FAIL": EXIT_FAIL, "INCONCLUSIVE": EXIT_INCONCLUSIVE}[summary]
+    return VERDICT_EXIT[summary]
 
 
 def run_reflect(args) -> int:
@@ -210,14 +209,13 @@ def main(argv=None) -> int:
             return run_rfm_check(args)
         if args.command == "reflect":
             return run_reflect(args)
-    except (SpecError, NotNormalized, DomainExceeded, UnsupportedSurface, OSError) as exc:
+    except GrazemapError as exc:
+        label = "numerical failure" if exc.exit_code == EXIT_FAIL else "error"
+        sys.stderr.write(f"{label}: {exc}\n")
+        return exc.exit_code
+    except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except (grazing.SeedNotFound, grazing.SliceMiss, grazing.StepCollapse,
-            grazing.InsufficientPoints, reflection.NoConvergence,
-            reflection.GrazingSingular) as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return EXIT_FAIL
     parser.print_usage(sys.stderr)
     return EXIT_USAGE
 

@@ -26,27 +26,40 @@ import numpy as np
 EPS = np.finfo(float).eps
 
 
-class DomainExceeded(ValueError):
+class GrazemapError(Exception):
+    """Base of every exception the library raises.
+
+    ``exit_code`` is the command-line exit code the error ends a command
+    with: 1 for a usage or spec error (the default), 3 for a definite
+    numerical failure.  Each subclass also keeps its ``ValueError``,
+    ``RuntimeError`` or ``TypeError`` base, so handlers written against
+    those still catch it.
+    """
+
+    exit_code = 1
+
+
+class DomainExceeded(GrazemapError, ValueError):
     """Query point lies outside the obstacle's declared tangential radius."""
 
 
-class OrderTooHigh(ValueError):
-    """Derivative order above the supported maximum (default 16)."""
+class OrderTooHigh(GrazemapError, ValueError):
+    """Derivative order above the supported maximum J_MAX_DEFAULT."""
 
 
-class ZeroVector(ValueError):
+class ZeroVector(GrazemapError, ValueError):
     """A direction argument was (numerically) zero."""
 
 
-class NotNormalized(ValueError):
+class NotNormalized(GrazemapError, ValueError):
     """Surface violates the apex normalization F(0)=1, grad F(0)=0."""
 
 
-class UnsupportedSurface(TypeError):
+class UnsupportedSurface(GrazemapError, TypeError):
     """Operation not available for this surface family."""
 
 
-J_MAX_DEFAULT = 16
+J_MAX_DEFAULT = 16  # highest directional Taylor order the apex classification reads
 
 
 def _central_difference(f, x, h: float) -> np.ndarray:
@@ -57,6 +70,12 @@ def _central_difference(f, x, h: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     return np.stack([(np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * h)
                      for e in h * np.eye(x.size)], axis=-1)
+
+
+def _richardson(f, x, h: float) -> np.ndarray:
+    """Richardson-extrapolated central differences (O(h^4) truncation):
+    (4 cd(f, x, h/2) - cd(f, x, h)) / 3 with cd = ``_central_difference``."""
+    return (4.0 * _central_difference(f, x, 0.5 * h) - _central_difference(f, x, h)) / 3.0
 
 
 def _rowdot(a, b) -> np.ndarray:
@@ -498,10 +517,10 @@ class Obstacle:
         f = np.asarray(self._on_surface(self.surface.value, x, ()))
         return np.concatenate((f[..., None], x), axis=-1)
 
-    def directional_taylor(self, direction, order: int, j_max: int = J_MAX_DEFAULT) -> list[float]:
+    def directional_taylor(self, direction, order: int) -> list[float]:
         """Coefficients c_1..c_order of F(s*direction) = 1 + sum_j c_j s^j."""
-        if order > j_max:
-            raise OrderTooHigh(f"order {order} exceeds maximum {j_max}")
+        if order > J_MAX_DEFAULT:
+            raise OrderTooHigh(f"order {order} exceeds maximum {J_MAX_DEFAULT}")
         d = np.asarray(direction, dtype=float)
         if np.linalg.norm(d) == 0.0:
             raise ZeroVector("direction must be nonzero")
@@ -548,23 +567,26 @@ class ConcavityReport:
         return self.verdict == "strictly-concave-on-grid"
 
 
-def check_strict_concavity(obstacle: Obstacle, radius: float | None = None,
-                           n_angles: int = 64, n_radii: int = 32,
-                           tol: float = 1e-9) -> ConcavityReport:
+CONCAVITY_ANGLES = 64  # directions of the concavity certificate's polar grid
+CONCAVITY_RADII = 32   # radii per direction of that grid
+CONCAVITY_TOL = 1e-9   # an eigenvalue of -hess F within this of 0 is degenerate
+
+
+def check_strict_concavity(obstacle: Obstacle, radius: float | None = None) -> ConcavityReport:
     """Evaluate -hess F eigenvalues on a polar grid excluding the origin."""
     d = obstacle.dim_tangential
     r_max = obstacle.radius if radius is None else radius
     if r_max > obstacle.radius:
         raise DomainExceeded("certificate radius exceeds obstacle domain")
-    radii = np.linspace(r_max / n_radii, r_max, n_radii)
+    radii = np.linspace(r_max / CONCAVITY_RADII, r_max, CONCAVITY_RADII)
     if d == 1:
         dirs = np.array([[1.0], [-1.0]])
     elif d == 2:
-        ang = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+        ang = np.linspace(0.0, 2.0 * np.pi, CONCAVITY_ANGLES, endpoint=False)
         dirs = np.column_stack([np.cos(ang), np.sin(ang)])
     else:
         rng = np.random.default_rng(0)
-        dirs = rng.normal(size=(n_angles, d))
+        dirs = rng.normal(size=(CONCAVITY_ANGLES, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
     grid = []
@@ -576,13 +598,13 @@ def check_strict_concavity(obstacle: Obstacle, radius: float | None = None,
             w = np.linalg.eigvalsh(-obstacle.hessian(p))
             grid.append(p)
             min_eigs.append(w[0])
-            if w[0] <= tol:
+            if w[0] <= CONCAVITY_TOL:
                 degenerate_angle[k] = True
     grid = np.array(grid)
     min_eigs = np.array(min_eigs)
 
-    bad = grid[min_eigs < -tol]
-    deg = grid[np.abs(min_eigs) <= tol]
+    bad = grid[min_eigs < -CONCAVITY_TOL]
+    deg = grid[np.abs(min_eigs) <= CONCAVITY_TOL]
     if len(bad):
         return ConcavityReport(grid, min_eigs, "fails-at", bad)
     if degenerate_angle.all():

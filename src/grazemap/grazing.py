@@ -18,38 +18,46 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffgeo import (J_MAX_DEFAULT, MultiPoly, NotNormalized, Obstacle,
+from .diffgeo import (J_MAX_DEFAULT, GrazemapError, MultiPoly, NotNormalized, Obstacle,
                       PolynomialSurface, SymmetricH, UnsupportedSurface, _rowdot,
                       rotate_coordinates)
 from .phases import Phase, PlanePhase, SphericalPhase, xi_incoming
 from .reflection import tangency_margin
 
 
-class SeedNotFound(RuntimeError):
+class SeedNotFound(GrazemapError, RuntimeError):
     """No sign change of the grazing function near the seed offsets."""
 
+    exit_code = 3
 
-class StepCollapse(RuntimeError):
+
+class StepCollapse(GrazemapError, RuntimeError):
     """Continuation correction kept failing below the minimum step."""
+
+    exit_code = 3
 
     def __init__(self, point):
         super().__init__(f"correction failed below minimum step near {point}")
         self.point = np.asarray(point, dtype=float)
 
 
-class InsufficientPoints(ValueError):
+class InsufficientPoints(GrazemapError, ValueError):
     """Too few traced vertices inside the fit window."""
 
+    exit_code = 3
 
-class SliceMiss(ValueError):
+
+class SliceMiss(GrazemapError, ValueError):
     """Slice curve does not intersect the traced window as required."""
 
+    exit_code = 3
 
-class NotHomogeneous(ValueError):
+
+class NotHomogeneous(GrazemapError, ValueError):
     """check_u1ww input must be a homogeneous polynomial of even degree."""
 
 
-class HDomainExceeded(ValueError):
+class HDomainExceeded(GrazemapError, ValueError):
     """|L xbar|^2 left the declared domain of the radial profile."""
 
 
@@ -192,38 +200,40 @@ class OrderClassification:
         return f"{self.order} {'diffractive' if self.diffractive else 'gliding'}"
 
 
-def order_from_direction(obstacle: Obstacle, direction, j_max: int = J_MAX_DEFAULT,
-                         order_tol: float = 1e-9) -> OrderClassification:
+ORDER_TOL = 1e-9  # Taylor coefficients below this fraction of the largest count as zero
+APEX_TOL = 1e-12  # largest |xi1| at the apex of a phase that grazes there
+
+
+def order_from_direction(obstacle: Obstacle, direction) -> OrderClassification:
     """Order of boundary contact of the ray through the apex along ``direction``.
 
     The order is the index of the first nonzero coefficient (at index >= 2)
-    in the directional Taylor expansion of F at the apex; a coefficient counts
-    as zero below order_tol relative to the largest one.  Exact polynomial
-    surfaces make the tolerance moot.
+    in the directional Taylor expansion of F at the apex, read up to
+    J_MAX_DEFAULT; a coefficient counts as zero below ORDER_TOL relative to
+    the largest one.  Exact polynomial surfaces make the tolerance moot.
     """
     d = np.atleast_1d(np.asarray(direction, dtype=float))
-    coeffs = obstacle.directional_taylor(d, j_max)
+    coeffs = obstacle.directional_taylor(d, J_MAX_DEFAULT)
     scale = max(1.0, max((abs(c) for c in coeffs), default=0.0))
-    for j in range(2, j_max + 1):
+    for j in range(2, J_MAX_DEFAULT + 1):
         c = coeffs[j - 1]
-        if abs(c) > order_tol * scale:
+        if abs(c) > ORDER_TOL * scale:
             if j % 2 == 0:
                 return OrderClassification(kind="even", order=j, diffractive=bool(c < 0.0),
                                            coefficients=tuple(coeffs), direction=d)
             return OrderClassification(kind="odd", order=j, diffractive=None,
                                        coefficients=tuple(coeffs), direction=d)
-    return OrderClassification(kind="at-least", order=j_max, diffractive=None,
+    return OrderClassification(kind="at-least", order=J_MAX_DEFAULT, diffractive=None,
                                coefficients=tuple(coeffs), direction=d)
 
 
-def classify_order(obstacle: Obstacle, phase: Phase, j_max: int = J_MAX_DEFAULT,
-                   apex_tol: float = 1e-12) -> OrderClassification:
+def classify_order(obstacle: Obstacle, phase: Phase) -> OrderClassification:
     """Order of tangency at the apex for a phase normalized to graze there."""
     zero = np.zeros(obstacle.dim_tangential)
     xi = xi_incoming(phase, obstacle, zero)
-    if abs(xi.xi1) > apex_tol:
+    if abs(xi.xi1) > APEX_TOL:
         raise NotNormalized(f"xi1 at the apex is {xi.xi1}, not 0: phase does not graze there")
-    return order_from_direction(obstacle, xi.xibar, j_max=j_max)
+    return order_from_direction(obstacle, xi.xibar)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +248,10 @@ class HessianPositivityVerdict:
     degree: int
 
 
-def check_u1ww(g2k: MultiPoly, angle_samples: int = 360,
-               pd_tol: float = 1e-12) -> HessianPositivityVerdict:
+PD_TOL = 1e-12  # smallest Hessian eigenvalue that counts as positive
+
+
+def check_u1ww(g2k: MultiPoly, angle_samples: int = 360) -> HessianPositivityVerdict:
     """PASS iff the Hessian of a homogeneous even-degree polynomial is
     positive definite on the unit circle (homogeneity makes that sufficient)."""
     if g2k.dim != 2:
@@ -253,7 +265,7 @@ def check_u1ww(g2k: MultiPoly, angle_samples: int = 360,
     pts = np.column_stack([np.cos(ang), np.sin(ang)])
     low = np.linalg.eigvalsh(g2k.hessian(pts))[:, 0]
     k = int(np.argmin(low))
-    return HessianPositivityVerdict(passed=bool(low[k] > pd_tol), min_eig=float(low[k]),
+    return HessianPositivityVerdict(passed=bool(low[k] > PD_TOL), min_eig=float(low[k]),
                                     argmin=pts[k], degree=deg)
 
 
@@ -362,15 +374,19 @@ def _scan_roots(f, grid, vals, tol: float) -> list[float]:
     return roots
 
 
-def _line_roots(gf, obstacle, t_axis, offset, window, n=1024, refine_tol=1e-13):
+LINE_SCAN_N = 1024     # grid points of each seed scan line
+LINE_ROOT_TOL = 1e-13  # bracket width at which a seed scan root is final
+
+
+def _line_roots(gf, obstacle, t_axis, offset, window):
     """Sign-change roots of the grazing function along a transverse scan line."""
     g_axis = 1 - t_axis
     lim = min(window, math.sqrt(max(obstacle.radius**2 - offset**2, 0.0)) * 0.999)
     if lim <= 0.0:
         return []
 
-    grid = np.linspace(-lim, lim, n)
-    pts = np.zeros((n, 2))
+    grid = np.linspace(-lim, lim, LINE_SCAN_N)
+    pts = np.zeros((LINE_SCAN_N, 2))
     pts[:, t_axis] = offset
     pts[:, g_axis] = grid
 
@@ -380,7 +396,7 @@ def _line_roots(gf, obstacle, t_axis, offset, window, n=1024, refine_tol=1e-13):
         p[g_axis] = v
         return gf.value(obstacle, p)
 
-    return _scan_roots(g_of, grid, gf.value(obstacle, pts), refine_tol)
+    return _scan_roots(g_of, grid, gf.value(obstacle, pts), LINE_ROOT_TOL)
 
 
 def _detect_orientation(gf, obstacle, window):
@@ -554,10 +570,10 @@ class RegularityEstimate:
 
 CUSP_BIN = (0.60, 0.73)
 C1_BIN = (1.26, 1.41)
+MIN_FIT_POINTS = 20  # fewest vertices per branch the regularity fit accepts
 
 
-def estimate_regularity(curve: GrazingCurve, fit_window=(1e-4, 1e-2),
-                        min_points: int = 20) -> RegularityEstimate:
+def estimate_regularity(curve: GrazingCurve, fit_window=(1e-4, 1e-2)) -> RegularityEstimate:
     """Fit log|graph| against log|transverse| over a decade window.
 
     The exponent lands in one of two bins (near 2/3: cusp; near 4/3: C1 but
@@ -571,9 +587,9 @@ def estimate_regularity(curve: GrazingCurve, fit_window=(1e-4, 1e-2),
         t = branch.vertices[:, curve.transverse_axis]
         u = branch.vertices[:, curve.graph_axis]
         mask = (np.abs(t) >= lo) & (np.abs(t) <= hi) & (np.abs(u) > 0.0)
-        if int(mask.sum()) < min_points:
-            raise InsufficientPoints(
-                f"branch {branch.side}: {int(mask.sum())} vertices in window, need {min_points}")
+        if int(mask.sum()) < MIN_FIT_POINTS:
+            raise InsufficientPoints(f"branch {branch.side}: {int(mask.sum())} vertices "
+                                     f"in window, need {MIN_FIT_POINTS}")
         ts.append(t[mask])
         us.append(u[mask])
     t = np.concatenate(ts)
@@ -606,8 +622,11 @@ def estimate_regularity(curve: GrazingCurve, fit_window=(1e-4, 1e-2),
 # 2D obstacles: sign-change scan
 # ---------------------------------------------------------------------------
 
-def grazing_zero_scan_1d(gf: GrazingFunction, obstacle: Obstacle, window: float = 0.3,
-                         n: int = 4096) -> tuple[int, list[float]]:
+SCAN_1D_N = 4096  # grid points of the 2D-obstacle zero scan
+
+
+def grazing_zero_scan_1d(gf: GrazingFunction, obstacle: Obstacle,
+                         window: float = 0.3) -> tuple[int, list[float]]:
     """Count zeros of the grazing function on |x2| <= window (2D obstacles).
 
     Uses an even grid (the apex is not a grid point) with bisection
@@ -616,7 +635,7 @@ def grazing_zero_scan_1d(gf: GrazingFunction, obstacle: Obstacle, window: float 
     if obstacle.dim_tangential != 1:
         raise UnsupportedSurface("scan requires a 2D obstacle (one tangential variable)")
     window = min(window, obstacle.radius)
-    grid = np.linspace(-window, window, n)
+    grid = np.linspace(-window, window, SCAN_1D_N)
     zeros = _scan_roots(lambda v: gf.value(obstacle, np.array([v])), grid,
                         gf.value(obstacle, grid[:, None]), 1e-14)
     return len(zeros), zeros
@@ -634,8 +653,10 @@ class SliceCount:
     x2_star: float
 
 
-def slice_grazing_count(obstacle: Obstacle, bbar, x2_star: float,
-                        n_phi: int = 1440) -> SliceCount:
+SLICE_N_PHI = 1440  # angular grid intervals of each slice curve
+
+
+def slice_grazing_count(obstacle: Obstacle, bbar, x2_star: float) -> SliceCount:
     """Count grazing points on the closed slice curve through (x2*, 0).
 
     The slice curve is the boundary section cut by the plane through the
@@ -644,7 +665,7 @@ def slice_grazing_count(obstacle: Obstacle, bbar, x2_star: float,
     bisection.  No-branching predicts exactly one point on each side x3 > 0
     and x3 < 0.
 
-    The curve point at each of the n_phi + 1 grid angles is found by a
+    The curve point at each of the SLICE_N_PHI + 1 grid angles is found by a
     radial march from the curve's center and a bisection to 1e-14, run in
     lockstep over all angles on (m, 2) batches; the grazing function is then
     evaluated on all of them in one call.  Only the bisection of a sign
@@ -739,7 +760,7 @@ def slice_grazing_count(obstacle: Obstacle, bbar, x2_star: float,
 
     # Closed angular grid: angle 0 repeats at 2 pi, so a crossing across the
     # wrap-around is seen once.
-    grid = np.linspace(0.0, 2.0 * np.pi, n_phi + 1)
+    grid = np.linspace(0.0, 2.0 * np.pi, SLICE_N_PHI + 1)
     phis = _scan_roots(h_of, grid, gf.value(obst_r, radial_points(grid)), 1e-13)
     crossings = [radial_point(phi) for phi in phis]
 
@@ -753,9 +774,11 @@ def slice_grazing_count(obstacle: Obstacle, bbar, x2_star: float,
 # Shadow-boundary flowout
 # ---------------------------------------------------------------------------
 
+FLOWOUT_MARGIN_TOL = 1e-6  # largest |margin| of a curve vertex the flowout accepts
+
+
 def shadow_boundary_flowout(obstacle: Obstacle, phase: Phase, curve: GrazingCurve,
-                            s_range=(0.0, 1.0), n_s: int = 17, t0: float = 0.0,
-                            grazing_tol: float = 1e-6) -> np.ndarray:
+                            s_range=(0.0, 1.0), n_s: int = 17, t0: float = 0.0) -> np.ndarray:
     """Incoming-ray flowout of the traced grazing curve, as a ruled sheet.
 
     Returns an array of shape (n_vertices, n_s, n+2): spacetime points along
@@ -768,7 +791,7 @@ def shadow_boundary_flowout(obstacle: Obstacle, phase: Phase, curve: GrazingCurv
     sheet = np.zeros((len(verts), n_s, n + 1))
     for i, xb in enumerate(verts):
         mu = tangency_margin(obstacle, phase, xb)
-        if abs(mu) > grazing_tol:
+        if abs(mu) > FLOWOUT_MARGIN_TOL:
             raise ValueError(f"vertex {xb} has margin {mu}: not a grazing point")
         xi = xi_incoming(phase, obstacle, xb)
         base = np.concatenate((obstacle.boundary_point(xb), [t0]))

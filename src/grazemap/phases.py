@@ -13,14 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffgeo import DomainExceeded, Obstacle, _central_difference
+from .diffgeo import DomainExceeded, GrazemapError, Obstacle, _richardson
 
 
-class SourceOnBoundary(ValueError):
+class SourceOnBoundary(GrazemapError, ValueError):
     """Spherical source coincides with the evaluation point."""
 
 
-class PhaseValidationError(ValueError):
+class PhaseValidationError(GrazemapError, ValueError):
     """Opt-in construction validation (eikonal / convexity) failed."""
 
 
@@ -173,9 +173,7 @@ def xi_jacobian(phase: Phase, obstacle: Obstacle, xbar) -> tuple[np.ndarray, np.
     def covector(x):
         return xi_incoming(phase, obstacle, x).vector
 
-    # Richardson-extrapolated central differences (O(h^4) truncation).
-    jac = (4.0 * _central_difference(covector, xbar, 0.5 * h)
-           - _central_difference(covector, xbar, h)) / 3.0
+    jac = _richardson(covector, xbar, h)
     return jac[0], jac[1:]
 
 
@@ -199,8 +197,7 @@ def boundary_trace_hessian(phase: Phase, obstacle: Obstacle, xbar) -> np.ndarray
     def grad(x):
         return boundary_trace_gradient(phase, obstacle, x)
 
-    out = (4.0 * _central_difference(grad, xbar, 0.5 * h)
-           - _central_difference(grad, xbar, h)) / 3.0
+    out = _richardson(grad, xbar, h)
     return 0.5 * (out + out.T)
 
 
@@ -224,7 +221,11 @@ class ConvexityVerdict:
     worst_pair: tuple[np.ndarray, np.ndarray] | None
 
 
-def convexity_check(phase: Phase, sample_pairs, tol: float = 1e-10) -> ConvexityVerdict:
+CONVEXITY_TOL = 1e-10  # most negative convexity margin that still passes
+EIKONAL_TOL = 1e-9     # largest | |grad psi|^2 - 1 | validate_phase accepts
+
+
+def convexity_check(phase: Phase, sample_pairs) -> ConvexityVerdict:
     """Check psi(z2) - psi(z1) >= <grad psi(z1), z2 - z1> on all ordered pairs."""
     min_margin = np.inf
     worst = None
@@ -235,12 +236,12 @@ def convexity_check(phase: Phase, sample_pairs, tol: float = 1e-10) -> Convexity
         if margin < min_margin:
             min_margin = margin
             worst = (z1, z2)
-    return ConvexityVerdict(passed=bool(min_margin >= -tol),
+    return ConvexityVerdict(passed=bool(min_margin >= -CONVEXITY_TOL),
                             min_margin=float(min_margin), worst_pair=worst)
 
 
 def validate_phase(phase: Phase, obstacle: Obstacle, n_points: int = 1000,
-                   n_pairs: int = 10000, seed: int = 0, tol: float = 1e-9) -> None:
+                   n_pairs: int = 10000, seed: int = 0) -> None:
     """Opt-in sampled eikonal + convexity validation; raises on failure."""
     rng = np.random.default_rng(seed)
     d = obstacle.dim_tangential
@@ -248,8 +249,8 @@ def validate_phase(phase: Phase, obstacle: Obstacle, n_points: int = 1000,
     xb = xb[np.linalg.norm(xb, axis=1) <= obstacle.radius]
     pts = np.array([obstacle.boundary_point(x) for x in xb])
     res = eikonal_residual(phase, pts)
-    if res > tol:
-        raise PhaseValidationError(f"eikonal residual {res} exceeds {tol}")
+    if res > EIKONAL_TOL:
+        raise PhaseValidationError(f"eikonal residual {res} exceeds {EIKONAL_TOL}")
     idx = rng.integers(0, len(pts), size=(min(n_pairs, 4 * len(pts) ** 2), 2))
     verdict = convexity_check(phase, [(pts[i], pts[j]) for i, j in idx])
     if not verdict.passed:

@@ -17,27 +17,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffgeo import Obstacle, _central_difference
+from .diffgeo import GrazemapError, Obstacle, _central_difference
 from .phases import BoundaryCovector, Phase, boundary_trace, xi_incoming, xi_jacobian
 
-GRAZING_TOL = 1e-10
+GRAZING_TOL = 1e-10  # |margin| at or below which a boundary point counts as grazing
 FD_STEP = 1e-5
 
 
-class ShadowPoint(ValueError):
+class ShadowPoint(GrazemapError, ValueError):
     """Operation requires a grazing or illuminated boundary point."""
 
 
-class GrazingSingular(ValueError):
+class GrazingSingular(GrazemapError, ValueError):
     """Operation requires a margin bounded away from zero."""
 
+    exit_code = 3
 
-class StepInvalid(ValueError):
+
+class StepInvalid(GrazemapError, ValueError):
     """Finite-difference step must be positive."""
 
 
-class NoConvergence(RuntimeError):
+class NoConvergence(GrazemapError, RuntimeError):
     """Newton inversion failed to reach the residual target."""
+
+    exit_code = 3
 
     def __init__(self, iterations: int, residual: float):
         super().__init__(f"no convergence after {iterations} iterations, residual {residual:.3e}")
@@ -45,7 +49,7 @@ class NoConvergence(RuntimeError):
         self.residual = residual
 
 
-class OutsideRange(ValueError):
+class OutsideRange(GrazemapError, ValueError):
     """Target point cannot lie on any reflected ray."""
 
 
@@ -84,14 +88,13 @@ class BoundaryClassification:
     label: str  # 'illuminated' | 'grazing' | 'shadow'
 
 
-def classify_boundary_point(obstacle: Obstacle, phase: Phase, xbar,
-                            tol: float = GRAZING_TOL) -> BoundaryClassification:
+def classify_boundary_point(obstacle: Obstacle, phase: Phase, xbar) -> BoundaryClassification:
     """Label a boundary point by the sign of its tangency margin."""
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
     mu = tangency_margin(obstacle, phase, xbar)
-    if mu > tol:
+    if mu > GRAZING_TOL:
         label = "illuminated"
-    elif mu < -tol:
+    elif mu < -GRAZING_TOL:
         label = "shadow"
     else:
         label = "grazing"
@@ -117,16 +120,15 @@ def _flow_point(obstacle: Obstacle, phase: Phase, s: float, xbar) -> np.ndarray:
     return base + 2.0 * s * xr.vector
 
 
-def flow_map(obstacle: Obstacle, phase: Phase, s: float, xbar, t: float = 0.0,
-             tol: float = GRAZING_TOL) -> FlowSample:
+def flow_map(obstacle: Obstacle, phase: Phase, s: float, xbar, t: float = 0.0) -> FlowSample:
     """Point at parameter s on the reflected ray from the boundary point over xbar.
 
     Defined on grazing and illuminated points only; the time coordinate is
     carried along unchanged apart from the t + 2s advance.
     """
-    cls = classify_boundary_point(obstacle, phase, xbar, tol=tol)
+    cls = classify_boundary_point(obstacle, phase, xbar)
     if cls.label == "shadow":
-        raise ShadowPoint(f"margin {cls.margin} < -{tol} at xbar={xbar}")
+        raise ShadowPoint(f"margin {cls.margin} < -{GRAZING_TOL} at xbar={xbar}")
     if s < 0.0:
         raise ValueError("ray parameter s must be nonnegative")
     space = _flow_point(obstacle, phase, s, cls.xbar)
@@ -197,8 +199,7 @@ def _spatial_block(obstacle: Obstacle, phase: Phase, s: float, xbar) -> np.ndarr
     return m
 
 
-def jacobian_analytic(obstacle: Obstacle, phase: Phase, s: float, xbar,
-                      tol: float = GRAZING_TOL) -> JacobianReport:
+def jacobian_analytic(obstacle: Obstacle, phase: Phase, s: float, xbar) -> JacobianReport:
     """Flow-map Jacobian from the closed-form spatial block determinant.
 
     The determinant of d(y1, ybar)/d(s, xbar) is assembled from the boundary
@@ -210,8 +211,8 @@ def jacobian_analytic(obstacle: Obstacle, phase: Phase, s: float, xbar,
     """
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
     mu = tangency_margin(obstacle, phase, xbar)
-    if abs(mu) <= tol:
-        raise GrazingSingular(f"margin {mu} within tolerance {tol} of grazing")
+    if abs(mu) <= GRAZING_TOL:
+        raise GrazingSingular(f"margin {mu} within tolerance {GRAZING_TOL} of grazing")
     if mu < 0.0:
         raise ShadowPoint(f"margin {mu} < 0: point is in shadow")
     j = float(np.linalg.det(_spatial_block(obstacle, phase, s, xbar)))
@@ -245,10 +246,15 @@ def jacobian_fd(obstacle: Obstacle, phase: Phase, s: float, xbar, t: float = 0.0
 # Inversion and the reflected phase
 # ---------------------------------------------------------------------------
 
-def invert_flow(obstacle: Obstacle, phase: Phase, y, seed=None,
-                s_range: tuple[float, float] = (0.0, 2.0),
-                residual_tol: float = 1e-10, max_iter: int = 50,
-                grazing_floor: float = 1e-4) -> tuple[float, np.ndarray, float]:
+S_RANGE = (0.0, 2.0)  # ray parameters the grid seed searches
+GRID_N_X = 24         # grid points per tangential axis of the grid seed
+GRID_N_S = 24         # grid points in s of the grid seed
+RESIDUAL_TOL = 1e-10  # largest flow-map residual an inversion may end with
+MAX_ITER = 50         # Newton iterations before the inversion gives up
+GRAZING_FLOOR = 1e-4  # smallest seed margin an inversion starts from
+
+
+def invert_flow(obstacle: Obstacle, phase: Phase, y, seed=None) -> tuple[float, np.ndarray, float]:
     """Invert the reflected flow map at a spacetime point y = (y1, ybar, t').
 
     Damped Newton on the spatial part with the closed-form Jacobian of the
@@ -268,21 +274,21 @@ def invert_flow(obstacle: Obstacle, phase: Phase, y, seed=None,
             raise OutsideRange("point lies strictly inside the obstacle")
 
     if seed is None:
-        seed = _grid_seed(obstacle, phase, y_space, s_range)
+        seed = _grid_seed(obstacle, phase, y_space)
         if seed is None:
             raise OutsideRange("grid search found no admissible seed")
     v = np.concatenate(([float(seed[0])], np.atleast_1d(np.asarray(seed[1], dtype=float))))
 
     mu = tangency_margin(obstacle, phase, v[1:])
-    if mu < grazing_floor:
-        raise GrazingSingular(f"seed margin {mu} below floor {grazing_floor}")
+    if mu < GRAZING_FLOOR:
+        raise GrazingSingular(f"seed margin {mu} below floor {GRAZING_FLOOR}")
 
     def residual(v):
         return _flow_point(obstacle, phase, v[0], v[1:]) - y_space
 
     r = residual(v)
     rn = float(np.linalg.norm(r))
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         if rn <= 1e-14:
             break
         jac = _spatial_block(obstacle, phase, v[0], v[1:])
@@ -309,25 +315,24 @@ def invert_flow(obstacle: Obstacle, phase: Phase, y, seed=None,
             lam *= 0.5
         else:
             break
-    if rn > residual_tol:
-        raise NoConvergence(max_iter, rn)
+    if rn > RESIDUAL_TOL:
+        raise NoConvergence(MAX_ITER, rn)
     s = float(v[0])
     if s < -1e-12:
         raise OutsideRange(f"converged to negative ray parameter s = {s}")
     return max(s, 0.0), v[1:].copy(), t_prime - 2.0 * max(s, 0.0)
 
 
-def _grid_seed(obstacle: Obstacle, phase: Phase, y_space, s_range,
-               n_x: int = 24, n_s: int = 24):
+def _grid_seed(obstacle: Obstacle, phase: Phase, y_space):
     d = obstacle.dim_tangential
-    axes = [np.linspace(-obstacle.radius, obstacle.radius, n_x)] * d
+    axes = [np.linspace(-obstacle.radius, obstacle.radius, GRID_N_X)] * d
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     mesh = mesh[np.linalg.norm(mesh, axis=1) <= obstacle.radius]
     best = None
     best_err = np.inf
-    s_grid = np.linspace(s_range[0], s_range[1], n_s)
+    s_grid = np.linspace(S_RANGE[0], S_RANGE[1], GRID_N_S)
     for xb in mesh:
-        if tangency_margin(obstacle, phase, xb) < 1e-4:
+        if tangency_margin(obstacle, phase, xb) < GRAZING_FLOOR:
             continue
         xr = xi_reflected(obstacle, phase, xb)
         base = obstacle.boundary_point(xb)
@@ -339,14 +344,13 @@ def _grid_seed(obstacle: Obstacle, phase: Phase, y_space, s_range,
     return best
 
 
-def reflected_phase_at(obstacle: Obstacle, phase: Phase, y, seed=None,
-                       s_range: tuple[float, float] = (0.0, 2.0)):
+def reflected_phase_at(obstacle: Obstacle, phase: Phase, y, seed=None):
     """Value and spacetime gradient of the reflected phase at y.
 
     The phase carries the boundary value of the incoming phase along the
     reflected ray; its gradient is the constant (xi_r, -1) of that ray.
     """
-    s, xbar, t = invert_flow(obstacle, phase, y, seed=seed, s_range=s_range)
+    s, xbar, t = invert_flow(obstacle, phase, y, seed=seed)
     value = -t + boundary_trace(phase, obstacle, xbar)
     xr = xi_reflected(obstacle, phase, xbar)
     gradient = np.concatenate((xr.vector, [-1.0]))
@@ -375,10 +379,13 @@ class RfmVerdict:
         return "PASS" if self.passed else "FAIL"
 
 
+FD_MARGIN_FLOOR = 1e-3  # smallest margin at which the FD Jacobian is compared
+FD_REL_TOL = 1e-6       # largest relative analytic-vs-FD Jacobian gap that passes
+BOUND_SLACK = 1e-9      # how far j_analytic may fall below 2*margin and still pass
+
+
 def verify_rfm(obstacle: Obstacle, phase: Phase, s0: float = 1.0,
-               radius: float | None = None, budget: int = 1000, seed: int = 42,
-               fd_margin_floor: float = 1e-3, fd_rel_tol: float = 1e-6,
-               bound_slack: float = 1e-9) -> RfmVerdict:
+               budget: int = 1000, seed: int = 42) -> RfmVerdict:
     """Sampled evidence that the reflected flow map is an injective local
     diffeomorphism off the grazing face.
 
@@ -386,7 +393,7 @@ def verify_rfm(obstacle: Obstacle, phase: Phase, s0: float = 1.0,
     (i) image separation stays bounded below by domain separation on random
     near pairs, (ii) the analytic Jacobian respects its 2*margin lower bound,
     (iii) analytic and finite-difference Jacobians agree (only on samples
-    whose margin clears ``fd_margin_floor``: below that the FD determinant
+    whose margin clears FD_MARGIN_FLOOR: below that the FD determinant
     is dominated by differencing noise).  With no illuminated sample
     nothing was checked: the verdict does not pass and reads INCONCLUSIVE.
     """
@@ -395,7 +402,7 @@ def verify_rfm(obstacle: Obstacle, phase: Phase, s0: float = 1.0,
     rng = np.random.default_rng(seed)
     d = obstacle.dim_tangential
     # Samples stay a difference step inside the domain, where jacobian_fd steps.
-    r = min(obstacle.radius if radius is None else radius, obstacle.radius - FD_STEP)
+    r = obstacle.radius - FD_STEP
 
     samples = []
     tries = 0
@@ -427,14 +434,14 @@ def verify_rfm(obstacle: Obstacle, phase: Phase, s0: float = 1.0,
             j_a = rep.j_analytic
             gap = j_a - rep.lower_bound
             worst_gap = min(worst_gap, gap)
-            if gap < -bound_slack:
+            if gap < -BOUND_SLACK:
                 bound_failures.append((s, xb, t, mu, j_a))
                 ok = False
-            if mu >= fd_margin_floor:
+            if mu >= FD_MARGIN_FLOOR:
                 j_f = jacobian_fd(obstacle, phase, s, xb, t)
                 rel = abs(j_a - j_f) / max(abs(j_a), abs(j_f))
                 worst_rel = max(worst_rel, rel)
-                if rel > fd_rel_tol:
+                if rel > FD_REL_TOL:
                     fd_failures.append((s, xb, t, mu, j_a, j_f))
                     ok = False
         rows.append((s, xb, t, mu, j_a, j_f, 2.0 * mu, ok))

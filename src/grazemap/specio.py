@@ -19,7 +19,7 @@ Phase::
     kind = plane | spherical | convex-distance
     theta = ...      # plane
     b = ...          # spherical; must lie outside the obstacle, when one is given
-    center = ...     # convex-distance
+    center = ...     # convex-distance; must lie outside the obstacle, likewise
     radius = ...     # convex-distance
 """
 
@@ -29,11 +29,12 @@ import math
 
 import numpy as np
 
-from .diffgeo import NotNormalized, Obstacle, PolynomialSurface, SymmetricH, sphere_obstacle
+from .diffgeo import (GrazemapError, NotNormalized, Obstacle, PolynomialSurface, SymmetricH,
+                      sphere_obstacle)
 from .phases import ConvexPhase, Phase, PlanePhase, SphericalPhase
 
 
-class SpecError(ValueError):
+class SpecError(GrazemapError, ValueError):
     """Line-anchored spec-file error."""
 
     def __init__(self, path: str, line: int, message: str):
@@ -163,10 +164,22 @@ def parse_obstacle(path: str) -> Obstacle:
     raise SpecError(path, kind_line, f"unknown obstacle kind {kind!r}")
 
 
+def _require_outside(path: str, line: int, raw: str, point, obstacle: Obstacle,
+                     what: str, sym: str) -> None:
+    """Spec error unless ``point`` lies outside the obstacle: not both
+    |pbar| <= radius and p1 <= F(pbar)."""
+    if np.linalg.norm(point[1:]) <= obstacle.radius:
+        p1, f_p = float(point[0]), float(obstacle.value(point[1:]))
+        if p1 <= f_p:
+            raise SpecError(path, line, f"{what} {raw!r} is not outside the obstacle: "
+                            f"{sym}1 = {p1!r} <= F({sym}bar) = {f_p!r}")
+
+
 def parse_phase(path: str, dim: int = 3, obstacle: Obstacle | None = None) -> Phase:
-    """Parse a phase spec; with ``obstacle``, a spherical source on or inside
-    it (|bbar| <= radius and b1 <= F(bbar)) is a spec error, since it lights
-    no boundary point."""
+    """Parse a phase spec; with ``obstacle``, a spherical source or a
+    convex-distance center p on or inside it (|pbar| <= radius and
+    p1 <= F(pbar)) is a spec error, since its rays cannot light the boundary
+    from outside."""
     entries = _read_entries(path)
     values = {}
     for lineno, key, value in entries:
@@ -193,11 +206,8 @@ def parse_phase(path: str, dim: int = 3, obstacle: Obstacle | None = None) -> Ph
         if raw is None:
             raise SpecError(path, kind_line, "spherical phase needs 'b'")
         source = np.array(_floats(path, line, raw, expect=dim))
-        if obstacle is not None and np.linalg.norm(source[1:]) <= obstacle.radius:
-            b1, f_b = float(source[0]), float(obstacle.value(source[1:]))
-            if b1 <= f_b:
-                raise SpecError(path, line, f"source {raw!r} is not outside the obstacle: "
-                                f"b1 = {b1!r} <= F(bbar) = {f_b!r}")
+        if obstacle is not None:
+            _require_outside(path, line, raw, source, obstacle, "source", "b")
         return SphericalPhase(source=source)
 
     if kind == "convex-distance":
@@ -212,6 +222,20 @@ def parse_phase(path: str, dim: int = 3, obstacle: Obstacle | None = None) -> Ph
             raise SpecError(path, rline, f"radius must be a number, got {rraw!r}") from exc
         if not (radius > 0.0 and math.isfinite(radius)):
             raise SpecError(path, rline, "radius must be positive and finite")
+        if obstacle is not None:
+            _require_outside(path, cline, craw, center, obstacle, "center", "c")
         return ConvexPhase.distance_to_sphere(center, radius)
 
     raise SpecError(path, kind_line, f"unknown phase kind {kind!r}")
+
+
+def check_flags(tol: float, window: float, s0: float, budget: int) -> None:
+    """Reject command-line overrides no computation can use, as ``<flags>``
+    spec errors: tol, window and s0 must be finite, tol and s0 positive,
+    window nonnegative and budget positive."""
+    if not all(math.isfinite(x) for x in (tol, window, s0)):
+        raise SpecError("<flags>", 0, "tolerance, window, and s0 overrides must be finite")
+    if tol <= 0 or window < 0 or s0 <= 0:
+        raise SpecError("<flags>", 0, "tolerance, window, and s0 overrides must be positive")
+    if budget <= 0:
+        raise SpecError("<flags>", 0, "InvalidBudget: --budget must be positive")

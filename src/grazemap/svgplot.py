@@ -9,6 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 _COLORS = ("#1f6fb4", "#c23b22", "#2e8b57", "#8860b0")
+SIZE = 480   # width and height of the square canvas, in pixels
+MARGIN = 40  # blank border between the plot window and the canvas edge
 
 
 def _fmt(x: float) -> str:
@@ -16,17 +18,15 @@ def _fmt(x: float) -> str:
 
 
 class SvgCanvas:
-    def __init__(self, window: float, size: int = 480, margin: int = 40):
+    def __init__(self, window: float):
         self.window = float(window)
-        self.size = size
-        self.margin = margin
         self.body: list[str] = []
 
     def _map(self, x: float, y: float) -> tuple[float, float]:
-        span = self.size - 2 * self.margin
+        span = SIZE - 2 * MARGIN
         w = self.window if self.window > 0 else 1.0
-        px = self.margin + (x + w) / (2 * w) * span
-        py = self.margin + (w - y) / (2 * w) * span
+        px = MARGIN + (x + w) / (2 * w) * span
+        py = MARGIN + (w - y) / (2 * w) * span
         return px, py
 
     def polyline(self, points: np.ndarray, color: str, width: float = 1.5) -> None:
@@ -53,21 +53,20 @@ class SvgCanvas:
         self.body.append(f'<text x="{_fmt(px + 6)}" y="{_fmt(py + 12)}" '
                          f'font-size="12">{ylabel}</text>')
         lab = _fmt(self.window)
-        self.body.append(f'<text x="{_fmt(self.margin)}" y="{_fmt(self.size - 8)}" '
+        self.body.append(f'<text x="{_fmt(MARGIN)}" y="{_fmt(SIZE - 8)}" '
                          f'font-size="10">window = {lab}</text>')
 
     def render(self) -> str:
-        head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.size}" '
-                f'height="{self.size}" viewBox="0 0 {self.size} {self.size}">')
-        bg = f'<rect width="{self.size}" height="{self.size}" fill="white"/>'
+        head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
+                f'height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">')
+        bg = f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>'
         return "\n".join([head, bg, *self.body, "</svg>"]) + "\n"
 
 
-def curve_svg(curve, sheet: np.ndarray | None = None, size: int = 480,
-              xlabel: str = "x2", ylabel: str = "x3") -> str:
+def curve_svg(curve, sheet: np.ndarray | None = None) -> str:
     """Render traced branches (and optionally a shadow-boundary sheet projection)."""
-    canvas = SvgCanvas(window=curve.window, size=size)
-    canvas.axes(xlabel, ylabel)
+    canvas = SvgCanvas(window=curve.window)
+    canvas.axes("x2", "x3")
     if sheet is not None:
         for ray in sheet:
             canvas.polyline(ray[:, 1:3], color="#cccccc", width=0.6)

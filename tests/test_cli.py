@@ -1,4 +1,7 @@
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import grazemap
+from grazemap import cli
 from grazemap.cli import main
 
 CUSP_OBSTACLE = ("dim = 3\nkind = polynomial\nradius = 1.0\n"
@@ -186,6 +190,68 @@ def test_rfm_check_invalid_budget(specs, tmp_path, capsys):
                  specs["side.phase"], "--budget", "0", "--out", str(tmp_path / "o")])
     assert code == 1
     assert "InvalidBudget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, budget", [("reflect", "0"), ("reflect", "-3"),
+                                             ("trace", "0")])
+def test_non_positive_budget_is_flag_error(specs, tmp_path, capsys, command, budget):
+    out = tmp_path / "o"
+    code = main([command, "--obstacle", specs["sphere.obstacle"], "--phase",
+                 specs["side.phase"], "--budget", budget, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "<flags>:0:" in err and "InvalidBudget" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("center", ["1 0 0", "0.5 0 0"], ids=["apex", "inside"])
+def test_convex_distance_center_not_outside_obstacle_is_spec_error(specs, tmp_path, capsys,
+                                                                   center):
+    phase = tmp_path / "bad.phase"
+    phase.write_text(f"kind = convex-distance\ncenter = {center}\nradius = 2\n",
+                     encoding="utf-8")
+    code = main(["classify", "--obstacle", specs["sphere.obstacle"], "--phase", str(phase),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{phase}:2: center '{center}' is not outside the obstacle" in err
+    assert "Traceback" not in err
+    # The benchmark's center (1, -1, 0) lies outside the cap and stays valid.
+    phase.write_text("kind = convex-distance\ncenter = 1 -1 0\nradius = 2\n",
+                     encoding="utf-8")
+    obstacle = grazemap.parse_obstacle(specs["sphere.obstacle"])
+    assert isinstance(grazemap.parse_phase(str(phase), obstacle=obstacle), grazemap.ConvexPhase)
+
+
+def test_every_library_exception_carries_an_exit_code():
+    found = {}
+    for info in pkgutil.iter_modules(grazemap.__path__):
+        module = importlib.import_module(f"grazemap.{info.name}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, BaseException) and cls.__module__ == module.__name__:
+                found[name] = cls
+    assert len(found) == 20  # GrazemapError and its 19 subclasses
+    for name, cls in found.items():
+        assert issubclass(cls, grazemap.GrazemapError), name
+        assert cls.exit_code in (1, 3), name
+    assert {name for name, cls in found.items() if cls.exit_code == 3} == {
+        "SeedNotFound", "StepCollapse", "InsufficientPoints", "SliceMiss", "NoConvergence",
+        "GrazingSingular"}
+
+
+@pytest.mark.parametrize("exc, code, label", [
+    (grazemap.grazing.NotHomogeneous, 1, "error"),
+    (grazemap.grazing.SeedNotFound, 3, "numerical failure"),
+], ids=["NotHomogeneous", "SeedNotFound"])
+def test_library_error_in_command_exits_with_its_code(specs, tmp_path, capsys, monkeypatch,
+                                                      exc, code, label):
+    def failing(args):
+        raise exc("raised inside the command")
+
+    monkeypatch.setattr(cli, "run_classify", failing)
+    assert main(["classify", "--obstacle", specs["cusp.obstacle"], "--phase",
+                 specs["side.phase"], "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err.startswith(f"{label}: ")
 
 
 def test_reflect_csv(specs, tmp_path):
