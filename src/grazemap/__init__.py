@@ -7,8 +7,8 @@ closed-form example curves that anchor the test suite.
 """
 
 from .diffgeo import (ConcavityReport, DomainExceeded, GenericSmooth, GrazemapError,
-                      MultiPoly, NotNormalized, Obstacle, OrderTooHigh, PolynomialSurface,
-                      SymmetricH, UnsupportedSurface, ZeroVector,
+                      InvalidArgument, MultiPoly, NotNormalized, Obstacle, OrderTooHigh,
+                      PolynomialSurface, SymmetricH, UnsupportedSurface, ZeroVector,
                       check_strict_concavity, polynomial_obstacle,
                       rotate_coordinates, sphere_obstacle)
 from .grazing import (GrazingCurve, GsReport, OrderClassification,
@@ -25,7 +25,7 @@ from .phases import (BoundaryCovector, ConvexPhase, PlanePhase, SphericalPhase,
                      validate_phase, xi_incoming, xi_jacobian)
 from .reflection import (BoundaryClassification, FlowSample, GrazingSingular,
                          JacobianReport, NoConvergence, OutsideRange,
-                         RfmVerdict, ShadowPoint, StepInvalid,
+                         RfmVerdict, ShadowPoint,
                          classify_boundary_point, flow_map, invert_flow,
                          jacobian_analytic, jacobian_fd, reflect_direction,
                          reflected_phase_at, tangency_margin, verify_rfm,

@@ -8,7 +8,6 @@ config and seed; CSV files are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -38,12 +37,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return "nan"
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return repr(x)
+    return repr(float(x))  # 'nan' and 'inf' for the non-finite values
+
+
+def _write_csv(path: Path, cols, rows) -> None:
+    """One header line of column names, then one line per row of fields."""
+    lines = [",".join(cols)] + [",".join(fields) for fields in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,31 +108,20 @@ def run_classify(args) -> int:
     return VERDICT_EXIT[report.verdict]
 
 
-def _trace(args, obstacle, phase):
-    gf = grazing.grazing_function_for(obstacle, phase)
-    return grazing.trace_grazing_curve(gf, obstacle, window=args.window, trace_tol=args.tol)
-
-
-def _write_trace_csv(curve, path: Path, dim_t: int) -> None:
-    cols = ["branch", "arc"] + [f"x{i + 2}" for i in range(dim_t)] + ["residual"]
-    rows = [",".join(cols)]
-    if curve is not None:
-        for branch in curve.branches:
-            for arc, vert, res in zip(branch.arc_params, branch.vertices, branch.residuals):
-                fields = [str(branch.side), _fmt(arc)]
-                fields += [_fmt(v) for v in vert]
-                fields.append(_fmt(res))
-                rows.append(",".join(fields))
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-
-
 def run_trace(args, with_svg: bool = False, with_sheet: bool = False) -> int:
     obstacle, phase = _load(args)
     out = _outdir(args)
     fmt = args.format or ("svg" if with_svg else "csv")
-    curve = None if args.window == 0.0 else _trace(args, obstacle, phase)
+    curve = None
+    if args.window != 0.0:
+        gf = grazing.grazing_function_for(obstacle, phase)
+        curve = grazing.trace_grazing_curve(gf, obstacle, window=args.window, trace_tol=args.tol)
     if fmt in ("csv", "both"):
-        _write_trace_csv(curve, out / "trace.csv", obstacle.dim_tangential)
+        cols = ["branch", "arc"] + [f"x{i + 2}" for i in range(obstacle.dim_tangential)]
+        rows = [[str(branch.side)] + [_fmt(v) for v in (arc, *vert, res)]
+                for branch in (curve.branches if curve is not None else ())
+                for arc, vert, res in zip(branch.arc_params, branch.vertices, branch.residuals)]
+        _write_csv(out / "trace.csv", cols + ["residual"], rows)
     if fmt in ("svg", "both"):
         sheet = None
         if with_sheet and curve is not None:
@@ -149,15 +138,11 @@ def run_rfm_check(args) -> int:
     verdict = reflection.verify_rfm(obstacle, phase, s0=args.s0, budget=args.budget,
                                     seed=args.seed)
     out = _outdir(args)
-    dim_t = obstacle.dim_tangential
-    cols = ["s"] + [f"x{i + 2}" for i in range(dim_t)] + ["t", "mu", "j_analytic",
-                                                          "j_fd", "bound", "pass"]
-    rows = [",".join(cols)]
-    for s, xb, t, mu, ja, jf, bound, ok in verdict.rows:
-        fields = [_fmt(s)] + [_fmt(v) for v in xb] + [_fmt(t), _fmt(mu), _fmt(ja),
-                                                      _fmt(jf), _fmt(bound), str(int(ok))]
-        rows.append(",".join(fields))
-    (out / "rfm.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    cols = (["s"] + [f"x{i + 2}" for i in range(obstacle.dim_tangential)]
+            + ["t", "mu", "j_analytic", "j_fd", "bound", "pass"])
+    _write_csv(out / "rfm.csv", cols,
+               [[_fmt(v) for v in (s, *xb, t, mu, ja, jf, bound)] + [str(int(ok))]
+                for s, xb, t, mu, ja, jf, bound, ok in verdict.rows])
     sys.stdout.write(f"samples = {verdict.n_samples}\n")
     sys.stdout.write(f"illuminated = {verdict.n_illuminated}\n")
     sys.stdout.write(f"worst_bound_gap = {_fmt(verdict.worst_bound_gap)}\n")
@@ -180,15 +165,14 @@ def run_reflect(args) -> int:
     cols = ([f"x{i + 2}" for i in range(dim_t)] + ["mu", "label", "xi1_i"]
             + [f"xibar_i{i + 2}" for i in range(dim_t)] + ["xi1_r"]
             + [f"xibar_r{i + 2}" for i in range(dim_t)])
-    rows = [",".join(cols)]
+    rows = []
     for xb in pts:
         cls = reflection.classify_boundary_point(obstacle, phase, xb)
         xi = xi_incoming(phase, obstacle, xb)
         xr = reflection.reflect_direction(obstacle, xb, xi)
-        fields = [_fmt(v) for v in xb] + [_fmt(cls.margin), cls.label, _fmt(xi.xi1)]
-        fields += [_fmt(v) for v in xi.xibar] + [_fmt(xr.xi1)] + [_fmt(v) for v in xr.xibar]
-        rows.append(",".join(fields))
-    (out / "reflect.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        rows.append([_fmt(v) for v in (*xb, cls.margin)] + [cls.label]
+                    + [_fmt(v) for v in (xi.xi1, *xi.xibar, xr.xi1, *xr.xibar)])
+    _write_csv(out / "reflect.csv", cols, rows)
     return EXIT_OK
 
 

@@ -39,6 +39,10 @@ class GrazemapError(Exception):
     exit_code = 1
 
 
+class InvalidArgument(GrazemapError, ValueError):
+    """Argument outside what the operation accepts (shape, sign or size)."""
+
+
 class DomainExceeded(GrazemapError, ValueError):
     """Query point lies outside the obstacle's declared tangential radius."""
 
@@ -118,9 +122,9 @@ class MultiPoly:
         for expo, coeff in dict(terms).items():
             expo = tuple(int(e) for e in expo)
             if len(expo) != self.dim:
-                raise ValueError(f"exponent {expo} has wrong length for dim {self.dim}")
+                raise InvalidArgument(f"exponent {expo} has wrong length for dim {self.dim}")
             if any(e < 0 for e in expo):
-                raise ValueError(f"negative exponent in {expo}")
+                raise InvalidArgument(f"negative exponent in {expo}")
             if coeff != 0.0:
                 clean[expo] = clean.get(expo, 0.0) + float(coeff)
         self.terms = {e: c for e, c in clean.items() if c != 0.0}
@@ -232,7 +236,7 @@ class MultiPoly:
         """Return q(x) = p(M x), expanded exactly over the new variables."""
         mat = np.asarray(mat, dtype=float)
         if mat.shape != (self.dim, self.dim):
-            raise ValueError("matrix shape does not match polynomial dimension")
+            raise InvalidArgument("matrix shape does not match polynomial dimension")
         rows = [MultiPoly(self.dim, {tuple(int(k == j) for k in range(self.dim)): mat[i, j]
                                      for j in range(self.dim)})
                 for i in range(self.dim)]
@@ -342,9 +346,9 @@ class SymmetricH:
 
     def _validate(self) -> None:
         if self.lam.shape != (self.dim, self.dim):
-            raise ValueError("lambda matrix shape does not match dim")
+            raise InvalidArgument("lambda matrix shape does not match dim")
         if abs(np.linalg.det(self.lam)) < 1e-12:
-            raise ValueError("lambda matrix is singular")
+            raise InvalidArgument("lambda matrix is singular")
         if not self.flat:
             nonzero = [c for c in self.hcoeffs if c != 0.0]
             if nonzero and nonzero[0] <= 0.0:
@@ -375,7 +379,7 @@ class SymmetricH:
             return 0.5 * s**3
         hp = self.h(s, deriv=1)
         if hp == 0.0:
-            raise ZeroDivisionError("h'(s) = 0 away from the apex")
+            raise InvalidArgument("h'(s) = 0 away from the apex")
         return self.h(s) / hp
 
     def h_ratio_prime(self, s: float) -> float:
@@ -486,7 +490,7 @@ class Obstacle:
         elif x.ndim == 2 and x.shape[1] == d:
             r = float(np.sqrt(_rowdot(x, x)).max(initial=0.0))
         else:
-            raise ValueError(f"point has shape {x.shape}, expected ({d},) or (m, {d})")
+            raise InvalidArgument(f"point has shape {x.shape}, expected ({d},) or (m, {d})")
         if r > self.radius * (1.0 + 1e-12):
             raise DomainExceeded(f"|xbar| = {r} exceeds declared radius {self.radius}")
         return x
@@ -589,19 +593,10 @@ def check_strict_concavity(obstacle: Obstacle, radius: float | None = None) -> C
         dirs = rng.normal(size=(CONCAVITY_ANGLES, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
-    grid = []
-    min_eigs = []
-    degenerate_angle = np.zeros(len(dirs), dtype=bool)
-    for k, u in enumerate(dirs):
-        for r in radii:
-            p = r * u
-            w = np.linalg.eigvalsh(-obstacle.hessian(p))
-            grid.append(p)
-            min_eigs.append(w[0])
-            if w[0] <= CONCAVITY_TOL:
-                degenerate_angle[k] = True
-    grid = np.array(grid)
-    min_eigs = np.array(min_eigs)
+    # Row k * CONCAVITY_RADII + j is radii[j] * dirs[k].
+    grid = (radii[None, :, None] * dirs[:, None, :]).reshape(-1, d)
+    min_eigs = np.linalg.eigvalsh(-obstacle.hessian(grid))[:, 0]
+    degenerate_angle = (min_eigs <= CONCAVITY_TOL).reshape(len(dirs), -1).any(axis=1)
 
     bad = grid[min_eigs < -CONCAVITY_TOL]
     deg = grid[np.abs(min_eigs) <= CONCAVITY_TOL]

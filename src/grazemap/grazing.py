@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffgeo import (J_MAX_DEFAULT, GrazemapError, MultiPoly, NotNormalized, Obstacle,
-                      PolynomialSurface, SymmetricH, UnsupportedSurface, _rowdot,
-                      rotate_coordinates)
+from .diffgeo import (J_MAX_DEFAULT, GrazemapError, InvalidArgument, MultiPoly, NotNormalized,
+                      Obstacle, PolynomialSurface, SymmetricH, UnsupportedSurface, ZeroVector,
+                      _rowdot, rotate_coordinates)
 from .phases import Phase, PlanePhase, SphericalPhase, xi_incoming
 from .reflection import tangency_margin
 
@@ -678,7 +678,7 @@ def slice_grazing_count(obstacle: Obstacle, bbar, x2_star: float) -> SliceCount:
         raise SliceMiss("slice parameter must be negative (illuminated side)")
     b = np.atleast_1d(np.asarray(bbar, dtype=float))
     if np.linalg.norm(b) == 0.0:
-        raise ValueError("bbar must be nonzero")
+        raise ZeroVector("bbar must be nonzero")
 
     # Work in coordinates where the source sits at (1, -|bbar|, 0).
     if abs(b[1]) > 1e-14 or b[0] > 0.0:
@@ -792,12 +792,11 @@ def shadow_boundary_flowout(obstacle: Obstacle, phase: Phase, curve: GrazingCurv
     for i, xb in enumerate(verts):
         mu = tangency_margin(obstacle, phase, xb)
         if abs(mu) > FLOWOUT_MARGIN_TOL:
-            raise ValueError(f"vertex {xb} has margin {mu}: not a grazing point")
+            raise InvalidArgument(f"vertex {xb} has margin {mu}: not a grazing point")
         xi = xi_incoming(phase, obstacle, xb)
         base = np.concatenate((obstacle.boundary_point(xb), [t0]))
         direction = np.concatenate((xi.vector, [1.0]))
-        for k, s in enumerate(ss):
-            sheet[i, k] = base + 2.0 * s * direction
+        sheet[i] = base + 2.0 * ss[:, None] * direction
     return sheet
 
 

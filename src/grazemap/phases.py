@@ -247,7 +247,7 @@ def validate_phase(phase: Phase, obstacle: Obstacle, n_points: int = 1000,
     d = obstacle.dim_tangential
     xb = rng.uniform(-obstacle.radius, obstacle.radius, size=(n_points, d))
     xb = xb[np.linalg.norm(xb, axis=1) <= obstacle.radius]
-    pts = np.array([obstacle.boundary_point(x) for x in xb])
+    pts = obstacle.boundary_point(xb)
     res = eikonal_residual(phase, pts)
     if res > EIKONAL_TOL:
         raise PhaseValidationError(f"eikonal residual {res} exceeds {EIKONAL_TOL}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffgeo import GrazemapError, Obstacle, _central_difference
+from .diffgeo import GrazemapError, InvalidArgument, Obstacle, _central_difference, _rowdot
 from .phases import BoundaryCovector, Phase, boundary_trace, xi_incoming, xi_jacobian
 
 GRAZING_TOL = 1e-10  # |margin| at or below which a boundary point counts as grazing
@@ -32,10 +32,6 @@ class GrazingSingular(GrazemapError, ValueError):
     """Operation requires a margin bounded away from zero."""
 
     exit_code = 3
-
-
-class StepInvalid(GrazemapError, ValueError):
-    """Finite-difference step must be positive."""
 
 
 class NoConvergence(GrazemapError, RuntimeError):
@@ -113,8 +109,11 @@ class FlowSample:
     y: np.ndarray  # (y1, ybar..., t') in R^{n+1}
 
 
-def _flow_point(obstacle: Obstacle, phase: Phase, s: float, xbar) -> np.ndarray:
-    """Spatial part of the flow map, without the domain classification guard."""
+def _flow_point(obstacle: Obstacle, phase: Phase, s, xbar) -> np.ndarray:
+    """Spatial part of the flow map, without the domain classification guard.
+
+    A column of ray parameters s (k, 1) gives the k points along one ray.
+    """
     xr = xi_reflected(obstacle, phase, xbar)
     base = obstacle.boundary_point(xr.xbar)
     return base + 2.0 * s * xr.vector
@@ -130,7 +129,7 @@ def flow_map(obstacle: Obstacle, phase: Phase, s: float, xbar, t: float = 0.0) -
     if cls.label == "shadow":
         raise ShadowPoint(f"margin {cls.margin} < -{GRAZING_TOL} at xbar={xbar}")
     if s < 0.0:
-        raise ValueError("ray parameter s must be nonnegative")
+        raise InvalidArgument("ray parameter s must be nonnegative")
     space = _flow_point(obstacle, phase, s, cls.xbar)
     y = np.concatenate((space, [t + 2.0 * s]))
     return FlowSample(s=float(s), xbar=cls.xbar, t=float(t), y=y)
@@ -209,37 +208,33 @@ def jacobian_analytic(obstacle: Obstacle, phase: Phase, s: float, xbar) -> Jacob
     j = 2 xi1_r det(B + 2s C (K + L)) degenerates.  At s = 0 the determinant
     reduces to 2*margin exactly.  Requires an illuminated point.
     """
-    xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
-    mu = tangency_margin(obstacle, phase, xbar)
-    if abs(mu) <= GRAZING_TOL:
-        raise GrazingSingular(f"margin {mu} within tolerance {GRAZING_TOL} of grazing")
-    if mu < 0.0:
-        raise ShadowPoint(f"margin {mu} < 0: point is in shadow")
-    j = float(np.linalg.det(_spatial_block(obstacle, phase, s, xbar)))
-    return JacobianReport(j_analytic=j, lower_bound=2.0 * mu, margin=mu)
+    cls = classify_boundary_point(obstacle, phase, xbar)
+    if cls.label == "grazing":
+        raise GrazingSingular(f"margin {cls.margin} within tolerance {GRAZING_TOL} of grazing")
+    if cls.label == "shadow":
+        raise ShadowPoint(f"margin {cls.margin} < -{GRAZING_TOL}: point is in shadow")
+    j = float(np.linalg.det(_spatial_block(obstacle, phase, s, cls.xbar)))
+    return JacobianReport(j_analytic=j, lower_bound=2.0 * cls.margin, margin=cls.margin)
 
 
-def jacobian_fd(obstacle: Obstacle, phase: Phase, s: float, xbar, t: float = 0.0,
-                step: float = FD_STEP) -> float:
+def jacobian_fd(obstacle: Obstacle, phase: Phase, s: float, xbar, t: float = 0.0) -> float:
     """Determinant of the central-difference Jacobian of (s, xbar, t) -> Z_r.
 
     This is the validation oracle for ``jacobian_analytic``; it never uses
-    the factorization.
+    the factorization.  Defined where ``flow_map`` is: on grazing and
+    illuminated points.
     """
-    if step <= 0.0:
-        raise StepInvalid("finite-difference step must be positive")
-    xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
-    mu = tangency_margin(obstacle, phase, xbar)
-    if mu < 0.0:
-        raise ShadowPoint(f"margin {mu} < 0: point is in shadow")
+    cls = classify_boundary_point(obstacle, phase, xbar)
+    if cls.label == "shadow":
+        raise ShadowPoint(f"margin {cls.margin} < -{GRAZING_TOL}: point is in shadow")
     d = obstacle.dim_tangential
 
     def z_full(v):
         space = _flow_point(obstacle, phase, v[0], v[1:1 + d])
         return np.concatenate((space, [v[-1] + 2.0 * v[0]]))
 
-    v0 = np.concatenate(([s], xbar, [t]))
-    return float(np.linalg.det(_central_difference(z_full, v0, step)))
+    v0 = np.concatenate(([s], cls.xbar, [t]))
+    return float(np.linalg.det(_central_difference(z_full, v0, FD_STEP)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +260,7 @@ def invert_flow(obstacle: Obstacle, phase: Phase, y, seed=None) -> tuple[float, 
     y = np.asarray(y, dtype=float)
     d = obstacle.dim_tangential
     if y.size != d + 2:
-        raise ValueError(f"y has size {y.size}, expected {d + 2}")
+        raise InvalidArgument(f"y has size {y.size}, expected {d + 2}")
     y_space, t_prime = y[:-1], float(y[-1])
 
     ybar = y_space[1:]
@@ -301,10 +296,8 @@ def invert_flow(obstacle: Obstacle, phase: Phase, y, seed=None) -> tuple[float, 
         for _ in range(40):
             v_new = v + lam * delta
             v_new[0] = max(v_new[0], 0.0)
-            if np.linalg.norm(v_new[1:]) > obstacle.radius:
-                lam *= 0.5
-                continue
-            if tangency_margin(obstacle, phase, v_new[1:]) < 1e-8:
+            if (np.linalg.norm(v_new[1:]) > obstacle.radius
+                    or tangency_margin(obstacle, phase, v_new[1:]) < 1e-8):
                 lam *= 0.5
                 continue
             r_new = residual(v_new)
@@ -324,6 +317,8 @@ def invert_flow(obstacle: Obstacle, phase: Phase, y, seed=None) -> tuple[float, 
 
 
 def _grid_seed(obstacle: Obstacle, phase: Phase, y_space):
+    """(s, xbar) on the seed grid whose flow point lies nearest y_space; the
+    first in mesh-then-s order on ties, None when no mesh point is lit."""
     d = obstacle.dim_tangential
     axes = [np.linspace(-obstacle.radius, obstacle.radius, GRID_N_X)] * d
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
@@ -334,13 +329,13 @@ def _grid_seed(obstacle: Obstacle, phase: Phase, y_space):
     for xb in mesh:
         if tangency_margin(obstacle, phase, xb) < GRAZING_FLOOR:
             continue
-        xr = xi_reflected(obstacle, phase, xb)
-        base = obstacle.boundary_point(xb)
-        for s in s_grid:
-            err = float(np.linalg.norm(base + 2.0 * s * xr.vector - y_space))
-            if err < best_err:
-                best_err = err
-                best = (s, xb)
+        diff = _flow_point(obstacle, phase, s_grid[:, None], xb) - y_space
+        # _rowdot is the dot np.linalg.norm takes of one vector, row by row.
+        err = np.sqrt(_rowdot(diff, diff))
+        k = int(np.argmin(err))
+        if err[k] < best_err:
+            best_err = err[k]
+            best = (s_grid[k], xb)
     return best
 
 
@@ -398,7 +393,7 @@ def verify_rfm(obstacle: Obstacle, phase: Phase, s0: float = 1.0,
     nothing was checked: the verdict does not pass and reads INCONCLUSIVE.
     """
     if budget <= 0:
-        raise ValueError("budget must be positive")
+        raise InvalidArgument("budget must be positive")
     rng = np.random.default_rng(seed)
     d = obstacle.dim_tangential
     # Samples stay a difference step inside the domain, where jacobian_fd steps.
@@ -411,12 +406,12 @@ def verify_rfm(obstacle: Obstacle, phase: Phase, s0: float = 1.0,
         xb = rng.uniform(-r, r, size=d)
         if np.linalg.norm(xb) > r:
             continue
-        mu = tangency_margin(obstacle, phase, xb)
-        if mu < -GRAZING_TOL:
+        cls = classify_boundary_point(obstacle, phase, xb)
+        if cls.label == "shadow":
             continue
         s = rng.uniform(0.0, s0)
         t = rng.uniform(-1.0, 1.0)
-        samples.append((s, xb, t, mu))
+        samples.append((s, xb, t, cls))
 
     rows = []
     bound_failures = []
@@ -424,11 +419,11 @@ def verify_rfm(obstacle: Obstacle, phase: Phase, s0: float = 1.0,
     worst_gap = np.inf
     worst_rel = 0.0
     n_illum = 0
-    for s, xb, t, mu in samples:
-        j_a = np.nan
-        j_f = np.nan
+    for s, xb, t, cls in samples:
+        mu = cls.margin
+        j_a = j_f = np.nan
         ok = True
-        if mu > GRAZING_TOL:
+        if cls.label == "illuminated":
             n_illum += 1
             rep = jacobian_analytic(obstacle, phase, s, xb)
             j_a = rep.j_analytic

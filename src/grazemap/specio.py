@@ -29,8 +29,8 @@ import math
 
 import numpy as np
 
-from .diffgeo import (GrazemapError, NotNormalized, Obstacle, PolynomialSurface, SymmetricH,
-                      sphere_obstacle)
+from .diffgeo import (GrazemapError, InvalidArgument, NotNormalized, Obstacle,
+                      PolynomialSurface, SymmetricH, sphere_obstacle)
 from .phases import ConvexPhase, Phase, PlanePhase, SphericalPhase
 
 
@@ -151,6 +151,8 @@ def parse_obstacle(path: str) -> Obstacle:
                 raise SpecError(path, kind_line, "symmetric-h needs 'hcoeffs' or 'h = exp-flat'")
         except NotNormalized as exc:
             raise SpecError(path, hc_line or h_line or kind_line, str(exc)) from exc
+        except InvalidArgument as exc:  # a singular lambda, the one argument left unchecked
+            raise SpecError(path, lam_line, str(exc)) from exc
         return Obstacle(surface, radius=radius)
 
     if kind == "builtin":

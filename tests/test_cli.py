@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import grazemap
-from grazemap import cli
+from grazemap import cli, reflection
 from grazemap.cli import main
 
 CUSP_OBSTACLE = ("dim = 3\nkind = polynomial\nradius = 1.0\n"
@@ -305,3 +305,42 @@ def test_console_entry_point_help():
     for flag in ("--obstacle", "--phase", "--out", "--s0", "--budget", "--window",
                  "--tol", "--seed", "--format"):
         assert flag in proc.stdout
+
+
+def test_singular_lambda_is_spec_error(tmp_path, capsys):
+    obstacle = tmp_path / "singular.obstacle"
+    obstacle.write_text("dim = 3\nkind = symmetric-h\nradius = 0.5\nlambda = 1 1 1 1\n"
+                        "hcoeffs = 1\n", encoding="utf-8")
+    phase = tmp_path / "side.phase"
+    phase.write_text(SIDE_SOURCE, encoding="utf-8")
+    code = main(["classify", "--obstacle", str(obstacle), "--phase", str(phase),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {obstacle}:4: lambda matrix is singular\n"
+
+
+def test_rfm_csv_writes_nan_where_the_fd_jacobian_is_skipped(specs, tmp_path):
+    # On the cusp under the plane wave the margin -4 x2^3 is below
+    # FD_MARGIN_FLOOR on a band around x2 = 0.
+    out = tmp_path / "o"
+    main(["rfm-check", "--obstacle", specs["cusp.obstacle"], "--phase", specs["plane.phase"],
+          "--budget", "200", "--out", str(out)])
+    lines = (out / "rfm.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    skipped = [row for row in rows if float(row["mu"]) < reflection.FD_MARGIN_FLOOR]
+    assert skipped and all(row["j_fd"] == "nan" for row in skipped)
+    assert all(row["j_fd"] != "nan" for row in rows if row not in skipped)
+
+
+def test_rfm_check_unlit_reports_infinite_bound_gap(specs, tmp_path, capsys):
+    phase = tmp_path / "up.phase"
+    phase.write_text("kind = plane\ntheta = 1 0 0\n", encoding="utf-8")
+    out = tmp_path / "o"
+    main(["rfm-check", "--obstacle", specs["sphere.obstacle"], "--phase", str(phase),
+          "--budget", "20", "--out", str(out)])
+    assert capsys.readouterr().out.splitlines() == [
+        "samples = 0", "illuminated = 0", "worst_bound_gap = inf", "worst_fd_rel_error = 0.0",
+        "RFM INCONCLUSIVE"]
+    assert (out / "rfm.csv").read_text() == "s,x2,x3,t,mu,j_analytic,j_fd,bound,pass\n"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import grazemap as gm
-from grazemap.diffgeo import MultiPoly
+from grazemap.diffgeo import CONCAVITY_ANGLES, CONCAVITY_RADII, MultiPoly
 
 from conftest import quartic_quartic, quartic_vsq, rounded_quartic, sample_disk
 
@@ -255,3 +255,21 @@ def test_derivative_cache_is_complete_for_every_thread():
             assert all(np.array_equal(r, expected) for r in results)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("obs", [gm.sphere_obstacle(2, radius=0.5), quartic_vsq(),
+                                 rounded_quartic(), quartic_quartic(),
+                                 gm.Obstacle(gm.SymmetricH.from_hcoeffs(2, [1.0, 0.5]),
+                                             radius=0.5)],
+                         ids=["sphere", "cusp", "rounded", "quartic-quartic", "symmetric-h"])
+def test_concavity_certificate_equals_per_point_loop(obs):
+    rep = gm.check_strict_concavity(obs)
+    radii = np.linspace(obs.radius / CONCAVITY_RADII, obs.radius, CONCAVITY_RADII)
+    ang = np.linspace(0.0, 2.0 * np.pi, CONCAVITY_ANGLES, endpoint=False)
+    grid, min_eigs = [], []
+    for u in np.column_stack([np.cos(ang), np.sin(ang)]):
+        for r in radii:
+            grid.append(r * u)
+            min_eigs.append(np.linalg.eigvalsh(-obs.hessian(r * u))[0])
+    assert np.array_equal(rep.grid, np.array(grid))
+    assert np.array_equal(rep.min_eigs, np.array(min_eigs))

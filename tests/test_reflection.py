@@ -3,7 +3,8 @@ import pytest
 
 import grazemap as gm
 from grazemap.phases import boundary_trace_hessian
-from grazemap.reflection import _reflected_field_derivative, factor_matrices
+from grazemap.reflection import (GRAZING_FLOOR, GRID_N_S, GRID_N_X, S_RANGE, _grid_seed,
+                                 _reflected_field_derivative, factor_matrices)
 
 from conftest import illuminated_samples, quartic_vsq, sample_disk
 
@@ -215,8 +216,6 @@ def test_jacobian_errors(sphere, side_source):
         gm.jacobian_analytic(sphere, side_source, 0.1, [0.0, 0.0])
     with pytest.raises(gm.ShadowPoint):
         gm.jacobian_analytic(sphere, side_source, 0.1, [0.3, 0.0])
-    with pytest.raises(gm.StepInvalid):
-        gm.jacobian_fd(sphere, side_source, 0.1, [-0.3, 0.0], step=0.0)
 
 
 def test_invert_round_trip(sphere, side_source):
@@ -328,3 +327,50 @@ def test_verify_rfm_keeps_difference_steps_inside_domain(sphere, side_source):
 def test_verify_rfm_rejects_zero_budget(sphere, side_source):
     with pytest.raises(ValueError):
         gm.verify_rfm(sphere, side_source, budget=0)
+
+
+def test_jacobian_fd_accepts_the_grazing_points_flow_map_accepts(sphere, side_source):
+    # Margin -5e-11: below zero, but within GRAZING_TOL of it.
+    xbar = [2.5e-11, 0.0]
+    cls = gm.classify_boundary_point(sphere, side_source, xbar)
+    assert cls.label == "grazing" and cls.margin < 0.0
+    gm.flow_map(sphere, side_source, 0.3, xbar)
+    assert np.isfinite(gm.jacobian_fd(sphere, side_source, 0.3, xbar))
+    with pytest.raises(gm.ShadowPoint):
+        gm.jacobian_fd(sphere, side_source, 0.3, [0.3, 0.0])
+
+
+def reference_grid_seed(obstacle, phase, y_space):
+    """The grid seed as a double loop over mesh points and ray parameters,
+    keeping the first strict minimum of |flow point - y_space|."""
+    axis = np.linspace(-obstacle.radius, obstacle.radius, GRID_N_X)
+    mesh = np.array([[x2, x3] for x2 in axis for x3 in axis])
+    mesh = mesh[np.linalg.norm(mesh, axis=1) <= obstacle.radius]
+    best, best_err = None, np.inf
+    for xb in mesh:
+        if gm.tangency_margin(obstacle, phase, xb) < GRAZING_FLOOR:
+            continue
+        xr = gm.xi_reflected(obstacle, phase, xb)
+        base = obstacle.boundary_point(xb)
+        for s in np.linspace(S_RANGE[0], S_RANGE[1], GRID_N_S):
+            err = float(np.linalg.norm(base + 2.0 * s * xr.vector - y_space))
+            if err < best_err:
+                best, best_err = (s, xb), err
+    return best
+
+
+@pytest.mark.parametrize("obstacle, phase", [
+    (gm.sphere_obstacle(2, radius=0.5), gm.SphericalPhase(source=[1.0, -1.0, 0.0])),
+    (gm.sphere_obstacle(2, radius=0.5), gm.PlanePhase(theta=[0.0, 1.0, 0.0])),
+    (quartic_vsq(), gm.SphericalPhase(source=[1.0, 0.0, 1.0])),
+], ids=["sphere-side", "sphere-plane", "cusp-top"])
+def test_grid_seed_equals_reference_double_loop(obstacle, phase):
+    rng = np.random.default_rng(31)
+    targets = [gm.flow_map(obstacle, phase, 0.4, x, 0.0).y[:-1]
+               for x, _ in illuminated_samples(obstacle, phase, rng, 2)]
+    targets += [np.concatenate((rng.uniform(1.0, 2.0, 1), rng.uniform(-0.6, 0.6, 2)))
+                for _ in range(2)]
+    for y_space in targets:
+        s, xb = _grid_seed(obstacle, phase, y_space)
+        s_ref, xb_ref = reference_grid_seed(obstacle, phase, y_space)
+        assert s == s_ref and np.array_equal(xb, xb_ref)
