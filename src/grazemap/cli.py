@@ -15,7 +15,6 @@ import numpy as np
 
 from . import grazing, reflection, svgplot
 from .diffgeo import GrazemapError
-from .phases import xi_incoming
 from .specio import check_flags, parse_obstacle, parse_phase
 
 EXIT_OK = 0
@@ -168,8 +167,7 @@ def run_reflect(args) -> int:
     rows = []
     for xb in pts:
         cls = reflection.classify_boundary_point(obstacle, phase, xb)
-        xi = xi_incoming(phase, obstacle, xb)
-        xr = reflection.reflect_direction(obstacle, xb, xi)
+        xi, xr = cls.incoming, cls.reflected
         rows.append([_fmt(v) for v in (*xb, cls.margin)] + [cls.label]
                     + [_fmt(v) for v in (xi.xi1, *xi.xibar, xr.xi1, *xr.xibar)])
     _write_csv(out / "reflect.csv", cols, rows)

@@ -21,8 +21,8 @@ import numpy as np
 from .diffgeo import (J_MAX_DEFAULT, GrazemapError, InvalidArgument, MultiPoly, NotNormalized,
                       Obstacle, PolynomialSurface, SymmetricH, UnsupportedSurface, ZeroVector,
                       _rowdot, rotate_coordinates)
-from .phases import Phase, PlanePhase, SphericalPhase, xi_incoming
-from .reflection import tangency_margin
+from .phases import BoundaryCovector, Phase, PlanePhase, SphericalPhase, xi_incoming
+from .reflection import classify_boundary_point
 
 
 class SeedNotFound(GrazemapError, RuntimeError):
@@ -168,12 +168,13 @@ def symmetric_zeta(obstacle: Obstacle, bbar, xbar) -> float:
 
 
 def grazing_function_for(obstacle: Obstacle, phase: Phase) -> GrazingFunction:
-    """Canonical defining function for the phase's grazing set."""
+    """Canonical defining function for the grazing set of a phase that grazes the apex."""
+    if not isinstance(phase, SphericalPhase | PlanePhase):
+        raise UnsupportedSurface("no closed-form grazing function for this phase family")
+    _apex_covector(obstacle, phase)  # both forms hold only for a phase grazing the apex
     if isinstance(phase, SphericalPhase):
         return SphericalGrazing(bbar=phase.source[1:])
-    if isinstance(phase, PlanePhase):
-        return PlanarGrazing(thetabar=phase.theta[1:])
-    raise UnsupportedSurface("no closed-form grazing function for this phase family")
+    return PlanarGrazing(thetabar=phase.theta[1:])
 
 
 def grazing_residual(gf: GrazingFunction, obstacle: Obstacle, xbar) -> float:
@@ -227,13 +228,17 @@ def order_from_direction(obstacle: Obstacle, direction) -> OrderClassification:
                                coefficients=tuple(coeffs), direction=d)
 
 
-def classify_order(obstacle: Obstacle, phase: Phase) -> OrderClassification:
-    """Order of tangency at the apex for a phase normalized to graze there."""
-    zero = np.zeros(obstacle.dim_tangential)
-    xi = xi_incoming(phase, obstacle, zero)
+def _apex_covector(obstacle: Obstacle, phase: Phase) -> BoundaryCovector:
+    """Incoming covector at the apex; ``NotNormalized`` unless the phase grazes there."""
+    xi = xi_incoming(phase, obstacle, np.zeros(obstacle.dim_tangential))
     if abs(xi.xi1) > APEX_TOL:
         raise NotNormalized(f"xi1 at the apex is {xi.xi1}, not 0: phase does not graze there")
-    return order_from_direction(obstacle, xi.xibar)
+    return xi
+
+
+def classify_order(obstacle: Obstacle, phase: Phase) -> OrderClassification:
+    """Order of tangency at the apex for a phase normalized to graze there."""
+    return order_from_direction(obstacle, _apex_covector(obstacle, phase).xibar)
 
 
 # ---------------------------------------------------------------------------
@@ -790,12 +795,11 @@ def shadow_boundary_flowout(obstacle: Obstacle, phase: Phase, curve: GrazingCurv
     n = obstacle.dim
     sheet = np.zeros((len(verts), n_s, n + 1))
     for i, xb in enumerate(verts):
-        mu = tangency_margin(obstacle, phase, xb)
-        if abs(mu) > FLOWOUT_MARGIN_TOL:
-            raise InvalidArgument(f"vertex {xb} has margin {mu}: not a grazing point")
-        xi = xi_incoming(phase, obstacle, xb)
-        base = np.concatenate((obstacle.boundary_point(xb), [t0]))
-        direction = np.concatenate((xi.vector, [1.0]))
+        cls = classify_boundary_point(obstacle, phase, xb)
+        if abs(cls.margin) > FLOWOUT_MARGIN_TOL:
+            raise InvalidArgument(f"vertex {xb} has margin {cls.margin}: not a grazing point")
+        base = np.concatenate((cls.incoming.point, [t0]))
+        direction = np.concatenate((cls.incoming.vector, [1.0]))
         sheet[i] = base + 2.0 * ss[:, None] * direction
     return sheet
 

@@ -31,6 +31,7 @@ class BoundaryCovector:
     xbar: np.ndarray
     xi1: float
     xibar: np.ndarray
+    point: np.ndarray | None = None  # (F(xbar), xbar), when the field evaluated it
 
     @property
     def vector(self) -> np.ndarray:
@@ -131,7 +132,7 @@ def xi_incoming(phase: Phase, obstacle: Obstacle, xbar) -> BoundaryCovector:
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
     point = obstacle.boundary_point(xbar)
     g = phase.grad_psi(point)
-    return BoundaryCovector(xbar=xbar, xi1=float(g[0]), xibar=np.asarray(g[1:], dtype=float))
+    return BoundaryCovector(xbar, float(g[0]), np.asarray(g[1:], dtype=float), point)
 
 
 def _richardson_step(obstacle: Obstacle, xbar) -> float:

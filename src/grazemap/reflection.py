@@ -55,8 +55,12 @@ class OutsideRange(GrazemapError, ValueError):
 
 def tangency_margin(obstacle: Obstacle, phase: Phase, xbar) -> float:
     """<grad F, xibar> - xi1: zero at grazing, positive where rays reflect."""
-    xi = xi_incoming(phase, obstacle, xbar)
-    return float(obstacle.gradient(xi.xbar) @ xi.xibar - xi.xi1)
+    return classify_boundary_point(obstacle, phase, xbar).margin
+
+
+def _reflect(xbar: np.ndarray, grad_f: np.ndarray, xi: BoundaryCovector) -> BoundaryCovector:
+    factor = 2.0 * (xi.xi1 - float(grad_f @ xi.xibar)) / (1.0 + float(grad_f @ grad_f))
+    return BoundaryCovector(xbar, xi.xi1 - factor, xi.xibar + factor * grad_f, xi.point)
 
 
 def reflect_direction(obstacle: Obstacle, xbar, xi: BoundaryCovector) -> BoundaryCovector:
@@ -66,35 +70,41 @@ def reflect_direction(obstacle: Obstacle, xbar, xi: BoundaryCovector) -> Boundar
     conormal (1, -grad F) and has unit length, which pins it down uniquely.
     """
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
-    grad_f = obstacle.gradient(xbar)
-    factor = 2.0 * (xi.xi1 - float(grad_f @ xi.xibar)) / (1.0 + float(grad_f @ grad_f))
-    return BoundaryCovector(xbar=xbar,
-                            xi1=xi.xi1 - factor,
-                            xibar=xi.xibar + factor * grad_f)
+    return _reflect(xbar, obstacle.gradient(xbar), xi)
 
 
 def xi_reflected(obstacle: Obstacle, phase: Phase, xbar) -> BoundaryCovector:
-    return reflect_direction(obstacle, xbar, xi_incoming(phase, obstacle, xbar))
+    return classify_boundary_point(obstacle, phase, xbar).reflected
 
 
 @dataclass(frozen=True)
 class BoundaryClassification:
+    """A boundary point assembled once: margin, label and both covectors at (F(xbar), xbar)."""
+
     xbar: np.ndarray
     margin: float
     label: str  # 'illuminated' | 'grazing' | 'shadow'
+    incoming: BoundaryCovector
+    reflected: BoundaryCovector
+
+    def image(self, s) -> np.ndarray:
+        """Spatial flow point (F(xbar), xbar) + 2 s xi_r; a column of s (k, 1) gives a ray."""
+        return self.reflected.point + 2.0 * s * self.reflected.vector
 
 
 def classify_boundary_point(obstacle: Obstacle, phase: Phase, xbar) -> BoundaryClassification:
-    """Label a boundary point by the sign of its tangency margin."""
-    xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
-    mu = tangency_margin(obstacle, phase, xbar)
+    """Assemble the boundary point over xbar and label it by the sign of its tangency margin."""
+    xi = xi_incoming(phase, obstacle, xbar)
+    grad_f = obstacle.gradient(xi.xbar)
+    mu = float(grad_f @ xi.xibar - xi.xi1)
     if mu > GRAZING_TOL:
         label = "illuminated"
     elif mu < -GRAZING_TOL:
         label = "shadow"
     else:
         label = "grazing"
-    return BoundaryClassification(xbar=xbar, margin=mu, label=label)
+    return BoundaryClassification(xbar=xi.xbar, margin=mu, label=label, incoming=xi,
+                                  reflected=_reflect(xi.xbar, grad_f, xi))
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +120,8 @@ class FlowSample:
 
 
 def _flow_point(obstacle: Obstacle, phase: Phase, s, xbar) -> np.ndarray:
-    """Spatial part of the flow map, without the domain classification guard.
-
-    A column of ray parameters s (k, 1) gives the k points along one ray.
-    """
-    xr = xi_reflected(obstacle, phase, xbar)
-    base = obstacle.boundary_point(xr.xbar)
-    return base + 2.0 * s * xr.vector
+    """Spatial part of the flow map, without the domain classification guard."""
+    return classify_boundary_point(obstacle, phase, xbar).image(s)
 
 
 def flow_map(obstacle: Obstacle, phase: Phase, s: float, xbar, t: float = 0.0) -> FlowSample:
@@ -130,8 +135,7 @@ def flow_map(obstacle: Obstacle, phase: Phase, s: float, xbar, t: float = 0.0) -
         raise ShadowPoint(f"margin {cls.margin} < -{GRAZING_TOL} at xbar={xbar}")
     if s < 0.0:
         raise InvalidArgument("ray parameter s must be nonnegative")
-    space = _flow_point(obstacle, phase, s, cls.xbar)
-    y = np.concatenate((space, [t + 2.0 * s]))
+    y = np.concatenate((cls.image(s), [t + 2.0 * s]))
     return FlowSample(s=float(s), xbar=cls.xbar, t=float(t), y=y)
 
 
@@ -156,8 +160,8 @@ def _reflected_field_derivative(obstacle: Obstacle, phase: Phase, xbar):
     """
     grad_f = obstacle.gradient(xbar)
     hess_f = obstacle.hessian(xbar)
-    xi = xi_incoming(phase, obstacle, xbar)
-    xr = reflect_direction(obstacle, xbar, xi)
+    cls = classify_boundary_point(obstacle, phase, xbar)
+    xi, xr = cls.incoming, cls.reflected
     d_xi1, d_xibar = xi_jacobian(phase, obstacle, xbar)
     w = 2.0 / (1.0 + float(grad_f @ grad_f))
     # grad f splits into an incoming-field part and an obstacle-curvature part.
@@ -274,14 +278,11 @@ def invert_flow(obstacle: Obstacle, phase: Phase, y, seed=None) -> tuple[float, 
             raise OutsideRange("grid search found no admissible seed")
     v = np.concatenate(([float(seed[0])], np.atleast_1d(np.asarray(seed[1], dtype=float))))
 
-    mu = tangency_margin(obstacle, phase, v[1:])
-    if mu < GRAZING_FLOOR:
-        raise GrazingSingular(f"seed margin {mu} below floor {GRAZING_FLOOR}")
+    cls = classify_boundary_point(obstacle, phase, v[1:])
+    if cls.margin < GRAZING_FLOOR:
+        raise GrazingSingular(f"seed margin {cls.margin} below floor {GRAZING_FLOOR}")
 
-    def residual(v):
-        return _flow_point(obstacle, phase, v[0], v[1:]) - y_space
-
-    r = residual(v)
+    r = cls.image(v[0]) - y_space
     rn = float(np.linalg.norm(r))
     for it in range(MAX_ITER):
         if rn <= 1e-14:
@@ -297,10 +298,10 @@ def invert_flow(obstacle: Obstacle, phase: Phase, y, seed=None) -> tuple[float, 
             v_new = v + lam * delta
             v_new[0] = max(v_new[0], 0.0)
             if (np.linalg.norm(v_new[1:]) > obstacle.radius
-                    or tangency_margin(obstacle, phase, v_new[1:]) < 1e-8):
+                    or (cls := classify_boundary_point(obstacle, phase, v_new[1:])).margin < 1e-8):
                 lam *= 0.5
                 continue
-            r_new = residual(v_new)
+            r_new = cls.image(v_new[0]) - y_space
             rn_new = float(np.linalg.norm(r_new))
             if rn_new < rn:
                 v, r, rn = v_new, r_new, rn_new
@@ -327,9 +328,10 @@ def _grid_seed(obstacle: Obstacle, phase: Phase, y_space):
     best_err = np.inf
     s_grid = np.linspace(S_RANGE[0], S_RANGE[1], GRID_N_S)
     for xb in mesh:
-        if tangency_margin(obstacle, phase, xb) < GRAZING_FLOOR:
+        cls = classify_boundary_point(obstacle, phase, xb)
+        if cls.margin < GRAZING_FLOOR:
             continue
-        diff = _flow_point(obstacle, phase, s_grid[:, None], xb) - y_space
+        diff = cls.image(s_grid[:, None]) - y_space
         # _rowdot is the dot np.linalg.norm takes of one vector, row by row.
         err = np.sqrt(_rowdot(diff, diff))
         k = int(np.argmin(err))

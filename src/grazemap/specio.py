@@ -1,7 +1,9 @@
 """Plain-text spec files for obstacles and phases.
 
 Both formats are key = value lines; ``#`` starts a comment.  Parse errors are
-line-anchored: every diagnostic names the file and 1-based line number.
+line-anchored: every diagnostic names the file and 1-based line number.  Each
+kind accepts only the keys listed for it below (``dim`` and ``radius`` for all
+obstacles); any other key is an error.
 
 Obstacle::
 
@@ -69,6 +71,21 @@ def _floats(path, lineno, value, expect=None) -> list[float]:
     return out
 
 
+_OBSTACLE_KEYS = {"polynomial": {"kind", "dim", "radius", "term"},
+                  "symmetric-h": {"kind", "dim", "radius", "hcoeffs", "h", "lambda"},
+                  "builtin": {"kind", "dim", "radius", "name"}}
+_PHASE_KEYS = {"plane": {"kind", "theta"}, "spherical": {"kind", "b"},
+               "convex-distance": {"kind", "center", "radius"}}
+
+
+def _reject_unknown_keys(path: str, entries, kind: str, accepted: dict, what: str) -> None:
+    """Spec error on the first key a known kind does not accept; an unknown
+    kind is left to the caller, which reports the kind line."""
+    for lineno, key, _ in entries:
+        if kind in accepted and key not in accepted[kind]:
+            raise SpecError(path, lineno, f"unknown key {key!r} for a {kind} {what}")
+
+
 def parse_obstacle(path: str) -> Obstacle:
     entries = _read_entries(path)
     values = {}
@@ -102,6 +119,7 @@ def parse_obstacle(path: str) -> Obstacle:
         raise SpecError(path, rad_line or 1, f"radius must be a number, got {rad_raw!r}") from exc
     if not (radius > 0.0 and math.isfinite(radius)):
         raise SpecError(path, rad_line or 1, "radius must be positive and finite")
+    _reject_unknown_keys(path, entries, kind, _OBSTACLE_KEYS, "obstacle")
 
     if kind == "polynomial":
         if not terms:
@@ -192,6 +210,7 @@ def parse_phase(path: str, dim: int = 3, obstacle: Obstacle | None = None) -> Ph
     kind_line, kind = values.get("kind", (0, None))
     if kind is None:
         raise SpecError(path, 1, "missing required key 'kind'")
+    _reject_unknown_keys(path, entries, kind, _PHASE_KEYS, "phase")
 
     if kind == "plane":
         line, raw = values.get("theta", (0, None))

@@ -344,3 +344,55 @@ def test_rfm_check_unlit_reports_infinite_bound_gap(specs, tmp_path, capsys):
         "samples = 0", "illuminated = 0", "worst_bound_gap = inf", "worst_fd_rel_error = 0.0",
         "RFM INCONCLUSIVE"]
     assert (out / "rfm.csv").read_text() == "s,x2,x3,t,mu,j_analytic,j_fd,bound,pass\n"
+
+
+@pytest.mark.parametrize("command", ["trace", "render"])
+@pytest.mark.parametrize("obstacle, phase", [
+    (CUSP_OBSTACLE, "kind = spherical\nb = 1.5 -1 0\n"),
+    (CUSP_OBSTACLE, "kind = plane\ntheta = 0.6 0.8 0\n"),
+    (SPHERE_OBSTACLE, "kind = spherical\nb = 2 0 0\n"),
+], ids=["cusp-high-source", "cusp-tilted-plane", "sphere-source-above"])
+def test_phase_not_grazing_the_apex_is_an_error(tmp_path, capsys, command, obstacle, phase):
+    # The spherical and planar grazing functions hold only for such phases.
+    (tmp_path / "o.obstacle").write_text(obstacle, encoding="utf-8")
+    (tmp_path / "p.phase").write_text(phase, encoding="utf-8")
+    assert main([command, "--obstacle", str(tmp_path / "o.obstacle"), "--phase",
+                 str(tmp_path / "p.phase"), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: xi1 at the apex is ")
+    assert err.endswith(": phase does not graze there\n")
+
+
+@pytest.mark.parametrize("kind, text, line", [
+    ("obstacle", SPHERE_OBSTACLE.replace("radius", "raduis"), 4),
+    ("phase", SIDE_SOURCE + "theta = 0 1 0\n", 3),
+], ids=["obstacle-typo", "phase-foreign-key"])
+def test_unknown_spec_key_is_spec_error(specs, tmp_path, capsys, kind, text, line):
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_text(text, encoding="utf-8")
+    files = {"obstacle": specs["sphere.obstacle"], "phase": specs["side.phase"], kind: str(bad)}
+    code = main(["rfm-check", "--obstacle", files["obstacle"], "--phase", files["phase"],
+                 "--budget", "20", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}:{line}: unknown key ")
+
+
+def test_trace_window_without_sign_change_is_seed_not_found(specs, tmp_path, capsys):
+    code = main(["trace", "--obstacle", specs["cusp.obstacle"], "--phase", specs["side.phase"],
+                 "--window", "1e-4", "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure: no sign change")
+
+
+@pytest.mark.parametrize("command, obstacle, phase, message", [
+    ("render", "dim = 2\nkind = polynomial\nterm = 1 0\nterm = -1 2\n",
+     "kind = spherical\nb = 1 -1\n", "curve tracing requires a 3D obstacle"),
+    ("trace", SPHERE_OBSTACLE, "kind = convex-distance\ncenter = 1 -1 0\nradius = 2\n",
+     "no closed-form grazing function"),
+], ids=["render-2d-obstacle", "trace-convex-distance"])
+def test_unsupported_surface_exits_1(tmp_path, capsys, command, obstacle, phase, message):
+    (tmp_path / "o.obstacle").write_text(obstacle, encoding="utf-8")
+    (tmp_path / "p.phase").write_text(phase, encoding="utf-8")
+    assert main([command, "--obstacle", str(tmp_path / "o.obstacle"), "--phase",
+                 str(tmp_path / "p.phase"), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")

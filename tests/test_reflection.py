@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import grazemap as gm
+from grazemap.cli import main
 from grazemap.phases import boundary_trace_hessian
 from grazemap.reflection import (GRAZING_FLOOR, GRID_N_S, GRID_N_X, S_RANGE, _grid_seed,
                                  _reflected_field_derivative, factor_matrices)
@@ -374,3 +375,53 @@ def test_grid_seed_equals_reference_double_loop(obstacle, phase):
         s, xb = _grid_seed(obstacle, phase, y_space)
         s_ref, xb_ref = reference_grid_seed(obstacle, phase, y_space)
         assert s == s_ref and np.array_equal(xb, xb_ref)
+
+
+COUNTED = ((gm.Obstacle, "boundary_point"), (gm.SphericalPhase, "grad_psi"),
+           (gm.Obstacle, "gradient"))
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Calls of each COUNTED method so far, in COUNTED order; reset by slice assignment."""
+    counts = [0] * len(COUNTED)
+
+    def counting(k, real):
+        def counted(*args, **kwargs):
+            counts[k] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for k, (owner, name) in enumerate(COUNTED):
+        monkeypatch.setattr(owner, name, counting(k, getattr(owner, name)))
+    return counts
+
+
+def test_each_boundary_point_is_assembled_once(sphere, side_source, evaluations, tmp_path):
+    xbar = np.array([-0.2, 0.1])
+    cls = gm.classify_boundary_point(sphere, side_source, xbar)
+    assert evaluations == [1, 1, 1]
+    assert np.array_equal(cls.image(0.7), gm.flow_map(sphere, side_source, 0.7, xbar).y[:-1])
+    assert evaluations == [2, 2, 2]
+
+    (tmp_path / "sphere.obstacle").write_text("kind = builtin\nname = sphere\nradius = 0.5\n",
+                                              encoding="utf-8")
+    (tmp_path / "side.phase").write_text("kind = spherical\nb = 1 -1 0\n", encoding="utf-8")
+    evaluations[:] = [0, 0, 0]
+    assert main(["reflect", "--obstacle", str(tmp_path / "sphere.obstacle"),
+                 "--phase", str(tmp_path / "side.phase"), "--budget", "100",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert evaluations == [100, 100, 100]
+
+
+def test_inversion_and_sampler_do_not_re_derive_points(sphere, side_source, evaluations):
+    y = gm.flow_map(sphere, side_source, 0.7, np.array([-0.2, 0.1])).y
+    evaluations[:] = [0, 0, 0]
+    gm.invert_flow(sphere, side_source, y, seed=(0.6, np.array([-0.18, 0.12])))
+    # Upper bounds on (boundary_point, grad_psi, gradient): the cost when each
+    # trial or sampled point is assembled once for its margin and again for
+    # its flow point.
+    assert all(n <= bound for n, bound in zip(evaluations, (23, 14, 26)))
+    evaluations[:] = [0, 0, 0]
+    gm.verify_rfm(sphere, side_source, budget=300, seed=1)
+    assert all(n <= bound for n, bound in zip(evaluations, (7269, 4277, 5177)))
