@@ -14,13 +14,15 @@ from pathlib import Path
 import numpy as np
 
 from . import grazing, reflection, svgplot
-from .diffgeo import GrazemapError
+from .diffgeo import GrazemapError, _rowdot
 from .specio import check_flags, parse_obstacle, parse_phase
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_FAIL = 3
+
+REFLECT_CHUNK = 4096  # candidate rows the reflect sampler draws at a time
 
 # Exit code of each verdict classify and rfm-check report.
 VERDICT_EXIT = {grazing.VERDICT_SMOOTH: EXIT_OK, grazing.VERDICT_C1: EXIT_OK,
@@ -156,20 +158,25 @@ def run_reflect(args) -> int:
     out = _outdir(args)
     dim_t = obstacle.dim_tangential
     rng = np.random.default_rng(args.seed)
-    pts = []
-    while len(pts) < args.budget:
-        xb = rng.uniform(-obstacle.radius, obstacle.radius, size=dim_t)
-        if np.linalg.norm(xb) <= obstacle.radius:
-            pts.append(xb)
+    # Rows of one (k, d) draw are the draws of k single-point calls, in order;
+    # the radius test uses np.linalg.norm's arithmetic on each row.
+    chunks, n = [], 0
+    while n < args.budget:
+        xb = rng.uniform(-obstacle.radius, obstacle.radius, size=(REFLECT_CHUNK, dim_t))
+        xb = xb[np.sqrt(_rowdot(xb, xb)) <= obstacle.radius][:args.budget - n]
+        chunks.append(xb)
+        n += len(xb)
+    pts = np.concatenate(chunks)
     cols = ([f"x{i + 2}" for i in range(dim_t)] + ["mu", "label", "xi1_i"]
             + [f"xibar_i{i + 2}" for i in range(dim_t)] + ["xi1_r"]
             + [f"xibar_r{i + 2}" for i in range(dim_t)])
-    rows = []
-    for xb in pts:
-        cls = reflection.classify_boundary_point(obstacle, phase, xb)
-        xi, xr = cls.incoming, cls.reflected
-        rows.append([_fmt(v) for v in (*xb, cls.margin)] + [cls.label]
-                    + [_fmt(v) for v in (xi.xi1, *xi.xibar, xr.xi1, *xr.xibar)])
+    cls = reflection.classify_boundary_point(obstacle, phase, pts)
+    xi, xr = cls.incoming, cls.reflected
+    # repr of a Python float from tolist() is _fmt's text, without a call per field.
+    head = np.column_stack((pts, cls.margin)).tolist()
+    tail = np.column_stack((xi.xi1, xi.xibar, xr.xi1, xr.xibar)).tolist()
+    rows = [[*map(repr, a), label, *map(repr, b)]
+            for a, label, b in zip(head, cls.label.tolist(), tail)]
     _write_csv(out / "reflect.csv", cols, rows)
     return EXIT_OK
 

@@ -66,31 +66,59 @@ class UnsupportedSurface(GrazemapError, TypeError):
 J_MAX_DEFAULT = 16  # highest directional Taylor order the apex classification reads
 
 
-def _central_difference(f, x, h: float) -> np.ndarray:
+def _central_difference(f, x, h) -> np.ndarray:
     """Jacobian of f at x whose column k is (f(x + h e_k) - f(x - h e_k)) / 2h.
 
-    A scalar-valued f gives its gradient vector.
+    A scalar-valued f gives its gradient vector.  For one point x (n,), f is
+    called on one point at a time.  For a batch x (m, n), with one step per
+    row (m,) or one for all, f is called once on all 2 n m difference points
+    (m * 2n, n) and the result has a leading m axis; each row equals the
+    single-point Jacobian bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    return np.stack([(np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * h)
-                     for e in h * np.eye(x.size)], axis=-1)
+    if x.ndim == 1:
+        return np.stack([(np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * h)
+                         for e in h * np.eye(x.size)], axis=-1)
+    m, n = x.shape
+    h = np.asarray(h, dtype=float).reshape(-1, 1, 1)
+    steps = h * np.eye(n)  # row k of block i is h_i e_k, as in the loop above
+    pts = np.concatenate((x[:, None, :] + steps, x[:, None, :] - steps), axis=1)
+    vals = np.asarray(f(pts.reshape(-1, n)))
+    vals = vals.reshape((m, 2, n) + vals.shape[1:])
+    diff = (vals[:, 0] - vals[:, 1]) / (2.0 * h).reshape((-1,) + (1,) * (vals.ndim - 2))
+    # Contiguous, so a later matmul takes the BLAS path a single point's
+    # Jacobian takes and rounds as it does.
+    return np.ascontiguousarray(np.moveaxis(diff, 1, -1))
 
 
-def _richardson(f, x, h: float) -> np.ndarray:
+def _richardson(f, x, h) -> np.ndarray:
     """Richardson-extrapolated central differences (O(h^4) truncation):
     (4 cd(f, x, h/2) - cd(f, x, h)) / 3 with cd = ``_central_difference``."""
     return (4.0 * _central_difference(f, x, 0.5 * h) - _central_difference(f, x, h)) / 3.0
 
 
-def _rowdot(a, b) -> np.ndarray:
-    """Dot products a[k] @ b[k] of the rows of a (m, d) with those of b, or
-    with one vector b (d,).
+def _rowdot(a, b):
+    """Dot products a[k] @ b[k] of the rows of a (..., d) with those of b, or
+    with one vector b (d,); two vectors (d,) give one scalar.
 
     The stacked matmul runs the same dot routine as a single ``a[k] @ b[k]``,
     so each entry equals the per-point product bit for bit (a sum over the
     product array need not: BLAS dots may fuse the multiply-adds).
     """
-    return np.matmul(a[:, None, :], np.asarray(b)[..., :, None])[:, 0, 0]
+    if a.ndim == 1:
+        return a @ b  # the same routine, without the unit axes' overhead
+    return np.matmul(a[..., None, :], np.asarray(b)[..., :, None])[..., 0, 0]
+
+
+def _per_row(v) -> np.ndarray:
+    """v with a trailing unit axis: one value per row (m,) scales the rows of
+    an (m, d) array, and a scalar scales a vector, elementwise either way."""
+    return np.asarray(v)[..., None]
+
+
+def _outer(a, b) -> np.ndarray:
+    """Outer products of the rows of a and b: np.outer's products, row by row."""
+    return a[..., :, None] * b[..., None, :]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ plane waves take psi = theta . x, spherical waves psi = |x - b|, and general
 convex waves are supplied as value+gradient providers (the built-in example is
 the signed distance to a sphere).  The incoming covector at a boundary point
 (F(xbar), xbar) is the full spatial gradient of psi there.
+
+``grad_psi``, ``xi_incoming`` and ``xi_jacobian`` take one point or a batch
+with a leading axis m; a batch entry equals the single-point result bit for
+bit.  Norms are ``np.sqrt(_rowdot(x, x))``, the arithmetic of
+``np.linalg.norm`` on one vector.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffgeo import DomainExceeded, GrazemapError, Obstacle, _richardson
+from .diffgeo import (DomainExceeded, GrazemapError, Obstacle, _outer, _per_row, _richardson,
+                      _rowdot)
 
 
 class SourceOnBoundary(GrazemapError, ValueError):
@@ -26,7 +32,11 @@ class PhaseValidationError(GrazemapError, ValueError):
 
 @dataclass(frozen=True)
 class BoundaryCovector:
-    """Unit covector (xi1, xibar) attached to the boundary point over xbar."""
+    """Unit covector (xi1, xibar) attached to the boundary point over xbar.
+
+    For a batch of m points every field carries a leading m axis: xbar
+    (m, d), xi1 (m,), xibar (m, d), point (m, d + 1).
+    """
 
     xbar: np.ndarray
     xi1: float
@@ -35,11 +45,11 @@ class BoundaryCovector:
 
     @property
     def vector(self) -> np.ndarray:
-        return np.concatenate(([self.xi1], self.xibar))
+        return np.concatenate((_per_row(self.xi1), self.xibar), axis=-1)
 
     @property
-    def norm(self) -> float:
-        return float(np.sqrt(self.xi1**2 + self.xibar @ self.xibar))
+    def norm(self):
+        return np.sqrt(self.xi1**2 + _rowdot(self.xibar, self.xibar))
 
 
 @dataclass(frozen=True)
@@ -58,7 +68,7 @@ class PlanePhase:
         return float(self.theta @ np.asarray(x, dtype=float))
 
     def grad_psi(self, x) -> np.ndarray:
-        return self.theta.copy()
+        return np.broadcast_to(self.theta, np.shape(x)).copy()
 
 
 @dataclass(frozen=True)
@@ -77,11 +87,8 @@ class SphericalPhase:
         return r
 
     def grad_psi(self, x) -> np.ndarray:
-        d = np.asarray(x, dtype=float) - self.source
-        r = float(np.linalg.norm(d))
-        if r == 0.0:
-            raise SourceOnBoundary("evaluation point coincides with the source")
-        return d / r
+        return _unit_from(np.asarray(x, dtype=float) - self.source,
+                          "evaluation point coincides with the source")
 
 
 @dataclass(frozen=True)
@@ -100,7 +107,11 @@ class ConvexPhase:
         return float(self.value_fn(np.asarray(x, dtype=float)))
 
     def grad_psi(self, x) -> np.ndarray:
-        return np.asarray(self.grad_fn(np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2 and not getattr(self.grad_fn, "_takes_batches", False):
+            # A user provider sees one point at a time.
+            return np.array([self.grad_fn(p) for p in x], dtype=float).reshape(x.shape)
+        return np.asarray(self.grad_fn(x), dtype=float)
 
     @classmethod
     def distance_to_sphere(cls, center, radius: float) -> "ConvexPhase":
@@ -111,13 +122,22 @@ class ConvexPhase:
             return float(np.linalg.norm(x - center)) - radius
 
         def grad(x):
-            d = x - center
-            r = float(np.linalg.norm(d))
-            if r == 0.0:
-                raise SourceOnBoundary("evaluation point at the sphere center")
-            return d / r
+            return _unit_from(x - center, "evaluation point at the sphere center")
 
+        grad._takes_batches = True
         return cls(value_fn=value, grad_fn=grad, name=f"dist-sphere(r={radius})")
+
+
+def _unit_from(d: np.ndarray, what: str) -> np.ndarray:
+    """d / |d| for one vector or per row of a batch; a zero row raises."""
+    r = np.sqrt(_rowdot(d, d))
+    if d.ndim == 2:  # each row by its own norm
+        if (r == 0.0).any():
+            raise SourceOnBoundary(what)
+        return d / r[:, None]
+    if r == 0.0:
+        raise SourceOnBoundary(what)
+    return d / r
 
 
 Phase = PlanePhase | SphericalPhase | ConvexPhase
@@ -128,45 +148,53 @@ Phase = PlanePhase | SphericalPhase | ConvexPhase
 # ---------------------------------------------------------------------------
 
 def xi_incoming(phase: Phase, obstacle: Obstacle, xbar) -> BoundaryCovector:
-    """Incoming unit covector at the boundary point over xbar."""
+    """Incoming unit covector at the boundary point over xbar (d,), or over
+    each row of a batch (m, d)."""
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
     point = obstacle.boundary_point(xbar)
     g = phase.grad_psi(point)
-    return BoundaryCovector(xbar, float(g[0]), np.asarray(g[1:], dtype=float), point)
+    return BoundaryCovector(xbar, g[..., 0], g[..., 1:], point)
 
 
-def _richardson_step(obstacle: Obstacle, xbar) -> float:
+def _richardson_step(obstacle: Obstacle, xbar):
     """Step for 4th-order differencing: rounding-optimal, at most half the
-    distance to the domain edge, so every difference point stays inside."""
-    h = 3e-4 * max(1.0, float(np.max(np.abs(xbar))))
-    room = obstacle.radius - float(np.linalg.norm(xbar))
-    if room <= 0.0:
-        raise DomainExceeded(f"xbar = {np.asarray(xbar).tolist()} leaves no room for "
+    distance to the domain edge, so every difference point stays inside.
+    One step per row of a batch."""
+    h = 3e-4 * np.maximum(1.0, np.max(np.abs(xbar), axis=-1))
+    room = obstacle.radius - np.sqrt(_rowdot(xbar, xbar))
+    if np.any(room <= 0.0):
+        worst = np.asarray(xbar).reshape(-1, obstacle.dim_tangential)[np.argmin(room)]
+        raise DomainExceeded(f"xbar = {worst.tolist()} leaves no room for "
                              f"differences inside radius {obstacle.radius}")
-    return min(h, 0.5 * room)
+    return np.minimum(h, 0.5 * room)
 
 
 def xi_jacobian(phase: Phase, obstacle: Obstacle, xbar) -> tuple[np.ndarray, np.ndarray]:
     """Tangential derivatives of the incoming covector field.
 
-    Returns (grad xi1, d xibar / d xbar).  Closed forms for plane and
-    spherical phases; central differences otherwise.
+    Returns (grad xi1, d xibar / d xbar), with a leading m axis for a batch
+    (m, d).  Closed forms for plane and spherical phases; central
+    differences otherwise.
     """
-    xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
+    xi = xi_incoming(phase, obstacle, xbar)
+    return _xi_jacobian(phase, obstacle, xi, obstacle.gradient(xi.xbar))
+
+
+def _xi_jacobian(phase: Phase, obstacle: Obstacle, xi: BoundaryCovector, grad_f):
+    """``xi_jacobian`` from the covector and grad F already assembled there."""
+    xbar = xi.xbar
+    lead = xbar.shape[:-1]
     d = obstacle.dim_tangential
     if isinstance(phase, PlanePhase):
-        return np.zeros(d), np.zeros((d, d))
+        return np.zeros(lead + (d,)), np.zeros(lead + (d, d))
     if isinstance(phase, SphericalPhase):
-        point = obstacle.boundary_point(xbar)
-        rel = point - phase.source
-        rho = float(np.linalg.norm(rel))
-        if rho == 0.0:
-            raise SourceOnBoundary("boundary point coincides with the source")
-        a1 = rel[0] / rho
-        abar = rel[1:] / rho
-        grad_f = obstacle.gradient(xbar)
+        # xi_incoming has already refused a boundary point at the source.
+        rel = xi.point - phase.source
+        rho = _per_row(np.sqrt(_rowdot(rel, rel)))
+        a1 = rel[..., :1] / rho
+        abar = rel[..., 1:] / rho
         grad_rho = a1 * grad_f + abar
-        d_abar = (np.eye(d) - np.outer(abar, grad_rho)) / rho
+        d_abar = (np.eye(d) - _outer(abar, grad_rho)) / rho[..., None]
         d_a1 = (grad_f - a1 * grad_rho) / rho
         return d_a1, d_abar
     h = _richardson_step(obstacle, xbar)
@@ -175,7 +203,7 @@ def xi_jacobian(phase: Phase, obstacle: Obstacle, xbar) -> tuple[np.ndarray, np.
         return xi_incoming(phase, obstacle, x).vector
 
     jac = _richardson(covector, xbar, h)
-    return jac[0], jac[1:]
+    return jac[..., 0, :], jac[..., 1:, :]
 
 
 def boundary_trace(phase: Phase, obstacle: Obstacle, xbar) -> float:

@@ -140,7 +140,8 @@ def test_reflected_field_derivative_matches_differences(obstacle, phase):
     # reflected covector itself, which share none of its algebra.
     rng = np.random.default_rng(29)
     for x, mu in illuminated_samples(obstacle, phase, rng, 40):
-        xr, d_xi1r, k_mat, l_mat = _reflected_field_derivative(obstacle, phase, x)
+        xr, d_xi1r, k_mat, l_mat = _reflected_field_derivative(
+            obstacle, phase, gm.classify_boundary_point(obstacle, phase, x))
         fd_xi1r, fd_xibar_r = _fd_reflected_field(obstacle, phase, x)
         assert np.array_equal(xr.vector, gm.xi_reflected(obstacle, phase, x).vector)
         assert np.max(np.abs(d_xi1r - fd_xi1r)) < 1e-6
@@ -310,7 +311,8 @@ def test_verify_rfm_injectivity_pass_fires(sphere, side_source, monkeypatch):
             return self.rng.integers(*args, **kwargs)
 
     monkeypatch.setattr(refl.np.random, "default_rng", ScalarDrawsAtLow)
-    monkeypatch.setattr(refl, "_flow_point", lambda obstacle, phase, s, xbar: np.zeros(3))
+    monkeypatch.setattr(refl.BoundaryClassification, "image",
+                        lambda self, s: np.zeros(np.shape(s)[:-1] + (3,)))
     verdict = gm.verify_rfm(sphere, side_source, s0=1.0, budget=50, seed=3)
     assert not verdict.passed
     assert len(verdict.injectivity_failures) > 200
@@ -383,13 +385,14 @@ COUNTED = ((gm.Obstacle, "boundary_point"), (gm.SphericalPhase, "grad_psi"),
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Calls of each COUNTED method so far, in COUNTED order; reset by slice assignment."""
+    """Points evaluated by each COUNTED method so far, in COUNTED order: one
+    per single-point call, m per batch (m, d); reset by slice assignment."""
     counts = [0] * len(COUNTED)
 
     def counting(k, real):
-        def counted(*args, **kwargs):
-            counts[k] += 1
-            return real(*args, **kwargs)
+        def counted(self, x):
+            counts[k] += len(x) if np.ndim(x) == 2 else 1
+            return real(self, x)
         return counted
 
     for k, (owner, name) in enumerate(COUNTED):
@@ -423,5 +426,30 @@ def test_inversion_and_sampler_do_not_re_derive_points(sphere, side_source, eval
     # its flow point.
     assert all(n <= bound for n, bound in zip(evaluations, (23, 14, 26)))
     evaluations[:] = [0, 0, 0]
-    gm.verify_rfm(sphere, side_source, budget=300, seed=1)
-    assert all(n <= bound for n, bound in zip(evaluations, (7269, 4277, 5177)))
+    verdict = gm.verify_rfm(sphere, side_source, budget=300, seed=1)
+    # One assembly per drawn candidate (686) and the 8 difference points of
+    # each of the 299 FD-compared samples; the analytic Jacobians and the
+    # images read the draw's records.
+    n_fd = sum(1 for row in verdict.rows if not np.isnan(row[5]))
+    assert n_fd == 299
+    assert evaluations == [686 + 8 * n_fd] * 3
+
+
+def test_batched_jacobian_assembles_each_point_once(sphere, side_source, evaluations):
+    pts = np.array([[-0.3, 0.0], [-0.2, 0.1], [-0.25, -0.2], [-0.1, 0.3], [-0.4, 0.05]])
+    gm.jacobian_analytic(sphere, side_source, np.linspace(0.0, 1.0, 5), pts)
+    assert evaluations == [5, 5, 5]
+    evaluations[:] = [0, 0, 0]
+    gm.jacobian_analytic(sphere, side_source, 0.4, pts[0])
+    assert evaluations == [1, 1, 1]
+
+
+def test_reflected_phase_assembles_the_converged_point_once(sphere, side_source, evaluations):
+    y = gm.flow_map(sphere, side_source, 0.7, np.array([-0.2, 0.1]), 0.3).y
+    seed = (0.6, np.array([-0.18, 0.12]))
+    evaluations[:] = [0, 0, 0]
+    gm.invert_flow(sphere, side_source, y, seed=seed)
+    inversion = list(evaluations)
+    evaluations[:] = [0, 0, 0]
+    gm.reflected_phase_at(sphere, side_source, y, seed=seed)
+    assert all(n <= m + 1 for n, m in zip(evaluations, inversion))
