@@ -12,8 +12,9 @@ Three surface families:
 * ``SymmetricH``         -- radial profiles F = 1 - h(|L xbar|^2) with h given
                             by Taylor coefficients or the built-in flat bump
                             exp(-1/s^2);
-* ``GenericSmooth``      -- plain callables, differentiated by central
-                            differences with order-dependent steps.
+* ``GenericSmooth``      -- plain callables, gradient and Hessian by central
+                            differences; no directional Taylor data, so the
+                            apex order classification refuses them.
 """
 
 from __future__ import annotations
@@ -476,17 +477,6 @@ class GenericSmooth:
         out = _central_difference(self.gradient, x, h)
         return 0.5 * (out + out.T)
 
-    def directional_taylor(self, direction, order: int) -> list[float]:
-        d = np.asarray(direction, dtype=float)
-        coeffs = []
-        for j in range(1, order + 1):
-            h = EPS ** (1.0 / (j + 2))
-            acc = 0.0
-            for i in range(j + 1):
-                acc += (-1.0) ** i * math.comb(j, i) * self.value((j / 2.0 - i) * h * d)
-            coeffs.append(acc / (h**j * math.factorial(j)))
-        return coeffs
-
 
 # ---------------------------------------------------------------------------
 # Obstacle wrapper
@@ -550,7 +540,11 @@ class Obstacle:
         return np.concatenate((f[..., None], x), axis=-1)
 
     def directional_taylor(self, direction, order: int) -> list[float]:
-        """Coefficients c_1..c_order of F(s*direction) = 1 + sum_j c_j s^j."""
+        """Exact coefficients c_1..c_order of F(s*direction) = 1 + sum_j c_j s^j;
+        a ``GenericSmooth`` surface has none and raises ``UnsupportedSurface``."""
+        if isinstance(self.surface, GenericSmooth):
+            raise UnsupportedSurface("directional Taylor data requires a polynomial or "
+                                     "symmetric surface")
         if order > J_MAX_DEFAULT:
             raise OrderTooHigh(f"order {order} exceeds maximum {J_MAX_DEFAULT}")
         d = np.asarray(direction, dtype=float)

@@ -211,7 +211,8 @@ def order_from_direction(obstacle: Obstacle, direction) -> OrderClassification:
     The order is the index of the first nonzero coefficient (at index >= 2)
     in the directional Taylor expansion of F at the apex, read up to
     J_MAX_DEFAULT; a coefficient counts as zero below ORDER_TOL relative to
-    the largest one.  Exact polynomial surfaces make the tolerance moot.
+    the largest one.  Exact polynomial surfaces make the tolerance moot; a
+    ``GenericSmooth`` surface has no exact data and raises ``UnsupportedSurface``.
     """
     d = np.atleast_1d(np.asarray(direction, dtype=float))
     coeffs = obstacle.directional_taylor(d, J_MAX_DEFAULT)

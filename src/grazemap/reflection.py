@@ -463,8 +463,10 @@ def verify_rfm(obstacle: Obstacle, phase: Phase, s0: float = 1.0,
     diffeomorphism off the grazing face.
 
     Checks, on ``budget`` samples of [0, s0] x (grazing U illuminated):
-    (i) image separation stays bounded below by domain separation on random
-    near pairs, (ii) the analytic Jacobian respects its 2*margin lower bound,
+    (i) none of min(10^4, 5 * samples) uniformly drawn pairs of samples
+    maps to one image (image distance < 1e-9 at domain distance > 1e-6):
+    this flags exact collisions only and has not fired on a real map,
+    (ii) the analytic Jacobian respects its 2*margin lower bound,
     (iii) analytic and finite-difference Jacobians agree (only on samples
     whose margin clears FD_MARGIN_FLOOR: below that the FD determinant
     is dominated by differencing noise).  With no illuminated sample

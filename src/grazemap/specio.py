@@ -1,28 +1,12 @@
 """Plain-text spec files for obstacles and phases.
 
-Both formats are key = value lines; ``#`` starts a comment.  Parse errors are
-line-anchored: every diagnostic names the file and 1-based line number.  Each
-kind accepts only the keys listed for it below (``dim`` and ``radius`` for all
-obstacles); any other key is an error.
-
-Obstacle::
-
-    dim = 3
-    kind = polynomial | symmetric-h | builtin
-    radius = 1.0                    # optional, default 1.0
-    term = <coeff> <e2> ... <en>    # polynomial: one monomial per line
-    hcoeffs = c1 c2 ...             # symmetric-h: Taylor coefficients of h
-    h = exp-flat                    # symmetric-h alternative: flat profile
-    lambda = a11 a12 ... (row-major)
-    name = sphere                   # builtin
-
-Phase::
-
-    kind = plane | spherical | convex-distance
-    theta = ...      # plane
-    b = ...          # spherical; must lie outside the obstacle, when one is given
-    center = ...     # convex-distance; must lie outside the obstacle, likewise
-    radius = ...     # convex-distance
+Both formats are key = value lines; ``#`` starts a comment.  README's "Spec
+files" section shows every kind: an obstacle's ``dim`` defaults to 3 and its
+``radius`` to 1.0, a ``term`` line holds a coefficient and one exponent per
+tangential variable, and ``lambda`` is row-major.  Each kind accepts only its
+keys in ``_ACCEPTED_KEYS``, the table README repeats; any other key is an
+error.  Parse errors are line-anchored: every diagnostic names the file and
+1-based line number.
 """
 
 from __future__ import annotations
@@ -45,18 +29,50 @@ class SpecError(GrazemapError, ValueError):
         self.line = line
 
 
-def _read_entries(path: str) -> list[tuple[int, str, str]]:
-    entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise SpecError(path, lineno, f"expected 'key = value', got {text!r}")
-            key, value = text.split("=", 1)
-            entries.append((lineno, key.strip().lower(), value.strip()))
-    return entries
+# The keys each kind accepts; README's "accepted keys" table lists the same.
+_ACCEPTED_KEYS = {
+    "obstacle": {"polynomial": {"kind", "dim", "radius", "term"},
+                 "symmetric-h": {"kind", "dim", "radius", "hcoeffs", "h", "lambda"},
+                 "builtin": {"kind", "dim", "radius", "name"}},
+    "phase": {"plane": {"kind", "theta"}, "spherical": {"kind", "b"},
+              "convex-distance": {"kind", "center", "radius"}},
+}
+
+
+def _read_spec(path: str, what: str) -> tuple[dict[str, tuple[int, str]], list[tuple[int, str]]]:
+    """``{key: (line, value)}`` of a ``what`` ('obstacle' or 'phase') spec, and
+    the ``(line, value)`` of each ``term``, the one key that may repeat (the
+    dict keeps its first).  Every check common to all kinds is made here:
+    UTF-8, the ``key = value`` form, repeated keys, the kind, accepted keys."""
+    with open(path, "rb") as fh:
+        # Universal newlines; no byte of a multibyte UTF-8 character is \n or \r.
+        lines = fh.read().splitlines()
+    values, terms = {}, []
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            entry = raw.decode("utf-8").split("#", 1)[0].strip()
+        except UnicodeDecodeError as exc:
+            raise SpecError(path, lineno, f"byte {raw[exc.start]:#04x} is not valid UTF-8") from exc
+        if not entry:
+            continue
+        if "=" not in entry:
+            raise SpecError(path, lineno, f"expected 'key = value', got {entry!r}")
+        key, value = entry.split("=", 1)
+        key, value = key.strip().lower(), value.strip()
+        if key == "term":
+            terms.append((lineno, value))
+        elif key in values:
+            raise SpecError(path, lineno, f"duplicate key {key!r}")
+        values.setdefault(key, (lineno, value))
+    if "kind" not in values:
+        raise SpecError(path, 1, "missing required key 'kind'")
+    kind_line, kind = values["kind"]
+    if kind not in _ACCEPTED_KEYS[what]:
+        raise SpecError(path, kind_line, f"unknown {what} kind {kind!r}")
+    for key, (lineno, _) in values.items():
+        if key not in _ACCEPTED_KEYS[what][kind]:
+            raise SpecError(path, lineno, f"unknown key {key!r} for a {kind} {what}")
+    return values, terms
 
 
 def _floats(path, lineno, value, expect=None) -> list[float]:
@@ -71,55 +87,29 @@ def _floats(path, lineno, value, expect=None) -> list[float]:
     return out
 
 
-_OBSTACLE_KEYS = {"polynomial": {"kind", "dim", "radius", "term"},
-                  "symmetric-h": {"kind", "dim", "radius", "hcoeffs", "h", "lambda"},
-                  "builtin": {"kind", "dim", "radius", "name"}}
-_PHASE_KEYS = {"plane": {"kind", "theta"}, "spherical": {"kind", "b"},
-               "convex-distance": {"kind", "center", "radius"}}
-
-
-def _reject_unknown_keys(path: str, entries, kind: str, accepted: dict, what: str) -> None:
-    """Spec error on the first key a known kind does not accept; an unknown
-    kind is left to the caller, which reports the kind line."""
-    for lineno, key, _ in entries:
-        if kind in accepted and key not in accepted[kind]:
-            raise SpecError(path, lineno, f"unknown key {key!r} for a {kind} {what}")
+def _radius(path: str, line: int, raw: str) -> float:
+    """A positive finite radius, the obstacle's or a convex-distance phase's."""
+    try:
+        radius = float(raw)
+    except ValueError as exc:
+        raise SpecError(path, line, f"radius must be a number, got {raw!r}") from exc
+    if not (radius > 0.0 and math.isfinite(radius)):
+        raise SpecError(path, line, "radius must be positive and finite")
+    return radius
 
 
 def parse_obstacle(path: str) -> Obstacle:
-    entries = _read_entries(path)
-    values = {}
-    terms = []
-    for lineno, key, value in entries:
-        if key == "term":
-            terms.append((lineno, value))
-        elif key in values:
-            raise SpecError(path, lineno, f"duplicate key {key!r}")
-        else:
-            values[key] = (lineno, value)
-
-    def get(key, default=None):
-        return values.get(key, (0, default))
-
-    kind_line, kind = get("kind")
-    if kind is None:
-        raise SpecError(path, 1, "missing required key 'kind'")
-    dim_line, dim_raw = get("dim", "3")
+    values, terms = _read_spec(path, "obstacle")
+    kind_line, kind = values["kind"]
+    dim_line, dim_raw = values.get("dim", (1, "3"))
     try:
         dim = int(dim_raw)
     except ValueError as exc:
-        raise SpecError(path, dim_line or 1, f"dim must be an integer, got {dim_raw!r}") from exc
+        raise SpecError(path, dim_line, f"dim must be an integer, got {dim_raw!r}") from exc
     if dim < 2:
-        raise SpecError(path, dim_line or 1, f"dim must be >= 2, got {dim}")
+        raise SpecError(path, dim_line, f"dim must be >= 2, got {dim}")
     d = dim - 1
-    rad_line, rad_raw = get("radius", "1.0")
-    try:
-        radius = float(rad_raw)
-    except ValueError as exc:
-        raise SpecError(path, rad_line or 1, f"radius must be a number, got {rad_raw!r}") from exc
-    if not (radius > 0.0 and math.isfinite(radius)):
-        raise SpecError(path, rad_line or 1, "radius must be positive and finite")
-    _reject_unknown_keys(path, entries, kind, _OBSTACLE_KEYS, "obstacle")
+    radius = _radius(path, *values.get("radius", (1, "1.0")))
 
     if kind == "polynomial":
         if not terms:
@@ -149,13 +139,13 @@ def parse_obstacle(path: str) -> Obstacle:
         return Obstacle(surface, radius=radius)
 
     if kind == "symmetric-h":
-        lam_line, lam_raw = get("lambda")
+        lam_line, lam_raw = values.get("lambda", (0, None))
         lam = None
         if lam_raw is not None:
             nums = _floats(path, lam_line, lam_raw, expect=d * d)
             lam = np.array(nums).reshape(d, d)
-        h_line, h_tag = get("h")
-        hc_line, hc_raw = get("hcoeffs")
+        h_line, h_tag = values.get("h", (0, None))
+        hc_line, hc_raw = values.get("hcoeffs", (0, None))
         if h_tag is not None and hc_raw is not None:
             raise SpecError(path, hc_line, "give either 'h = exp-flat' or 'hcoeffs', not both")
         try:
@@ -173,15 +163,13 @@ def parse_obstacle(path: str) -> Obstacle:
             raise SpecError(path, lam_line, str(exc)) from exc
         return Obstacle(surface, radius=radius)
 
-    if kind == "builtin":
-        name_line, name = get("name")
-        if name is None:
-            raise SpecError(path, kind_line, "builtin obstacle needs a 'name' line")
-        if name == "sphere":
-            return sphere_obstacle(dim_tangential=d, radius=radius)
-        raise SpecError(path, name_line, f"unknown builtin obstacle {name!r}")
-
-    raise SpecError(path, kind_line, f"unknown obstacle kind {kind!r}")
+    # builtin, the one kind left
+    name_line, name = values.get("name", (0, None))
+    if name is None:
+        raise SpecError(path, kind_line, "builtin obstacle needs a 'name' line")
+    if name == "sphere":
+        return sphere_obstacle(dim_tangential=d, radius=radius)
+    raise SpecError(path, name_line, f"unknown builtin obstacle {name!r}")
 
 
 def _require_outside(path: str, line: int, raw: str, point, obstacle: Obstacle,
@@ -200,17 +188,8 @@ def parse_phase(path: str, dim: int = 3, obstacle: Obstacle | None = None) -> Ph
     convex-distance center p on or inside it (|pbar| <= radius and
     p1 <= F(pbar)) is a spec error, since its rays cannot light the boundary
     from outside."""
-    entries = _read_entries(path)
-    values = {}
-    for lineno, key, value in entries:
-        if key in values:
-            raise SpecError(path, lineno, f"duplicate key {key!r}")
-        values[key] = (lineno, value)
-
-    kind_line, kind = values.get("kind", (0, None))
-    if kind is None:
-        raise SpecError(path, 1, "missing required key 'kind'")
-    _reject_unknown_keys(path, entries, kind, _PHASE_KEYS, "phase")
+    values, _ = _read_spec(path, "phase")
+    kind_line, kind = values["kind"]
 
     if kind == "plane":
         line, raw = values.get("theta", (0, None))
@@ -231,23 +210,16 @@ def parse_phase(path: str, dim: int = 3, obstacle: Obstacle | None = None) -> Ph
             _require_outside(path, line, raw, source, obstacle, "source", "b")
         return SphericalPhase(source=source)
 
-    if kind == "convex-distance":
-        cline, craw = values.get("center", (0, None))
-        rline, rraw = values.get("radius", (0, None))
-        if craw is None or rraw is None:
-            raise SpecError(path, kind_line, "convex-distance needs 'center' and 'radius'")
-        center = np.array(_floats(path, cline, craw, expect=dim))
-        try:
-            radius = float(rraw)
-        except ValueError as exc:
-            raise SpecError(path, rline, f"radius must be a number, got {rraw!r}") from exc
-        if not (radius > 0.0 and math.isfinite(radius)):
-            raise SpecError(path, rline, "radius must be positive and finite")
-        if obstacle is not None:
-            _require_outside(path, cline, craw, center, obstacle, "center", "c")
-        return ConvexPhase.distance_to_sphere(center, radius)
-
-    raise SpecError(path, kind_line, f"unknown phase kind {kind!r}")
+    # convex-distance, the one kind left
+    cline, craw = values.get("center", (0, None))
+    rline, rraw = values.get("radius", (0, None))
+    if craw is None or rraw is None:
+        raise SpecError(path, kind_line, "convex-distance needs 'center' and 'radius'")
+    center = np.array(_floats(path, cline, craw, expect=dim))
+    radius = _radius(path, rline, rraw)
+    if obstacle is not None:
+        _require_outside(path, cline, craw, center, obstacle, "center", "c")
+    return ConvexPhase.distance_to_sphere(center, radius)
 
 
 def check_flags(tol: float, window: float, s0: float, budget: int) -> None:

@@ -396,3 +396,12 @@ def test_unsupported_surface_exits_1(tmp_path, capsys, command, obstacle, phase,
     assert main([command, "--obstacle", str(tmp_path / "o.obstacle"), "--phase",
                  str(tmp_path / "p.phase"), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_non_utf8_spec_is_spec_error(specs, tmp_path, capsys):
+    bad = tmp_path / "bad.obstacle"
+    bad.write_bytes(b"dim = 3\nkind = builtin\nname = sphere\nradius = 0.5  # caf\xff\n")
+    code = main(["classify", "--obstacle", str(bad), "--phase", specs["side.phase"],
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {bad}:4: byte 0xff is not valid UTF-8\n"

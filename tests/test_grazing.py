@@ -8,7 +8,7 @@ from grazemap.diffgeo import MultiPoly
 from grazemap.grazing import _bisect, _bisect_lanes, leading_homogeneous_part
 
 from conftest import (planar_c1_obstacle, planar_cusp_obstacle, quartic_mixed_vsq,
-                      quartic_quartic, quartic_vsq, rounded_quartic)
+                      quartic_quartic, quartic_vsq, rounded_quartic, sample_disk)
 
 
 def test_residual_examples():
@@ -434,3 +434,32 @@ def test_bisect_lanes_equals_bisect_per_lane(tol):
             return float(f_lanes(np.array([t]), np.array([k]))[0])
         assert got[k] == _bisect(f, lo[k], hi[k], f(lo[k]), tol)
     assert got[5] == roots[5]
+
+
+@pytest.mark.parametrize("surface", [
+    gm.SymmetricH.from_hcoeffs(2, [1.0, 0.5], lam=[[1.2, 0.3], [0.0, 0.8]]),
+    gm.SymmetricH.exp_flat(2, lam=[[1.0, 0.0], [0.2, 0.9]]),
+], ids=["hcoeffs", "exp-flat"])
+def test_symmetric_zeta_gradient_matches_differences(surface):
+    # The closed form (2 - (h/h')'(s)) 2 L^T L x - 2 L^T L bbar against central
+    # differences of the value off the apex, and -2 L^T L bbar at the apex.
+    obs = gm.Obstacle(surface, radius=0.5)
+    zeta = gm.SymmetricZeta(bbar=[-0.5, 0.4])
+    step = 1e-5
+    for x in sample_disk(np.random.default_rng(11), 0.4, 20):
+        fd = np.array([(zeta.value(obs, x + step * e) - zeta.value(obs, x - step * e)) / (2 * step)
+                       for e in np.eye(2)])
+        assert np.max(np.abs(zeta.gradient(obs, x) - fd)) < 1e-8
+    ltl = surface.lam.T @ surface.lam
+    assert np.max(np.abs(zeta.gradient(obs, [0.0, 0.0]) + 2.0 * ltl @ zeta.bbar)) < 1e-8
+
+
+def test_order_classification_refuses_a_differenced_surface():
+    # F = 1 - x2^4 - x3^2 as a plain callable: differenced Taylor data would
+    # read noise above ORDER_TOL where the exact coefficients are 0.
+    generic = gm.Obstacle(gm.GenericSmooth(2, lambda x: 1.0 - x[0] ** 4 - x[1] ** 2), radius=1.0)
+    with pytest.raises(gm.UnsupportedSurface):
+        generic.directional_taylor([1.0, 0.0], 4)
+    with pytest.raises(gm.UnsupportedSurface):
+        gm.classify_order(generic, gm.SphericalPhase(source=[1.0, -1.0, 0.0]))
+    assert gm.classify_order(quartic_vsq(), gm.SphericalPhase(source=[1.0, -1.0, 0.0])).order == 4
