@@ -15,8 +15,7 @@ from .grazing import (GrazingCurve, GsReport, OrderClassification,
                       PlanarGrazing, RegularityEstimate, SliceCount,
                       SphericalGrazing, SymmetricZeta, check_u1ww,
                       classify_order, estimate_regularity,
-                      grazing_function_for, grazing_residual,
-                      grazing_zero_scan_1d, gs_assumption_report,
+                      grazing_function_for, grazing_zero_scan_1d, gs_assumption_report,
                       shadow_boundary_flowout, slice_grazing_count,
                       symmetric_zeta, trace_grazing_curve)
 from .phases import (BoundaryCovector, ConvexPhase, PlanePhase, SphericalPhase,

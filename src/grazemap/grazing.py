@@ -80,9 +80,7 @@ class SphericalGrazing:
     def value(self, obstacle: Obstacle, x):
         """H at one point (d,) -> float, or per row of a batch (m, d) -> (m,)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.ndim == 2:
-            return obstacle.value(x) - 1.0 - _rowdot(obstacle.gradient(x), x - self.bbar)
-        return float(obstacle.value(x) - 1.0 - obstacle.gradient(x) @ (x - self.bbar))
+        return obstacle.value(x) - 1.0 - _rowdot(obstacle.gradient(x), x - self.bbar)
 
     def gradient(self, obstacle: Obstacle, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -105,9 +103,7 @@ class PlanarGrazing:
     def value(self, obstacle: Obstacle, x):
         """g at one point (d,) -> float, or per row of a batch (m, d) -> (m,)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.ndim == 2:
-            return _rowdot(-obstacle.gradient(x), self.thetabar)
-        return float(-obstacle.gradient(x) @ self.thetabar)
+        return _rowdot(-obstacle.gradient(x), self.thetabar)
 
     def gradient(self, obstacle: Obstacle, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -175,10 +171,6 @@ def grazing_function_for(obstacle: Obstacle, phase: Phase) -> GrazingFunction:
     if isinstance(phase, SphericalPhase):
         return SphericalGrazing(bbar=phase.source[1:])
     return PlanarGrazing(thetabar=phase.theta[1:])
-
-
-def grazing_residual(gf: GrazingFunction, obstacle: Obstacle, xbar) -> float:
-    return gf.value(obstacle, xbar)
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +246,14 @@ class HessianPositivityVerdict:
     degree: int
 
 
-PD_TOL = 1e-12  # smallest Hessian eigenvalue that counts as positive
+PD_TOL = 1e-12      # smallest Hessian eigenvalue that counts as positive
+U1WW_ANGLES = 360   # unit-circle directions at which check_u1ww samples the Hessian
 
 
-def check_u1ww(g2k: MultiPoly, angle_samples: int = 360) -> HessianPositivityVerdict:
+def check_u1ww(g2k: MultiPoly) -> HessianPositivityVerdict:
     """PASS iff the Hessian of a homogeneous even-degree polynomial is
-    positive definite on the unit circle (homogeneity makes that sufficient)."""
+    positive definite on the unit circle (homogeneity makes that sufficient),
+    sampled at U1WW_ANGLES equally spaced directions."""
     if g2k.dim != 2:
         raise NotHomogeneous("positivity check implemented for two variables")
     if not g2k.is_homogeneous():
@@ -267,7 +261,7 @@ def check_u1ww(g2k: MultiPoly, angle_samples: int = 360) -> HessianPositivityVer
     deg = g2k.degree()
     if deg < 2 or deg % 2 != 0:
         raise NotHomogeneous(f"degree {deg} is not an even number >= 2")
-    ang = np.linspace(0.0, 2.0 * np.pi, angle_samples, endpoint=False)
+    ang = np.linspace(0.0, 2.0 * np.pi, U1WW_ANGLES, endpoint=False)
     pts = np.column_stack([np.cos(ang), np.sin(ang)])
     low = np.linalg.eigvalsh(g2k.hessian(pts))[:, 0]
     k = int(np.argmin(low))
@@ -364,11 +358,12 @@ def _bisect_lanes(f, lo, hi, f_lo, tol: float) -> np.ndarray:
     return out
 
 
-def _scan_roots(f, grid, vals, tol: float) -> list[float]:
-    """Roots of f on a grid, given its values ``vals`` there as an array:
-    exact zeros at grid points, a run of them counting once, and sign changes
-    refined by bisection of f, which takes one parameter at a time."""
-    vals = np.asarray(vals, dtype=float)
+def _scan_roots(f, grid, tol: float) -> list[float]:
+    """Roots of f on a grid: exact zeros at grid points, a run of them
+    counting once, and sign changes refined by bisection.  f takes an array
+    of parameters or a single one; the grid is evaluated in one call and the
+    bisection passes one float at a time."""
+    vals = np.asarray(f(grid), dtype=float)
     zero = vals[:-1] == 0.0
     run_start = zero & np.concatenate(([True], vals[:-1] != 0.0))[:-1]
     roots = []
@@ -384,25 +379,21 @@ LINE_SCAN_N = 1024     # grid points of each seed scan line
 LINE_ROOT_TOL = 1e-13  # bracket width at which a seed scan root is final
 
 
+def _on_line(v, axis: int, offset: float) -> np.ndarray:
+    """Plane points (..., 2) with coordinate ``axis`` at v and the other at offset."""
+    v = np.asarray(v, dtype=float)
+    p = np.full(v.shape + (2,), offset)
+    p[..., axis] = v
+    return p
+
+
 def _line_roots(gf, obstacle, t_axis, offset, window):
     """Sign-change roots of the grazing function along a transverse scan line."""
-    g_axis = 1 - t_axis
     lim = min(window, math.sqrt(max(obstacle.radius**2 - offset**2, 0.0)) * 0.999)
     if lim <= 0.0:
         return []
-
-    grid = np.linspace(-lim, lim, LINE_SCAN_N)
-    pts = np.zeros((LINE_SCAN_N, 2))
-    pts[:, t_axis] = offset
-    pts[:, g_axis] = grid
-
-    def g_of(v):
-        p = np.zeros(2)
-        p[t_axis] = offset
-        p[g_axis] = v
-        return gf.value(obstacle, p)
-
-    return _scan_roots(g_of, grid, gf.value(obstacle, pts), LINE_ROOT_TOL)
+    return _scan_roots(lambda v: gf.value(obstacle, _on_line(v, 1 - t_axis, offset)),
+                       np.linspace(-lim, lim, LINE_SCAN_N), LINE_ROOT_TOL)
 
 
 def _detect_orientation(gf, obstacle, window):
@@ -642,8 +633,7 @@ def grazing_zero_scan_1d(gf: GrazingFunction, obstacle: Obstacle,
         raise UnsupportedSurface("scan requires a 2D obstacle (one tangential variable)")
     window = min(window, obstacle.radius)
     grid = np.linspace(-window, window, SCAN_1D_N)
-    zeros = _scan_roots(lambda v: gf.value(obstacle, np.array([v])), grid,
-                        gf.value(obstacle, grid[:, None]), 1e-14)
+    zeros = _scan_roots(lambda v: gf.value(obstacle, np.asarray(v)[..., None]), grid, 1e-14)
     return len(zeros), zeros
 
 
@@ -706,10 +696,8 @@ def slice_grazing_count(obstacle: Obstacle, bbar, x2_star: float) -> SliceCount:
 
     # Second intersection of the slice plane with the meridian x3 = 0.
     lim = obst_r.radius * 0.999
-    radii = np.linspace(1e-9, lim, 600)
-    meridian = np.column_stack((radii, np.zeros_like(radii)))
-    meridian_roots = _scan_roots(lambda v: float(k_fn(np.array([v, 0.0]))), radii,
-                                 k_fn(meridian), 1e-14)
+    meridian_roots = _scan_roots(lambda v: k_fn(_on_line(v, 0, 0.0)),
+                                 np.linspace(1e-9, lim, 600), 1e-14)
     if not meridian_roots:
         raise SliceMiss("slice plane does not re-enter the window on the far side")
     x2_dd = meridian_roots[0]
@@ -761,19 +749,19 @@ def slice_grazing_count(obstacle: Obstacle, bbar, x2_star: float) -> SliceCount:
                               lo, hi, k_lo, 1e-14)
         return center + roots[:, None] * u
 
-    def h_of(phi) -> float:
-        return gf.value(obst_r, radial_point(phi))
+    def h_of(phi):
+        """The grazing function at the slice point of one angle or of each of many."""
+        return gf.value(obst_r, radial_points(phi) if np.ndim(phi) else radial_point(phi))
 
     # Closed angular grid: angle 0 repeats at 2 pi, so a crossing across the
     # wrap-around is seen once.
-    grid = np.linspace(0.0, 2.0 * np.pi, SLICE_N_PHI + 1)
-    phis = _scan_roots(h_of, grid, gf.value(obst_r, radial_points(grid)), 1e-13)
-    crossings = [radial_point(phi) for phi in phis]
-
-    pos = sum(1 for p in crossings if p[1] > 0.0)
-    neg = sum(1 for p in crossings if p[1] < 0.0)
-    points = np.array([q.T @ p for p in crossings]) if crossings else np.zeros((0, 2))
-    return SliceCount(count_pos=pos, count_neg=neg, points=points, x2_star=x2_star)
+    phis = _scan_roots(h_of, np.linspace(0.0, 2.0 * np.pi, SLICE_N_PHI + 1), 1e-13)
+    crossings = radial_points(phis) if phis else np.zeros((0, 2))
+    # Stacked matmul: each row is q.T @ p, bit for bit.
+    points = (q.T @ crossings[..., None])[..., 0]
+    return SliceCount(count_pos=int(np.sum(crossings[:, 1] > 0.0)),
+                      count_neg=int(np.sum(crossings[:, 1] < 0.0)),
+                      points=points, x2_star=x2_star)
 
 
 # ---------------------------------------------------------------------------
@@ -784,25 +772,25 @@ FLOWOUT_MARGIN_TOL = 1e-6  # largest |margin| of a curve vertex the flowout acce
 
 
 def shadow_boundary_flowout(obstacle: Obstacle, phase: Phase, curve: GrazingCurve,
-                            s_range=(0.0, 1.0), n_s: int = 17, t0: float = 0.0) -> np.ndarray:
+                            s_range=(0.0, 1.0), n_s: int = 17) -> np.ndarray:
     """Incoming-ray flowout of the traced grazing curve, as a ruled sheet.
 
-    Returns an array of shape (n_vertices, n_s, n+2): spacetime points along
-    the straight incoming characteristic through each curve vertex.  Rejects
-    vertices that are not (numerically) grazing.
+    Returns an array of shape (n_vertices, n_s, n + 1): spacetime points
+    (x, t) along the straight incoming characteristic through each curve
+    vertex, starting at t = 0 on the boundary.  Rejects vertices that are not
+    (numerically) grazing, naming the first.
     """
     verts = curve.all_vertices()
+    cls = classify_boundary_point(obstacle, phase, verts)
+    bad = np.flatnonzero(np.abs(cls.margin) > FLOWOUT_MARGIN_TOL)
+    if bad.size:
+        i = bad[0]
+        raise InvalidArgument(f"vertex {verts[i]} has margin {cls.margin[i]}: not a grazing point")
     ss = np.linspace(s_range[0], s_range[1], n_s)
-    n = obstacle.dim
-    sheet = np.zeros((len(verts), n_s, n + 1))
-    for i, xb in enumerate(verts):
-        cls = classify_boundary_point(obstacle, phase, xb)
-        if abs(cls.margin) > FLOWOUT_MARGIN_TOL:
-            raise InvalidArgument(f"vertex {xb} has margin {cls.margin}: not a grazing point")
-        base = np.concatenate((cls.incoming.point, [t0]))
-        direction = np.concatenate((cls.incoming.vector, [1.0]))
-        sheet[i] = base + 2.0 * ss[:, None] * direction
-    return sheet
+    # Spacetime base point (x, 0) and direction (xi, 1) of each vertex's ray.
+    base = np.pad(cls.incoming.point, ((0, 0), (0, 1)))
+    direction = np.pad(cls.incoming.vector, ((0, 0), (0, 1)), constant_values=1.0)
+    return base[:, None, :] + 2.0 * ss[:, None] * direction[:, None, :]
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffgeo import (DomainExceeded, GrazemapError, Obstacle, _outer, _per_row, _richardson,
-                      _rowdot)
+from .diffgeo import (DomainExceeded, GrazemapError, InvalidArgument, Obstacle, _outer, _per_row,
+                      _richardson, _rowdot)
 
 
 class SourceOnBoundary(GrazemapError, ValueError):
@@ -207,19 +207,23 @@ def _xi_jacobian(phase: Phase, obstacle: Obstacle, xi: BoundaryCovector, grad_f)
 
 
 def boundary_trace(phase: Phase, obstacle: Obstacle, xbar) -> float:
-    """psi restricted to the boundary: Psi(xbar) = psi(F(xbar), xbar)."""
+    """psi restricted to the boundary, Psi(xbar) = psi(F(xbar), xbar), at one point (d,)."""
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
+    if xbar.shape != (obstacle.dim_tangential,):
+        raise InvalidArgument(f"boundary_trace takes one point of shape "
+                              f"({obstacle.dim_tangential},), got {xbar.shape}")
     return phase.psi(obstacle.boundary_point(xbar))
 
 
 def boundary_trace_gradient(phase: Phase, obstacle: Obstacle, xbar) -> np.ndarray:
-    """grad Psi = xi1 grad F + xibar, evaluated from the covector field."""
+    """grad Psi = xi1 grad F + xibar from the covector field, at xbar (d,) or per row (m, d)."""
     xi = xi_incoming(phase, obstacle, xbar)
-    return xi.xi1 * obstacle.gradient(xi.xbar) + xi.xibar
+    return _per_row(xi.xi1) * obstacle.gradient(xi.xbar) + xi.xibar
 
 
 def boundary_trace_hessian(phase: Phase, obstacle: Obstacle, xbar) -> np.ndarray:
-    """hess Psi by Richardson-extrapolated differences of the exact gradient."""
+    """hess Psi by Richardson-extrapolated differences of the exact gradient,
+    at one point (d,) or per row of a batch (m, d)."""
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
     h = _richardson_step(obstacle, xbar)
 
@@ -227,7 +231,7 @@ def boundary_trace_hessian(phase: Phase, obstacle: Obstacle, xbar) -> np.ndarray
         return boundary_trace_gradient(phase, obstacle, x)
 
     out = _richardson(grad, xbar, h)
-    return 0.5 * (out + out.T)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 # ---------------------------------------------------------------------------

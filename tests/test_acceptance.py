@@ -230,7 +230,7 @@ def test_criterion_10_hessian_positivity_check():
     for _ in range(20):
         c0, c1, c2 = rng.uniform(0.1, 3.0, 3)
         poly = MultiPoly(2, {(4, 0): c0, (2, 2): c1, (0, 4): c2})
-        verdict = gm.check_u1ww(poly, angle_samples=360)
+        verdict = gm.check_u1ww(poly)
         brute = brute_min_eig(poly, n_angles=3600) > 1e-7
         assert verdict.passed == brute
         agreements += 1

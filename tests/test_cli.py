@@ -405,3 +405,41 @@ def test_non_utf8_spec_is_spec_error(specs, tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 1
     assert capsys.readouterr().err == f"error: {bad}:4: byte 0xff is not valid UTF-8\n"
+
+
+SPECS = Path(__file__).resolve().parents[1] / "specs"
+CUBIC_OBSTACLE = "dim = 3\nkind = polynomial\nterm = 1 0 0\nterm = -1 3 0\nterm = -1 0 2\n"
+
+
+@pytest.mark.parametrize("obstacle, phase, flags, code, lines", [
+    (CUBIC_OBSTACLE, "kind = spherical\nb = 1 1 0\n", [], 2,
+     ["order = 3 inflection", "verdict = INCONCLUSIVE"]),
+    (CUSP_OBSTACLE, SIDE_SOURCE, ["--window", "1e-4"], 2,
+     ["note = tracing failed: no sign change at transverse offset 0.001 in window 0.0001",
+      "verdict = INCONCLUSIVE"]),
+    # The grazing curve of this source is a small closed loop; at the default
+    # window its continuation never leaves the window and runs to its step cap.
+    (ROUNDED_OBSTACLE, "kind = spherical\nb = 1 -0.05 0\n", ["--window", "0.02"], 0,
+     ["note = slice at -0.05 skipped: slice plane does not re-enter the window on the far side",
+      "verdict = GS-HOLDS-SMOOTH"]),
+    ((SPECS / "flat_profile.obstacle").read_text(encoding="utf-8"), SIDE_SOURCE, [], 0,
+     ["order = order >= 16 (treated as infinite)", "verdict = GS-HOLDS-SMOOTH"]),
+], ids=["inflection", "tracing-failed", "slice-skipped", "infinite-order"])
+def test_classify_reports_each_verdict_path(tmp_path, capsys, obstacle, phase, flags, code, lines):
+    (tmp_path / "o.obstacle").write_text(obstacle, encoding="utf-8")
+    (tmp_path / "p.phase").write_text(phase, encoding="utf-8")
+    assert main(["classify", "--obstacle", str(tmp_path / "o.obstacle"), "--phase",
+                 str(tmp_path / "p.phase"), "--out", str(tmp_path / "o")] + flags) == code
+    out = capsys.readouterr().out.splitlines()
+    assert all(line in out for line in lines)
+    assert out[-1] == lines[-1]
+
+
+def test_trace_step_collapse_is_numerical_failure(specs, tmp_path, capsys):
+    phase = tmp_path / "p.phase"
+    phase.write_text("kind = spherical\nb = 1 -0.2 0\n", encoding="utf-8")
+    code = main(["trace", "--obstacle", specs["cusp.obstacle"], "--phase", str(phase),
+                 "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: correction failed below minimum step near ")

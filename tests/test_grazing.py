@@ -14,11 +14,11 @@ from conftest import (planar_c1_obstacle, planar_cusp_obstacle, quartic_mixed_vs
 def test_residual_examples():
     obs = quartic_vsq()
     gf = gm.SphericalGrazing(bbar=[-1.0, 0.0])
-    assert gm.grazing_residual(gf, obs, [0.0, 0.0]) == 0.0
-    assert abs(gm.grazing_residual(gf, obs, [-0.1, 0.06]) - (-1.0e-4)) < 1e-16
+    assert gf.value(obs, [0.0, 0.0]) == 0.0
+    assert abs(gf.value(obs, [-0.1, 0.06]) - (-1.0e-4)) < 1e-16
     gfp = gm.PlanarGrazing(thetabar=[1.0, 0.0])
     obs2 = planar_cusp_obstacle()
-    assert abs(gm.grazing_residual(gfp, obs2, [0.0, 0.1]) - 0.01) < 1e-17
+    assert abs(gfp.value(obs2, [0.0, 0.1]) - 0.01) < 1e-17
 
 
 def test_spherical_form_identity():
@@ -32,7 +32,7 @@ def test_spherical_form_identity():
     for _ in range(200):
         x = rng.uniform(-0.5, 0.5, 2)
         reduced = 3.0 * g.value(x) - float(g.gradient(x) @ b)
-        assert abs(gm.grazing_residual(gf, obs, x) - reduced) < 1e-12
+        assert abs(gf.value(obs, x) - reduced) < 1e-12
 
 
 def test_margin_consistency(sphere, side_source):
@@ -42,7 +42,7 @@ def test_margin_consistency(sphere, side_source):
     for _ in range(100):
         x = rng.uniform(-0.3, 0.3, 2)
         rho = np.linalg.norm(sphere.boundary_point(x) - side_source.source)
-        assert abs(gm.grazing_residual(gf, sphere, x)
+        assert abs(gf.value(sphere, x)
                    + rho * gm.tangency_margin(sphere, side_source, x)) < 1e-13
 
 
@@ -212,6 +212,40 @@ def test_slice_counts():
         gm.slice_grazing_count(obs, [-1.0, 0.0], 0.05)
 
 
+@pytest.mark.parametrize("obs, bbar, x2_star, message", [
+    (gm.sphere_obstacle(2, radius=0.5), [-1.0, 0.0], -0.7,
+     "slice parameter outside the obstacle domain"),
+    (rounded_quartic(), [-1.0, 0.0], -0.9,
+     "slice plane does not re-enter the window on the far side"),
+    (rounded_quartic(), [-1.0, 0.0], -1e-6, "slice curve is degenerate at this parameter"),
+    (gm.Obstacle(rounded_quartic().surface, radius=0.2), [-0.5, 0.0], -0.16,
+     "slice curve leaves the obstacle domain"),
+], ids=["outside-domain", "no-re-entry", "degenerate", "leaves-domain"])
+def test_each_slice_miss_fires(obs, bbar, x2_star, message):
+    with pytest.raises(gm.grazing.SliceMiss) as err:
+        gm.slice_grazing_count(obs, bbar, x2_star)
+    assert str(err.value) == message
+
+
+def test_slice_without_crossing_counts_none(monkeypatch):
+    # One angular interval from 0 to 2 pi: both ends are the same point, so
+    # the scan sees no sign change.
+    monkeypatch.setattr(gm.grazing, "SLICE_N_PHI", 1)
+    sc = gm.slice_grazing_count(rounded_quartic(), [-1.0, 0.0], -0.05)
+    assert (sc.count_pos, sc.count_neg) == (0, 0)
+    assert sc.points.shape == (0, 2)
+
+
+def test_slice_points_rotate_back_per_point():
+    obs = rounded_quartic()
+    b = np.array([0.3, -1.0])
+    sc = gm.slice_grazing_count(obs, b, -0.05)
+    obst_r, q = gm.rotate_coordinates(obs, b)
+    rotated = gm.slice_grazing_count(obst_r, q @ b, -0.05)
+    assert (rotated.count_pos, rotated.count_neg) == (sc.count_pos, sc.count_neg) == (1, 1)
+    assert np.array_equal(sc.points, np.array([q.T @ p for p in rotated.points]))
+
+
 def test_slice_counts_rotated_source():
     obs = rounded_quartic()
     sc0 = gm.slice_grazing_count(obs, [-1.0, 0.0], -0.05)
@@ -220,7 +254,7 @@ def test_slice_counts_rotated_source():
     # rotated points come back in original coordinates, on the grazing set
     gf = gm.SphericalGrazing(bbar=[0.0, -1.0])
     for p in sc1.points:
-        assert abs(gm.grazing_residual(gf, obs, p)) < 1e-8
+        assert abs(gf.value(obs, p)) < 1e-8
     assert sc0.points.shape == sc1.points.shape
 
 
@@ -302,6 +336,26 @@ def test_flowout(sphere, side_source):
         window=0.25, trace_tol=1e-10)
     with pytest.raises(ValueError):
         gm.shadow_boundary_flowout(sphere, side_source, bad)
+
+
+def test_flowout_rows_equal_per_vertex_rays(sphere, side_source):
+    gf = gm.SphericalGrazing(bbar=[-1.0, 0.0])
+    curve = gm.trace_grazing_curve(gf, sphere, window=0.25)
+    sheet = gm.shadow_boundary_flowout(sphere, side_source, curve, s_range=(0.0, 0.5), n_s=5)
+    ss = np.linspace(0.0, 0.5, 5)
+    for row, xb in zip(sheet, curve.all_vertices()):
+        xi = gm.classify_boundary_point(sphere, side_source, xb).incoming
+        base, direction = np.append(xi.point, 0.0), np.append(xi.vector, 1.0)
+        assert np.array_equal(row, base + 2.0 * ss[:, None] * direction)
+    # The first vertex that does not graze is the one named.
+    verts = np.array([[0.0, 0.0], [-0.3, 0.0], [-0.2, 0.1]])
+    bad = gm.GrazingCurve(branches=(gm.grazing.CurveBranch(
+        side=1, vertices=verts, residuals=np.zeros(3), arc_params=np.zeros(3)),),
+        transverse_axis=1, graph_axis=0, window=0.25, trace_tol=1e-10)
+    margin = gm.tangency_margin(sphere, side_source, verts[1])
+    with pytest.raises(gm.InvalidArgument) as err:
+        gm.shadow_boundary_flowout(sphere, side_source, bad)
+    assert str(err.value) == f"vertex {verts[1]} has margin {margin}: not a grazing point"
 
 
 GS_CASES = [

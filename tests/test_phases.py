@@ -1,10 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import grazemap as gm
 from grazemap.phases import boundary_trace_gradient, boundary_trace_hessian
+from grazemap.specio import parse_phase
 
 from conftest import quartic_vsq, sample_disk
+
+SPECS = Path(__file__).resolve().parents[1] / "specs"
 
 
 def test_xi_incoming_examples(sphere):
@@ -82,6 +87,28 @@ def test_trace_gradient_identity(sphere):
             assert np.max(np.abs(boundary_trace_gradient(ph, sphere, x) - fd)) < 1e-7
 
 
+@pytest.mark.parametrize("phase", [
+    gm.SphericalPhase(source=[1.0, -1.0, 0.0]),
+    gm.PlanePhase(theta=[0.0, 0.6, 0.8]),
+    gm.ConvexPhase.distance_to_sphere([1.0, -1.0, 0.0], 2.0),
+], ids=["spherical", "plane", "convex"])
+@pytest.mark.parametrize("m", [2, 3], ids=["m-equals-d", "m-not-d"])
+def test_boundary_trace_derivatives_take_batches(sphere, phase, m):
+    pts = np.array([[-0.2, 0.1], [0.1, -0.3], [0.25, 0.2]])[:m]
+    grads = boundary_trace_gradient(phase, sphere, pts)
+    hessians = boundary_trace_hessian(phase, sphere, pts)
+    for k, x in enumerate(pts):
+        assert np.array_equal(grads[k], boundary_trace_gradient(phase, sphere, x))
+        assert np.array_equal(hessians[k], boundary_trace_hessian(phase, sphere, x))
+
+
+@pytest.mark.parametrize("xbar", [[[-0.2, 0.1], [0.1, -0.3]], [0.1, 0.2, 0.0]],
+                         ids=["batch", "wrong-length"])
+def test_boundary_trace_takes_one_point(sphere, side_source, xbar):
+    with pytest.raises(gm.InvalidArgument, match="boundary_trace takes one point of shape"):
+        gm.boundary_trace(side_source, sphere, xbar)
+
+
 def test_curvature_matrix_psd(sphere):
     # hess Psi - xi1 hess F is symmetric positive semi-definite on samples.
     rng = np.random.default_rng(15)
@@ -130,6 +157,19 @@ def test_validate_phase_accepts_and_rejects(sphere):
         grad_fn=lambda x: np.array([0.0, x[1], -x[2]]), name="saddle")
     with pytest.raises(gm.phases.PhaseValidationError):
         gm.validate_phase(saddle, sphere, n_points=200, n_pairs=500)
+    # Every sample phase passes at the default sample sizes; a concave phase
+    # fails the convexity check and a half-slope one the eikonal check.
+    for spec in sorted(SPECS.glob("*.phase")):
+        gm.validate_phase(parse_phase(str(spec), obstacle=sphere), sphere)
+    b = np.array([1.0, -1.0, 0.0])
+    concave = gm.ConvexPhase(value_fn=lambda x: -np.linalg.norm(x - b),
+                             grad_fn=lambda x: -(x - b) / np.linalg.norm(x - b), name="concave")
+    with pytest.raises(gm.phases.PhaseValidationError, match="convexity violated"):
+        gm.validate_phase(concave, sphere)
+    half = gm.ConvexPhase(value_fn=lambda x: 0.5 * x[1],
+                          grad_fn=lambda x: np.array([0.0, 0.5, 0.0]), name="half-slope")
+    with pytest.raises(gm.phases.PhaseValidationError, match="eikonal residual 0.75 exceeds"):
+        gm.validate_phase(half, sphere)
 
 
 def test_plane_phase_requires_unit_theta():

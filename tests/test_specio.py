@@ -118,6 +118,8 @@ SINGLE_FAULTS = {
                         "dim must be an integer, got 'x'"),
     "dim-below-2": (parse_obstacle, "kind = builtin\ndim = 1\nname = sphere\n", 2,
                     "dim must be >= 2, got 1"),
+    "dim-above-10": (parse_obstacle, "kind = builtin\nname = sphere\ndim = 11\n", 3,
+                     "dim must be <= 10, got 11"),
     "obstacle-radius-not-number": (parse_obstacle, "kind = builtin\nname = sphere\nradius = big\n",
                                    3, "radius must be a number, got 'big'"),
     "obstacle-radius-not-positive": (parse_obstacle,
@@ -219,6 +221,14 @@ def test_lines_split_on_universal_newlines(tmp_path):
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_leading_byte_order_mark_is_ignored(tmp_path):
+    plain = parse_obstacle(str(SPECS / "sphere.obstacle"))
+    path = tmp_path / "bom.obstacle"
+    path.write_bytes(b"\xef\xbb\xbf" + (SPECS / "sphere.obstacle").read_bytes())
+    bom = parse_obstacle(str(path))
+    assert bom == plain and bom.surface.poly.terms == plain.surface.poly.terms
 
 
 @pytest.mark.parametrize("spec", sorted(p.name for p in SPECS.iterdir()))
