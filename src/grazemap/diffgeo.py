@@ -111,6 +111,17 @@ def _rowdot(a, b):
     return np.matmul(a[..., None, :], np.asarray(b)[..., :, None])[..., 0, 0]
 
 
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for one vector x (d,), or a @ x[k] for each row of a batch (m, d).
+
+    The stacked matmul runs the same routine as a single ``a @ x[k]``, so each
+    row equals the per-point product bit for bit (``x @ a.T`` need not).
+    """
+    if x.ndim == 1:
+        return a @ x
+    return (a @ x[..., None])[..., 0]
+
+
 def _per_row(v) -> np.ndarray:
     """v with a trailing unit axis: one value per row (m,) scales the rows of
     an (m, d) array, and a scalar scales a vector, elementwise either way."""
@@ -191,6 +202,15 @@ class MultiPoly:
                     for i in range(self.dim) for j in range(i, self.dim)}
             self._derivs = (grad, hess)
         return self._derivs
+
+    def _jet_point(self, xs) -> tuple:
+        """Value, gradient and Hessian at one point given as a list of floats:
+        what ``value``, ``gradient`` and ``hessian`` return there, bit for bit."""
+        grad, hess = self._derivatives()
+        h = np.zeros((self.dim, self.dim))
+        for (i, j), p in hess.items():
+            h[i, j] = h[j, i] = p._eval_point(xs)
+        return self._eval_point(xs), np.array([g._eval_point(xs) for g in grad]), h
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -330,16 +350,21 @@ class PolynomialSurface:
         return coeffs
 
 
-def _h_poly_eval(coeffs, s: float, deriv: int = 0) -> float:
-    """Evaluate the k-th derivative of h(s) = sum_j coeffs[j-1] s^j."""
-    total = 0.0
+def _h_poly_eval(coeffs, s, deriv: int = 0):
+    """Evaluate the k-th derivative of h(s) = sum_j coeffs[j-1] s^j at a float
+    s, or at each entry of an array s.  ``np.float_power`` calls pow() per
+    entry, as ``float ** int`` does, so each entry equals the float's value
+    bit for bit."""
+    batch = isinstance(s, np.ndarray)
+    total = np.zeros(s.shape) if batch else 0.0
+    power = np.float_power if batch else pow
     for j, a in enumerate(coeffs, start=1):
         if j < deriv:
             continue
         fac = 1.0
         for m in range(deriv):
             fac *= j - m
-        total += a * fac * s ** (j - deriv)
+        total += a * fac * power(s, j - deriv)
     return total
 
 
@@ -350,6 +375,10 @@ class SymmetricH:
     ``hcoeffs`` are the Taylor coefficients (a1, a2, ...) of h at 0, in which
     case h is taken to be exactly that polynomial; ``flat=True`` selects the
     built-in h(s) = exp(-1/s^2), flat to infinite order at 0.
+
+    ``value``, ``gradient`` and ``hessian`` take one point (dim,) or a batch
+    (m, dim); ``h`` and ``h_ratio`` take a float s or an array.  Each batch
+    entry equals the single-point result bit for bit.
     """
 
     dim: int
@@ -388,7 +417,10 @@ class SymmetricH:
                 if self.h(s, deriv=1) <= 0.0:
                     raise NotNormalized(f"h'({s}) <= 0: profile not increasing")
 
-    def h(self, s: float, deriv: int = 0) -> float:
+    def h(self, s, deriv: int = 0):
+        if self.flat and isinstance(s, np.ndarray):
+            # math.exp per entry: np.exp may round differently in the last bit.
+            return np.array([self.h(v, deriv) for v in s.tolist()])
         if self.flat:
             if s <= 0.0:
                 return 0.0
@@ -402,12 +434,12 @@ class SymmetricH:
             raise OrderTooHigh("flat profile derivatives supported up to order 2")
         return _h_poly_eval(self.hcoeffs, s, deriv)
 
-    def h_ratio(self, s: float) -> float:
+    def h_ratio(self, s):
         """h(s)/h'(s), with the flat case simplified to s^3/2 to avoid underflow."""
         if self.flat:
-            return 0.5 * s**3
+            return 0.5 * (np.float_power(s, 3) if isinstance(s, np.ndarray) else s**3)
         hp = self.h(s, deriv=1)
-        if hp == 0.0:
+        if np.any(hp == 0.0):
             raise InvalidArgument("h'(s) = 0 away from the apex")
         return self.h(s) / hp
 
@@ -417,23 +449,27 @@ class SymmetricH:
         hp = self.h(s, deriv=1)
         return (hp * hp - self.h(s) * self.h(s, deriv=2)) / (hp * hp)
 
-    def _s(self, x) -> float:
-        y = self.lam @ np.asarray(x, dtype=float)
-        return float(y @ y)
+    def _s(self, x: np.ndarray):
+        """|L x|^2: a float for one point, (m,) for a batch."""
+        y = _matvec(self.lam, x)
+        return _rowdot(y, y) if y.ndim == 2 else float(y @ y)
 
-    def value(self, x) -> float:
-        return 1.0 - self.h(self._s(x))
+    def value(self, x):
+        return 1.0 - self.h(self._s(np.asarray(x, dtype=float)))
 
     def gradient(self, x) -> np.ndarray:
-        ltl_x = self.lam.T @ (self.lam @ np.asarray(x, dtype=float))
-        return -2.0 * self.h(self._s(x), deriv=1) * ltl_x
+        x = np.asarray(x, dtype=float)
+        ltl_x = _matvec(self.lam.T, _matvec(self.lam, x))
+        return _per_row(-2.0 * self.h(self._s(x), deriv=1)) * ltl_x
 
     def hessian(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
         s = self._s(x)
         ltl = self.lam.T @ self.lam
-        ltl_x = ltl @ np.asarray(x, dtype=float)
-        h = -2.0 * self.h(s, deriv=1) * ltl - 4.0 * self.h(s, deriv=2) * np.outer(ltl_x, ltl_x)
-        return 0.5 * (h + h.T)
+        ltl_x = _matvec(ltl, x)
+        h = (_per_row(_per_row(-2.0 * self.h(s, deriv=1))) * ltl
+             - _per_row(_per_row(4.0 * self.h(s, deriv=2))) * _outer(ltl_x, ltl_x))
+        return 0.5 * (h + np.swapaxes(h, -1, -2))
 
     def directional_taylor(self, direction, order: int) -> list[float]:
         coeffs = [0.0] * order
@@ -498,6 +534,11 @@ class Obstacle:
     def dim_tangential(self) -> int:
         return self.surface.dim
 
+    def _check_radius(self, r: float) -> None:
+        """Raise ``DomainExceeded``, naming r, if |xbar| = r is beyond the radius."""
+        if r > self.radius * (1.0 + 1e-12):
+            raise DomainExceeded(f"|xbar| = {r} exceeds declared radius {self.radius}")
+
     def _check_domain(self, x) -> np.ndarray:
         """x as a float array, one point (d,) or a batch (m, d), after one
         radius check that names the largest |xbar| when it fails."""
@@ -509,16 +550,33 @@ class Obstacle:
             r = float(np.sqrt(_rowdot(x, x)).max(initial=0.0))
         else:
             raise InvalidArgument(f"point has shape {x.shape}, expected ({d},) or (m, {d})")
-        if r > self.radius * (1.0 + 1e-12):
-            raise DomainExceeded(f"|xbar| = {r} exceeds declared radius {self.radius}")
+        self._check_radius(r)
         return x
 
     def _on_surface(self, fn, x: np.ndarray, shape: tuple):
         """Surface method fn at a checked point or batch; per point for the
         surfaces without a batch path."""
-        if x.ndim == 1 or isinstance(self.surface, PolynomialSurface):
+        if x.ndim == 1 or not isinstance(self.surface, GenericSmooth):
             return fn(x)
         return np.array([fn(p) for p in x], dtype=float).reshape((len(x),) + shape)
+
+    def _jet(self, x) -> tuple:
+        """(F, grad F, hess F) at one point (d,) after one radius check, each
+        bit for bit what ``value``, ``gradient`` and ``hessian`` return there.
+        A polynomial surface evaluates all three from one ``x.tolist()``."""
+        x = self._check_domain(x)
+        if isinstance(self.surface, PolynomialSurface):
+            return self.surface.poly._jet_point(x.tolist())
+        return self.surface.value(x), self.surface.gradient(x), self.surface.hessian(x)
+
+    def _value_at(self, xs: list) -> float:
+        """F at one point given as a list of floats: ``value`` there, bit for
+        bit, with the radius check done in float arithmetic and no arrays
+        for a polynomial surface."""
+        self._check_radius(math.hypot(*xs))
+        if isinstance(self.surface, PolynomialSurface):
+            return self.surface.poly._eval_point(xs)
+        return self.surface.value(np.array(xs))
 
     def value(self, x):
         """F at one point (d,) -> float, or at each row of a batch (m, d) -> (m,)."""

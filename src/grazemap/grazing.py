@@ -20,7 +20,7 @@ import numpy as np
 
 from .diffgeo import (J_MAX_DEFAULT, GrazemapError, InvalidArgument, MultiPoly, NotNormalized,
                       Obstacle, PolynomialSurface, SymmetricH, UnsupportedSurface, ZeroVector,
-                      _rowdot, rotate_coordinates)
+                      _matvec, _rowdot, rotate_coordinates)
 from .phases import BoundaryCovector, Phase, PlanePhase, SphericalPhase, xi_incoming
 from .reflection import classify_boundary_point
 
@@ -86,6 +86,13 @@ class SphericalGrazing:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return -obstacle.hessian(x) @ (x - self.bbar)
 
+    def value_and_gradient(self, obstacle: Obstacle, x) -> tuple:
+        """(value, gradient) at one point (d,), bit for bit, from one surface jet."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        f, grad, hess = obstacle._jet(x)
+        d = x - self.bbar
+        return f - 1.0 - _rowdot(grad, d), -hess @ d
+
 
 @dataclass(frozen=True)
 class PlanarGrazing:
@@ -109,6 +116,11 @@ class PlanarGrazing:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return -obstacle.hessian(x) @ self.thetabar
 
+    def value_and_gradient(self, obstacle: Obstacle, x) -> tuple:
+        """(value, gradient) at one point (d,), bit for bit, from one surface jet."""
+        _, grad, hess = obstacle._jet(np.atleast_1d(np.asarray(x, dtype=float)))
+        return _rowdot(-grad, self.thetabar), -hess @ self.thetabar
+
 
 @dataclass(frozen=True)
 class SymmetricZeta:
@@ -124,11 +136,24 @@ class SymmetricZeta:
         object.__setattr__(self, "bbar", np.atleast_1d(np.asarray(self.bbar, dtype=float)))
 
     def value(self, obstacle: Obstacle, x):
-        """zeta at one point (d,) -> float, or per row of a batch (m, d) -> (m,)."""
+        """zeta at one point (d,) -> float, or per row of a batch (m, d) -> (m,),
+        each row bit for bit the point's; a batch names its first row whose
+        |L xbar|^2 leaves the profile's domain."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.ndim == 2:
-            return np.array([symmetric_zeta(obstacle, self.bbar, p) for p in x], dtype=float)
-        return symmetric_zeta(obstacle, self.bbar, x)
+        if x.ndim == 1:
+            return symmetric_zeta(obstacle, self.bbar, x)
+        surf = _symmetric_surface(obstacle)
+        y = _matvec(surf.lam, x)
+        s = _rowdot(y, y)
+        over = np.flatnonzero(s > surf.sdomain)
+        if over.size:
+            raise HDomainExceeded(f"|L xbar|^2 = {float(s[over[0]])} exceeds domain "
+                                  f"{surf.sdomain}")
+        live = s != 0.0  # zeta is 0 at the apex
+        out = np.zeros(len(s))
+        out[live] = (-surf.h_ratio(s[live]) + 2.0 * s[live]
+                     - _rowdot(2.0 * y[live], surf.lam @ self.bbar))
+        return out
 
     def gradient(self, obstacle: Obstacle, x) -> np.ndarray:
         surf = _symmetric_surface(obstacle)
@@ -138,6 +163,10 @@ class SymmetricZeta:
         if s == 0.0:
             return -2.0 * ltl @ self.bbar
         return (2.0 - surf.h_ratio_prime(s)) * 2.0 * (ltl @ x) - 2.0 * ltl @ self.bbar
+
+    def value_and_gradient(self, obstacle: Obstacle, x) -> tuple:
+        """(value, gradient) at one point (d,), as ``value`` and ``gradient``."""
+        return self.value(obstacle, x), self.gradient(obstacle, x)
 
 
 GrazingFunction = SphericalGrazing | PlanarGrazing | SymmetricZeta
@@ -423,13 +452,16 @@ def _correct(gf, obstacle, point, tol, axis=None):
     can be ~1e-10, so a residual at the bound would leave the coordinate
     essentially unresolved.  A zero derivative ends the iteration.  At most
     40 gradient steps or 80 axis steps.
+
+    Each iterate is evaluated once, value and gradient together.  Returns
+    (point, |residual|, gradient there), or None when the residual stays
+    above ``tol``.
     """
     p = np.array(point, dtype=float)
-    f = gf.value(obstacle, p)
+    f, grad = gf.value_and_gradient(obstacle, p)
     for _ in range(40 if axis is None else 80):
         if f == 0.0:
-            return p, 0.0
-        grad = gf.gradient(obstacle, p)
+            return p, 0.0, grad
         if axis is None:
             g2 = float(grad @ grad)
             if g2 == 0.0:
@@ -440,14 +472,14 @@ def _correct(gf, obstacle, point, tol, axis=None):
                 break
             p_new = p.copy()
             p_new[axis] = p[axis] - f / grad[axis]
-        f_new = gf.value(obstacle, p_new)
+        f_new, grad_new = gf.value_and_gradient(obstacle, p_new)
         if abs(f_new) >= abs(f):
             if abs(f_new) <= tol:
-                p, f = p_new, f_new
+                p, f, grad = p_new, f_new, grad_new
             break
-        p, f = p_new, f_new
+        p, f, grad = p_new, f_new, grad_new
     if abs(f) <= tol:
-        return p, abs(f)
+        return p, abs(f), grad
     return None
 
 
@@ -460,7 +492,8 @@ def trace_grazing_curve(gf: GrazingFunction, obstacle: Obstacle, window: float =
     for sign changes; each branch then runs a geometric shrink toward the
     apex (ratio SHRINK_FACTOR, down to SHRINK_STOP) and a pseudo-arclength
     continuation away from it (steps between H_MIN and H_MAX), out to the
-    window boundary.
+    window boundary.  A branch that comes back within one step of its own
+    seed has closed a loop, and its continuation stops there.
     """
     if obstacle.dim_tangential != 2:
         raise UnsupportedSurface("curve tracing requires a 3D obstacle (two tangential variables)")
@@ -479,8 +512,10 @@ def trace_grazing_curve(gf: GrazingFunction, obstacle: Obstacle, window: float =
         seed[g_axis] = root
         # Polish the bisected root onto the zero set; keep it if that fails.
         polished = _correct(gf, obstacle, seed, trace_tol, axis=g_axis)
-        seed_vertex = polished if polished is not None else (seed, abs(gf.value(obstacle, seed)))
-        seed = seed_vertex[0]
+        if polished is None:
+            f_seed, grad = gf.value_and_gradient(obstacle, seed)
+            polished = seed, abs(f_seed), grad
+        seed, seed_res, grad = polished
 
         # Inward: geometric shrink of the transverse coordinate toward the apex.
         inward = []
@@ -491,7 +526,7 @@ def trace_grazing_curve(gf: GrazingFunction, obstacle: Obstacle, window: float =
             sol = _correct(gf, obstacle, guess, trace_tol, axis=g_axis)
             if sol is None:
                 break
-            inward.append(sol)
+            inward.append(sol[:2])
             guess[g_axis] = sol[0][g_axis]
             t_val *= SHRINK_FACTOR
 
@@ -500,8 +535,8 @@ def trace_grazing_curve(gf: GrazingFunction, obstacle: Obstacle, window: float =
         current = seed.copy()
         prev_dir = None
         h = 10.0 * H_MIN
+        travelled = 0.0
         while True:
-            grad = gf.gradient(obstacle, current)
             norm = float(np.linalg.norm(grad))
             if norm == 0.0:
                 break
@@ -530,18 +565,22 @@ def trace_grazing_curve(gf: GrazingFunction, obstacle: Obstacle, window: float =
                 break
             if not accepted:
                 raise StepCollapse(current)
-            point, res = corrected
+            point, res, grad = corrected
             if (np.max(np.abs(point)) > window
                     or np.linalg.norm(point) > obstacle.radius * 0.999):
                 break
             outward.append((point, res))
-            prev_dir = (point - current) / max(float(np.linalg.norm(point - current)), 1e-300)
+            chord = float(np.linalg.norm(point - current))
+            travelled += chord
+            if travelled > 2.0 * step and np.linalg.norm(point - seed) < step:
+                break  # back at the seed: the branch closed a loop
+            prev_dir = (point - current) / max(chord, 1e-300)
             current = point
             h = min(step * 1.4, H_MAX)
             if len(outward) > 100000:
                 break
 
-        chain = list(reversed(inward)) + [seed_vertex] + outward
+        chain = list(reversed(inward)) + [(seed, seed_res)] + outward
         verts = np.array([p for p, _ in chain])
         resid = np.array([r for _, r in chain])
         arcs = np.concatenate(([0.0], np.cumsum(np.linalg.norm(np.diff(verts, axis=0), axis=1))))
@@ -652,6 +691,85 @@ class SliceCount:
 SLICE_N_PHI = 1440  # angular grid intervals of each slice curve
 
 
+class _SliceCurve:
+    """The slice curve of ``slice_grazing_count``, in coordinates where the
+    source sits at (1, a, 0) with a < 0: the zero set of the slice-plane
+    function k, star-shaped about its center on the meridian x3 = 0.
+
+    ``point`` finds the curve point at one angle by a radial march in steps
+    of ``r_step`` and a bisection to 1e-14, on Python floats; ``points`` runs
+    the same march and bisection in lockstep over many angles on (m, 2)
+    batches.  Each angle's arithmetic is the same in both, bit for bit.
+    """
+
+    def __init__(self, obst_r: Obstacle, a: float, x2_star: float):
+        if abs(x2_star) > obst_r.radius * 0.999:
+            raise SliceMiss("slice parameter outside the obstacle domain")
+        self.obst, self.a, self.x2_star = obst_r, a, x2_star
+        self.f_star = obst_r.value(np.array([x2_star, 0.0]))
+        # Second intersection of the slice plane with the meridian x3 = 0.
+        lim = obst_r.radius * 0.999
+        meridian_roots = _scan_roots(lambda v: self.k(_on_line(v, 0, 0.0)),
+                                     np.linspace(1e-9, lim, 600), 1e-14)
+        if not meridian_roots:
+            raise SliceMiss("slice plane does not re-enter the window on the far side")
+        self.center = np.array([0.5 * (x2_star + meridian_roots[0]), 0.0])
+        self.k_center = float(self.k(self.center))
+        if self.k_center <= 0.0:
+            raise SliceMiss("slice curve is degenerate at this parameter")
+        self.r_bound = lim - float(np.linalg.norm(self.center))
+        self.r_step = self.r_bound / 50.0
+
+    def k(self, p):
+        """Slice-plane function at one point (2,) or per row of a batch (m, 2)."""
+        return ((self.obst.value(p) - 1.0) * (self.x2_star - self.a)
+                + (p[..., 0] - self.a) * (1.0 - self.f_star))
+
+    def _k_at(self, x2: float, x3: float) -> float:
+        """``k`` at one point given as floats: the same products and sums."""
+        return ((self.obst._value_at([x2, x3]) - 1.0) * (self.x2_star - self.a)
+                + (x2 - self.a) * (1.0 - self.f_star))
+
+    def point(self, phi: float) -> np.ndarray:
+        """First crossing of k = 0 along the ray from the center at angle phi."""
+        u2, u3 = math.cos(phi), math.sin(phi)
+        c2, c3 = self.center.tolist()
+
+        def k_ray(r):
+            return self._k_at(c2 + r * u2, c3 + r * u3)
+
+        lo, k_lo = 0.0, self.k_center
+        r = self.r_step
+        while r <= self.r_bound:
+            k_r = k_ray(r)
+            if k_r < 0.0:
+                return self.center + _bisect(k_ray, lo, r, k_lo, 1e-14) * np.array([u2, u3])
+            lo, k_lo = r, k_r
+            r += self.r_step
+        raise SliceMiss("slice curve leaves the obstacle domain")
+
+    def points(self, phis) -> np.ndarray:
+        """``point`` at every angle, as one lockstep march and bisection."""
+        u = np.array([[math.cos(phi), math.sin(phi)] for phi in phis])
+        lo = np.zeros(len(u))
+        k_lo = np.full(len(u), self.k_center)
+        hi = np.empty(len(u))
+        todo = np.arange(len(u))
+        r = self.r_step
+        while r <= self.r_bound and todo.size:
+            k_r = self.k(self.center + r * u[todo])
+            crossed = k_r < 0.0
+            hi[todo[crossed]] = r
+            todo, k_r = todo[~crossed], k_r[~crossed]
+            lo[todo], k_lo[todo] = r, k_r
+            r += self.r_step
+        if todo.size:
+            raise SliceMiss("slice curve leaves the obstacle domain")
+        roots = _bisect_lanes(lambda t, idx: self.k(self.center + t[:, None] * u[idx]),
+                              lo, hi, k_lo, 1e-14)
+        return self.center + roots[:, None] * u
+
+
 def slice_grazing_count(obstacle: Obstacle, bbar, x2_star: float) -> SliceCount:
     """Count grazing points on the closed slice curve through (x2*, 0).
 
@@ -661,12 +779,11 @@ def slice_grazing_count(obstacle: Obstacle, bbar, x2_star: float) -> SliceCount:
     bisection.  No-branching predicts exactly one point on each side x3 > 0
     and x3 < 0.
 
-    The curve point at each of the SLICE_N_PHI + 1 grid angles is found by a
-    radial march from the curve's center and a bisection to 1e-14, run in
-    lockstep over all angles on (m, 2) batches; the grazing function is then
-    evaluated on all of them in one call.  Only the bisection of a sign
-    change in angle goes one angle at a time.  Each angle's arithmetic is
-    the same in both paths, so the counts and points do not depend on it.
+    The curve points at the SLICE_N_PHI + 1 grid angles are found in one
+    lockstep pass (``_SliceCurve.points``) and the grazing function is
+    evaluated on all of them in one call; the bisection of a sign change in
+    angle goes one angle at a time (``_SliceCurve.point``).  Both give the
+    same point at an angle, so the counts and points do not depend on it.
     """
     if obstacle.dim_tangential != 2:
         raise UnsupportedSurface("slice counts require a 3D obstacle")
@@ -683,85 +800,20 @@ def slice_grazing_count(obstacle: Obstacle, bbar, x2_star: float) -> SliceCount:
     else:
         obst_r, q = obstacle, np.eye(2)
         b_r = b.copy()
-    a = float(b_r[0])
     gf = SphericalGrazing(bbar=b_r)
-
-    if abs(x2_star) > obst_r.radius * 0.999:
-        raise SliceMiss("slice parameter outside the obstacle domain")
-    f_star = obst_r.value(np.array([x2_star, 0.0]))
-
-    def k_fn(p):
-        """Slice-plane function at one point (2,) or per row of a batch (m, 2)."""
-        return (obst_r.value(p) - 1.0) * (x2_star - a) + (p[..., 0] - a) * (1.0 - f_star)
-
-    # Second intersection of the slice plane with the meridian x3 = 0.
-    lim = obst_r.radius * 0.999
-    meridian_roots = _scan_roots(lambda v: k_fn(_on_line(v, 0, 0.0)),
-                                 np.linspace(1e-9, lim, 600), 1e-14)
-    if not meridian_roots:
-        raise SliceMiss("slice plane does not re-enter the window on the far side")
-    x2_dd = meridian_roots[0]
-
-    center = np.array([0.5 * (x2_star + x2_dd), 0.0])
-    k_center = float(k_fn(center))
-    if k_center <= 0.0:
-        raise SliceMiss("slice curve is degenerate at this parameter")
-    r_bound = lim - float(np.linalg.norm(center))
-    r_step = r_bound / 50.0
-
-    def radial_point(phi: float) -> np.ndarray:
-        """First crossing of k = 0 along the ray from the center at angle phi:
-        a march in steps of r_step, then bisection to 1e-14."""
-        u = np.array([math.cos(phi), math.sin(phi)])
-
-        def k_ray(r):
-            return float(k_fn(center + r * u))
-
-        lo, k_lo = 0.0, k_center
-        r = r_step
-        while r <= r_bound:
-            k_r = k_ray(r)
-            if k_r < 0.0:
-                return center + _bisect(k_ray, lo, r, k_lo, 1e-14) * u
-            lo, k_lo = r, k_r
-            r += r_step
-        raise SliceMiss("slice curve leaves the obstacle domain")
-
-    def radial_points(phis) -> np.ndarray:
-        """radial_point at every angle, the march and the bisection run in
-        lockstep over the angles with the same arithmetic per angle."""
-        u = np.array([[math.cos(phi), math.sin(phi)] for phi in phis])
-        lo = np.zeros(len(u))
-        k_lo = np.full(len(u), k_center)
-        hi = np.empty(len(u))
-        todo = np.arange(len(u))
-        r = r_step
-        while r <= r_bound and todo.size:
-            k_r = k_fn(center + r * u[todo])
-            crossed = k_r < 0.0
-            hi[todo[crossed]] = r
-            todo, k_r = todo[~crossed], k_r[~crossed]
-            lo[todo], k_lo[todo] = r, k_r
-            r += r_step
-        if todo.size:
-            raise SliceMiss("slice curve leaves the obstacle domain")
-        roots = _bisect_lanes(lambda t, idx: k_fn(center + t[:, None] * u[idx]),
-                              lo, hi, k_lo, 1e-14)
-        return center + roots[:, None] * u
+    curve = _SliceCurve(obst_r, float(b_r[0]), x2_star)
 
     def h_of(phi):
         """The grazing function at the slice point of one angle or of each of many."""
-        return gf.value(obst_r, radial_points(phi) if np.ndim(phi) else radial_point(phi))
+        return gf.value(obst_r, curve.points(phi) if np.ndim(phi) else curve.point(phi))
 
     # Closed angular grid: angle 0 repeats at 2 pi, so a crossing across the
     # wrap-around is seen once.
     phis = _scan_roots(h_of, np.linspace(0.0, 2.0 * np.pi, SLICE_N_PHI + 1), 1e-13)
-    crossings = radial_points(phis) if phis else np.zeros((0, 2))
-    # Stacked matmul: each row is q.T @ p, bit for bit.
-    points = (q.T @ crossings[..., None])[..., 0]
+    crossings = curve.points(phis) if phis else np.zeros((0, 2))
     return SliceCount(count_pos=int(np.sum(crossings[:, 1] > 0.0)),
                       count_neg=int(np.sum(crossings[:, 1] < 0.0)),
-                      points=points, x2_star=x2_star)
+                      points=_matvec(q.T, crossings), x2_star=x2_star)
 
 
 # ---------------------------------------------------------------------------

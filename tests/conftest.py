@@ -32,6 +32,24 @@ def rounded_quartic():
     return gm.polynomial_obstacle(2, {(0, 0): 1.0, (4, 0): -1.0, (2, 2): -1.0, (0, 4): -1.0})
 
 
+def surface_zoo():
+    """One obstacle of each surface family and path, keyed by a test id:
+    polynomial, symmetric profile (Taylor coefficients and the flat bump, both
+    with a non-diagonal L) and plain callables with and without a gradient."""
+    lam = [[1.0, 0.0], [0.2, 0.9]]
+    return {
+        "cusp": quartic_vsq(),
+        "rotated": gm.rotate_coordinates(rounded_quartic(), [0.3, -0.8])[0],
+        "symmetric-h": gm.Obstacle(gm.SymmetricH.from_hcoeffs(2, [1.0, 0.7], lam=lam), radius=0.7),
+        "exp-flat": gm.Obstacle(gm.SymmetricH.exp_flat(2, lam=lam), radius=0.6),
+        "generic": gm.Obstacle(gm.GenericSmooth(2, lambda x: 1.0 - x[0] ** 2 - 2.0 * x[1] ** 4),
+                               radius=0.5),
+        "generic-grad": gm.Obstacle(gm.GenericSmooth(
+            2, lambda x: 1.0 - x[0] ** 2 - 2.0 * x[1] ** 4,
+            grad=lambda x: np.array([-2.0 * x[0], -8.0 * x[1] ** 3])), radius=0.5),
+    }
+
+
 @pytest.fixture
 def sphere():
     return gm.sphere_obstacle(2, radius=0.5)

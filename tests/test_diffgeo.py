@@ -6,7 +6,7 @@ import pytest
 import grazemap as gm
 from grazemap.diffgeo import CONCAVITY_ANGLES, CONCAVITY_RADII, MultiPoly
 
-from conftest import quartic_quartic, quartic_vsq, rounded_quartic, sample_disk
+from conftest import quartic_quartic, quartic_vsq, rounded_quartic, sample_disk, surface_zoo
 
 
 def fd_gradient(f, x, h=1e-5):
@@ -210,6 +210,41 @@ def test_batch_fallback_equals_per_point(surface):
         batch = getattr(obs, method)(pts)
         assert batch.shape == shape
         assert np.array_equal(batch, np.array([getattr(obs, method)(p) for p in pts])), method
+
+
+@pytest.mark.parametrize("surface", [
+    gm.SymmetricH.from_hcoeffs(2, [1.0, 0.7, -0.1], lam=[[1.2, 0.3], [0.0, 0.8]]),
+    gm.SymmetricH.from_hcoeffs(2, [0.0, 1.0]),
+    gm.SymmetricH.exp_flat(2, lam=[[1.0, 0.0], [0.2, 0.9]]),
+    gm.SymmetricH.from_hcoeffs(3, [1.0, 0.5], lam=[[1.0, 0.1, 0.0], [0.0, 0.9, 0.2], [0.3, 0.0, 1.1]]),
+], ids=["hcoeffs", "quartic-h", "exp-flat", "3d"])
+def test_symmetric_batch_paths_equal_per_point(surface):
+    # The closed-form (m, d) paths: stacked L x, |L x|^2 by row dots, h's
+    # powers by float_power and the flat bump's exp per entry.
+    d = surface.dim
+    pts = np.random.default_rng(9).uniform(-0.35, 0.35, (300, d))
+    pts[7] = 0.0  # the apex, where the flat bump takes its s = 0 branch
+    for method in ("value", "gradient", "hessian"):
+        batch = getattr(surface, method)(pts)
+        assert np.array_equal(batch, np.array([getattr(surface, method)(p) for p in pts])), method
+    s = np.array([surface._s(p) for p in pts])
+    s = s[s != 0.0]
+    assert np.array_equal(surface.h_ratio(s), np.array([surface.h_ratio(v) for v in s]))
+
+
+@pytest.mark.parametrize("obs", surface_zoo().values(), ids=surface_zoo().keys())
+def test_jet_equals_value_gradient_and_hessian(obs):
+    pts = sample_disk(np.random.default_rng(10), 0.9 * obs.radius, 60)
+    for p in np.vstack([np.zeros((1, 2)), pts]):
+        f, g, h = obs._jet(p)
+        assert np.array_equal(f, obs.value(p))
+        assert np.array_equal(g, obs.gradient(p))
+        assert np.array_equal(h, obs.hessian(p))
+        assert np.array_equal(obs._value_at(p.tolist()), obs.value(p))
+    outside = np.array([0.0, 1.25 * obs.radius])
+    for check in (lambda: obs._jet(outside), lambda: obs._value_at(outside.tolist())):
+        with pytest.raises(gm.DomainExceeded, match="exceeds declared radius"):
+            check()
 
 
 def test_batch_domain_check_names_the_point_outside():

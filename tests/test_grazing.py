@@ -1,14 +1,20 @@
 import math
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import grazemap as gm
 from grazemap.diffgeo import MultiPoly
-from grazemap.grazing import _bisect, _bisect_lanes, leading_homogeneous_part
+from grazemap.cli import main
+from grazemap.grazing import (SEED_OFFSET, SLICE_N_PHI, _bisect, _bisect_lanes, _SliceCurve,
+                              leading_homogeneous_part)
 
 from conftest import (planar_c1_obstacle, planar_cusp_obstacle, quartic_mixed_vsq,
-                      quartic_quartic, quartic_vsq, rounded_quartic, sample_disk)
+                      quartic_quartic, quartic_vsq, rounded_quartic, sample_disk, surface_zoo)
+
+SPECS = Path(__file__).resolve().parents[1] / "specs"
 
 
 def test_residual_examples():
@@ -299,14 +305,12 @@ def test_zeta_zero_set_matches_spherical_form():
     zeta = gm.SymmetricZeta(bbar=b)
     sph = gm.SphericalGrazing(bbar=b)
     rng = np.random.default_rng(33)
+    r = np.linspace(0.01, 0.6, 121)
     agree = 0
     for _ in range(1000):
         ang = rng.uniform(0, 2 * np.pi)
-        u = np.array([np.cos(ang), np.sin(ang)])
-        r = np.linspace(0.01, 0.6, 121)
-        sz = np.sign([zeta.value(obs, ri * u) for ri in r])
-        sh = np.sign([sph.value(obs, ri * u) for ri in r])
-        assert np.array_equal(sz, sh)
+        pts = r[:, None] * np.array([np.cos(ang), np.sin(ang)])  # one batch per angle
+        assert np.array_equal(np.sign(zeta.value(obs, pts)), np.sign(sph.value(obs, pts)))
         agree += 1
     assert agree == 1000
 
@@ -391,11 +395,94 @@ def test_grazing_function_batch_equals_per_point(make_obs, gf):
     assert np.array_equal(gf.value(obs, pts), np.array([gf.value(obs, p) for p in pts]))
 
 
-def test_symmetric_zeta_batch_falls_back_per_point():
-    obs = gm.Obstacle(gm.SymmetricH.from_hcoeffs(2, [0.0, 1.0]), radius=0.6)
-    gf = gm.SymmetricZeta(bbar=[-1.0, 0.0])
-    pts = np.random.default_rng(8).uniform(-0.4, 0.4, (50, 2))
+@pytest.mark.parametrize("obs", [
+    gm.Obstacle(gm.SymmetricH.from_hcoeffs(2, [0.0, 1.0]), radius=0.6),
+    surface_zoo()["symmetric-h"],
+    surface_zoo()["exp-flat"],
+], ids=["quartic-h", "symmetric-h", "exp-flat"])
+def test_symmetric_zeta_batch_equals_per_point(obs):
+    gf = gm.SymmetricZeta(bbar=[-1.0, 0.3])
+    pts = np.random.default_rng(8).uniform(-0.4, 0.4, (300, 2))
+    pts[3] = 0.0  # the apex row, where zeta is 0 without h/h'
     assert np.array_equal(gf.value(obs, pts), np.array([gf.value(obs, p) for p in pts]))
+
+
+def test_symmetric_zeta_batch_names_the_first_row_outside():
+    obs = gm.Obstacle(gm.SymmetricH.from_hcoeffs(2, [1.0], sdomain=0.01), radius=0.6)
+    gf = gm.SymmetricZeta(bbar=[-1.0, 0.0])
+    pts = np.array([[0.05, 0.0], [0.2, 0.0], [0.3, 0.0]])
+    with pytest.raises(gm.grazing.HDomainExceeded) as err:
+        gf.value(obs, pts)
+    with pytest.raises(gm.grazing.HDomainExceeded) as first:
+        gf.value(obs, pts[1])
+    assert str(err.value) == str(first.value)
+
+
+# Zeta is defined on symmetric profiles only.
+_ZOO_GRAZING = ([(name, gf) for name in surface_zoo()
+                 for gf in (gm.SphericalGrazing(bbar=[-1.0, 0.2]),
+                            gm.PlanarGrazing(thetabar=[0.6, 0.8]))]
+                + [(name, gm.SymmetricZeta(bbar=[-1.0, 0.2])) for name in ("symmetric-h", "exp-flat")])
+
+
+@pytest.mark.parametrize("name,gf", _ZOO_GRAZING,
+                         ids=[f"{name}-{type(gf).__name__}" for name, gf in _ZOO_GRAZING])
+def test_value_and_gradient_equals_value_and_gradient(name, gf):
+    obs = surface_zoo()[name]
+    for p in np.vstack([np.zeros((1, 2)), sample_disk(np.random.default_rng(12), 0.4, 60)]):
+        f, g = gf.value_and_gradient(obs, p)
+        assert np.array_equal(f, gf.value(obs, p))
+        assert np.array_equal(g, gf.gradient(obs, p))
+
+
+@pytest.mark.parametrize("obs", [quartic_vsq(), gm.sphere_obstacle(2, radius=0.5)],
+                         ids=["cusp", "sphere"])
+def test_slice_point_equals_lockstep_points_at_every_grid_angle(obs):
+    curve = _SliceCurve(obs, -1.0, -0.05)
+    phis = np.linspace(0.0, 2.0 * np.pi, SLICE_N_PHI + 1)
+    assert np.array_equal(curve.points(phis), np.array([curve.point(phi) for phi in phis]))
+
+
+def test_trace_checks_the_domain_once_per_corrector_evaluation(monkeypatch):
+    # A corrector evaluation is one surface jet: one domain check for the
+    # value and the gradient together.  ``value`` (the scans, their
+    # bisections and the apex test) checks twice, for F and grad F.
+    calls = dict.fromkeys(("check", "value", "gradient", "value_and_gradient"), 0)
+
+    def counting(key, real):
+        def counted(*args):
+            calls[key] += 1
+            return real(*args)
+        return counted
+
+    monkeypatch.setattr(gm.Obstacle, "_check_domain",
+                        counting("check", gm.Obstacle._check_domain))
+    for key in ("value", "gradient", "value_and_gradient"):
+        monkeypatch.setattr(gm.SphericalGrazing, key, counting(key, getattr(gm.SphericalGrazing, key)))
+    gm.trace_grazing_curve(gm.SphericalGrazing(bbar=[-1.0, 0.0]), quartic_vsq(), window=0.3)
+    assert calls["value_and_gradient"] > 1000
+    assert calls["gradient"] == 0
+    assert calls["check"] == calls["value_and_gradient"] + 2 * calls["value"]
+
+
+def test_closed_grazing_loop_is_traced_once_around(tmp_path):
+    # A source at (1, -0.05, 0) over the rounded quartic: the grazing curve
+    # is a small closed loop inside the window, and each branch stops when
+    # it comes back to its seed instead of lapping to the step cap.
+    (tmp_path / "near.phase").write_text("kind = spherical\nb = 1 -0.05 0\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["classify", "--obstacle", str(SPECS / "rounded_quartic.obstacle"),
+                 "--phase", str(tmp_path / "near.phase"), "--out", str(tmp_path)]) == 0
+    assert time.perf_counter() - start < 2.0
+    curve = gm.trace_grazing_curve(gm.SphericalGrazing(bbar=[-0.05, 0.0]), rounded_quartic())
+    for branch in curve.branches:
+        verts = branch.vertices
+        seed = np.flatnonzero(verts[:, curve.transverse_axis] == branch.side * SEED_OFFSET)[0]
+        near = np.linalg.norm(verts[seed:] - verts[seed], axis=1) < 0.5 * SEED_OFFSET
+        # Near the seed at the start, away, and back once at the end.
+        entries = np.flatnonzero(near[1:] & ~near[:-1]) + 1
+        assert len(entries) == 1 and near[entries[0]:].all()
+        assert np.max(np.abs(verts)) < 0.1
 
 
 def _plain_bisect(f, lo, hi, tol):
