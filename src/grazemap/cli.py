@@ -8,6 +8,7 @@ config and seed; CSV files are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -181,8 +182,12 @@ def run_reflect(args) -> int:
     return EXIT_OK
 
 
+# Built on the first call, not at import; parse_args leaves the parser as it was.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -111,6 +111,11 @@ def _rowdot(a, b):
     return np.matmul(a[..., None, :], np.asarray(b)[..., :, None])[..., 0, 0]
 
 
+def _norm(v) -> float:
+    """|v| of one vector (d,): np.linalg.norm's arithmetic, without its overhead."""
+    return math.sqrt(v @ v)
+
+
 def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """a @ x for one vector x (d,), or a @ x[k] for each row of a batch (m, d).
 
@@ -545,7 +550,7 @@ class Obstacle:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         d = self.surface.dim
         if x.shape == (d,):
-            r = math.sqrt(x @ x)  # np.linalg.norm's arithmetic, without its overhead
+            r = _norm(x)
         elif x.ndim == 2 and x.shape[1] == d:
             r = float(np.sqrt(_rowdot(x, x)).max(initial=0.0))
         else:
@@ -584,7 +589,11 @@ class Obstacle:
 
     def gradient(self, x) -> np.ndarray:
         """grad F at one point (d,) -> (d,), or per row of a batch (m, d) -> (m, d)."""
-        return self._on_surface(self.surface.gradient, self._check_domain(x), (self.surface.dim,))
+        return self._gradient(self._check_domain(x))
+
+    def _gradient(self, x: np.ndarray) -> np.ndarray:
+        """``gradient`` at a point or batch that ``_check_domain`` has passed."""
+        return self._on_surface(self.surface.gradient, x, (self.surface.dim,))
 
     def hessian(self, x) -> np.ndarray:
         """hess F at one point (d,) -> (d, d), or per row of a batch (m, d) -> (m, d, d)."""

@@ -20,7 +20,7 @@ import numpy as np
 
 from .diffgeo import (J_MAX_DEFAULT, GrazemapError, InvalidArgument, MultiPoly, NotNormalized,
                       Obstacle, PolynomialSurface, SymmetricH, UnsupportedSurface, ZeroVector,
-                      _matvec, _rowdot, rotate_coordinates)
+                      _matvec, _norm, _rowdot, rotate_coordinates)
 from .phases import BoundaryCovector, Phase, PlanePhase, SphericalPhase, xi_incoming
 from .reflection import classify_boundary_point
 
@@ -336,6 +336,10 @@ H_MAX = 1e-2          # largest continuation step
 SEED_OFFSET = 1e-3    # transverse offset of the two branch seeds
 SHRINK_STOP = 1e-5    # inward shrink stops below this transverse offset
 SHRINK_FACTOR = 0.85  # ratio of successive transverse offsets in the shrink
+# Below the trace tolerance, a corrector step that shrinks |f| by less than
+# this factor is rounding noise: exact Newton at an m-fold root shrinks |f|
+# by ((m - 1)/m)^m < 1/e per step, so only the rounding floor fails the ratio.
+FLOOR_RATIO = 0.5
 
 
 def _bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
@@ -447,11 +451,16 @@ def _correct(gf, obstacle, point, tol, axis=None):
     """Newton correction back onto the zero set, along the gradient or, when
     ``axis`` is given, along that coordinate axis only.
 
-    Iterates to machine stall, not just to ``tol``, which is the acceptance
-    bound on the residual: near the apex the derivative along the graph axis
-    can be ~1e-10, so a residual at the bound would leave the coordinate
-    essentially unresolved.  A zero derivative ends the iteration.  At most
-    40 gradient steps or 80 axis steps.
+    Iterates past ``tol``, which is the acceptance bound on the residual:
+    near the apex the derivative along the graph axis can be ~1e-10, so a
+    residual at the bound would leave the coordinate essentially unresolved.
+    It stops at the rounding floor of f instead: once |f| <= ``tol``, a step
+    that does not shrink |f| by FLOOR_RATIO (one half) is accepted and ends
+    the iteration.  Exact Newton at an m-fold root shrinks |f| by
+    ((m - 1)/m)^m < 1/e per step, so the rule never cuts a real convergence,
+    only the sign-flipping crawl of rounding noise.  Above ``tol``, a step
+    that does not lower |f| ends the iteration and is dropped.  A zero
+    derivative ends the iteration.  At most 40 gradient steps or 80 axis steps.
 
     Each iterate is evaluated once, value and gradient together.  Returns
     (point, |residual|, gradient there), or None when the residual stays
@@ -473,11 +482,12 @@ def _correct(gf, obstacle, point, tol, axis=None):
             p_new = p.copy()
             p_new[axis] = p[axis] - f / grad[axis]
         f_new, grad_new = gf.value_and_gradient(obstacle, p_new)
-        if abs(f_new) >= abs(f):
-            if abs(f_new) <= tol:
-                p, f, grad = p_new, f_new, grad_new
+        if abs(f_new) > tol and abs(f_new) >= abs(f):
             break
+        at_floor = abs(f_new) <= tol and abs(f_new) > FLOOR_RATIO * abs(f)
         p, f, grad = p_new, f_new, grad_new
+        if at_floor:
+            break
     if abs(f) <= tol:
         return p, abs(f), grad
     return None
@@ -537,7 +547,7 @@ def trace_grazing_curve(gf: GrazingFunction, obstacle: Obstacle, window: float =
         h = 10.0 * H_MIN
         travelled = 0.0
         while True:
-            norm = float(np.linalg.norm(grad))
+            norm = _norm(grad)
             if norm == 0.0:
                 break
             tangent = np.array([-grad[1], grad[0]]) / norm
@@ -553,11 +563,11 @@ def trace_grazing_curve(gf: GrazingFunction, obstacle: Obstacle, window: float =
             left_domain = False
             while step >= H_MIN:
                 predicted = current + step * tangent
-                if np.linalg.norm(predicted) > obstacle.radius * 0.995:
+                if _norm(predicted) > obstacle.radius * 0.995:
                     left_domain = True
                     break
                 corrected = _correct(gf, obstacle, predicted, trace_tol)
-                if corrected is not None and np.linalg.norm(corrected[0] - current) > 0.1 * step:
+                if corrected is not None and _norm(corrected[0] - current) > 0.1 * step:
                     accepted = True
                     break
                 step *= 0.5
@@ -567,12 +577,12 @@ def trace_grazing_curve(gf: GrazingFunction, obstacle: Obstacle, window: float =
                 raise StepCollapse(current)
             point, res, grad = corrected
             if (np.max(np.abs(point)) > window
-                    or np.linalg.norm(point) > obstacle.radius * 0.999):
+                    or _norm(point) > obstacle.radius * 0.999):
                 break
             outward.append((point, res))
-            chord = float(np.linalg.norm(point - current))
+            chord = _norm(point - current)
             travelled += chord
-            if travelled > 2.0 * step and np.linalg.norm(point - seed) < step:
+            if travelled > 2.0 * step and _norm(point - seed) < step:
                 break  # back at the seed: the branch closed a loop
             prev_dir = (point - current) / max(chord, 1e-300)
             current = point

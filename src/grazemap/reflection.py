@@ -23,15 +23,14 @@ the Jacobian.  ``verify_rfm``, the ``reflect`` table and the grid seed of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
 
-from .diffgeo import (GrazemapError, InvalidArgument, Obstacle, _central_difference, _outer,
-                      _per_row, _rowdot)
+from .diffgeo import (GrazemapError, InvalidArgument, Obstacle, _central_difference, _norm,
+                      _outer, _per_row, _rowdot)
 from .phases import BoundaryCovector, Phase, _xi_jacobian, xi_incoming
 
 GRAZING_TOL = 1e-10  # |margin| at or below which a boundary point counts as grazing
@@ -128,7 +127,7 @@ def classify_boundary_point(obstacle: Obstacle, phase: Phase, xbar) -> BoundaryC
     """Assemble the boundary point over xbar (d,), or over each row of a batch
     (m, d), and label it by the sign of its tangency margin."""
     xi = xi_incoming(phase, obstacle, xbar)
-    grad_f = obstacle.gradient(xi.xbar)
+    grad_f = obstacle._gradient(xi.xbar)  # its boundary point has checked the domain
     mu = _rowdot(grad_f, xi.xibar) - xi.xi1
     if mu.ndim:
         label = np.take(_LABELS, (mu > GRAZING_TOL) + 2 * (mu < -GRAZING_TOL))
@@ -484,7 +483,7 @@ def verify_rfm(obstacle: Obstacle, phase: Phase, s0: float = 1.0,
     while len(samples) < budget and tries < 200 * budget:
         tries += 1
         xb = rng.uniform(-r, r, size=d)
-        if math.sqrt(xb @ xb) > r:  # np.linalg.norm's arithmetic, without its overhead
+        if _norm(xb) > r:
             continue
         cls = classify_boundary_point(obstacle, phase, xb)
         if cls.label == "shadow":

@@ -206,21 +206,20 @@ def test_criterion_09_order_classifier():
 
 
 def brute_min_eig(poly, n_angles):
-    # independent oracle: finite-difference Hessian of the polynomial values
+    # independent oracle: finite-difference Hessian of the polynomial values,
+    # every angle's stencil evaluated in one batch per difference point
     h = 1e-5
-    best = np.inf
-    for a in np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False):
-        p = np.array([np.cos(a), np.sin(a)])
-        hess = np.zeros((2, 2))
-        for i in range(2):
-            for j in range(2):
-                ei, ej = np.zeros(2), np.zeros(2)
-                ei[i] = h
-                ej[j] = h
-                hess[i, j] = (poly.value(p + ei + ej) - poly.value(p + ei - ej)
-                              - poly.value(p - ei + ej) + poly.value(p - ei - ej)) / (4 * h * h)
-        best = min(best, float(np.linalg.eigvalsh(0.5 * (hess + hess.T))[0]))
-    return best
+    a = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    p = np.column_stack([np.cos(a), np.sin(a)])
+    hess = np.zeros((n_angles, 2, 2))
+    for i in range(2):
+        for j in range(2):
+            ei, ej = np.zeros(2), np.zeros(2)
+            ei[i] = h
+            ej[j] = h
+            hess[:, i, j] = (poly.value(p + ei + ej) - poly.value(p + ei - ej)
+                             - poly.value(p - ei + ej) + poly.value(p - ei - ej)) / (4 * h * h)
+    return float(np.min(np.linalg.eigvalsh(0.5 * (hess + np.swapaxes(hess, 1, 2)))[:, 0]))
 
 
 def test_criterion_10_hessian_positivity_check():

@@ -294,6 +294,22 @@ def test_unknown_flag_is_hard_error(specs, tmp_path):
     assert code == 1
 
 
+def test_parser_reuse_carries_no_flag_between_calls(specs, tmp_path, capsys):
+    # main builds its parser once per process; every call parses from its defaults.
+    common = ["--obstacle", specs["sphere.obstacle"], "--phase", specs["side.phase"]]
+    assert main(["render", "--sheet", "--format", "svg", "--window", "0.1", *common,
+                 "--out", str(tmp_path / "r")]) == 0
+    assert main(["trace", *common, "--out", str(tmp_path / "t")]) == 0
+    assert [p.name for p in (tmp_path / "r").iterdir()] == ["trace.svg"]
+    assert [p.name for p in (tmp_path / "t").iterdir()] == ["trace.csv"]
+    rows = (tmp_path / "t" / "trace.csv").read_text().splitlines()[1:]
+    assert max(abs(float(v)) for row in rows for v in row.split(",")[2:4]) > 0.1  # window 0.3
+    capsys.readouterr()
+    assert main(["no-such-command"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: grazemap ")
+
+
 def test_console_entry_point_help():
     # The child imports grazemap from wherever this process did, installed or not.
     src = str(Path(grazemap.__file__).resolve().parents[1])

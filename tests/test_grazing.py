@@ -8,8 +8,9 @@ import pytest
 import grazemap as gm
 from grazemap.diffgeo import MultiPoly
 from grazemap.cli import main
-from grazemap.grazing import (SEED_OFFSET, SLICE_N_PHI, _bisect, _bisect_lanes, _SliceCurve,
-                              leading_homogeneous_part)
+from grazemap import grazing
+from grazemap.grazing import (SEED_OFFSET, SLICE_N_PHI, _bisect, _bisect_lanes, _correct,
+                              _SliceCurve, leading_homogeneous_part)
 
 from conftest import (planar_c1_obstacle, planar_cusp_obstacle, quartic_mixed_vsq,
                       quartic_quartic, quartic_vsq, rounded_quartic, sample_disk, surface_zoo)
@@ -604,3 +605,96 @@ def test_order_classification_refuses_a_differenced_surface():
     with pytest.raises(gm.UnsupportedSurface):
         gm.classify_order(generic, gm.SphericalPhase(source=[1.0, -1.0, 0.0]))
     assert gm.classify_order(quartic_vsq(), gm.SphericalPhase(source=[1.0, -1.0, 0.0])).order == 4
+
+
+def test_cusp_trace_corrections_stop_at_the_rounding_floor(monkeypatch):
+    # At the rounding floor of H, |H| flips sign on every Newton step while
+    # shrinking ~5%, so a corrector that waits for |H| to stop falling runs
+    # to its 40-step cap (41 evaluations; 4624 for the whole trace).
+    calls, per_correction = [0], []
+    real_vg, real_correct = gm.SphericalGrazing.value_and_gradient, grazing._correct
+
+    def value_and_gradient(self, obstacle, x):
+        calls[0] += 1
+        return real_vg(self, obstacle, x)
+
+    def correct(*args, **kwargs):
+        before = calls[0]
+        out = real_correct(*args, **kwargs)
+        per_correction.append(calls[0] - before)
+        return out
+
+    monkeypatch.setattr(gm.SphericalGrazing, "value_and_gradient", value_and_gradient)
+    monkeypatch.setattr(grazing, "_correct", correct)
+    gm.trace_grazing_curve(gm.SphericalGrazing(bbar=[-1.0, 0.0]), quartic_vsq(), window=0.3)
+    assert calls[0] <= 1500
+    assert max(per_correction) <= 12
+
+
+class _PowerRoot:
+    """f = u^m with u = a . x - 1/4: an m-fold root along a line, where exact
+    Newton shrinks |f| by ((m - 1)/m)^m per step, a ratio below 1/e."""
+
+    a = np.array([0.6, 0.8])
+
+    def __init__(self, m):
+        self.m, self.calls = m, 0
+
+    def value_and_gradient(self, obstacle, x):
+        self.calls += 1
+        u = float(x @ self.a) - 0.25
+        return u ** self.m, self.m * u ** (self.m - 1) * self.a
+
+
+def _correct_to_stall(gf, obstacle, point, tol, axis=None):
+    """The corrector that stops only when a step fails to lower |f|."""
+    p = np.array(point, dtype=float)
+    f, grad = gf.value_and_gradient(obstacle, p)
+    for _ in range(40 if axis is None else 80):
+        if f == 0.0:
+            return p, 0.0, grad
+        if axis is None:
+            g2 = float(grad @ grad)
+            if g2 == 0.0:
+                break
+            p_new = p - grad * (f / g2)
+        else:
+            if grad[axis] == 0.0:
+                break
+            p_new = p.copy()
+            p_new[axis] = p[axis] - f / grad[axis]
+        f_new, grad_new = gf.value_and_gradient(obstacle, p_new)
+        if abs(f_new) >= abs(f):
+            if abs(f_new) <= tol:
+                p, f, grad = p_new, f_new, grad_new
+            break
+        p, f, grad = p_new, f_new, grad_new
+    return (p, abs(f), grad) if abs(f) <= tol else None
+
+
+@pytest.mark.parametrize("axis", [None, 0, 1], ids=["gradient", "axis-0", "axis-1"])
+@pytest.mark.parametrize("m", [2, 3, 5, 9])
+def test_floor_stop_never_cuts_a_multiple_root_convergence(m, axis):
+    # The floor rule leaves every step of a real convergence in place: point,
+    # residual and evaluation count equal the stall-only corrector's (81
+    # evaluations for m = 9 along an axis).  A floor ratio below 0.45 cuts
+    # one of these runs short.
+    gf, ref_gf = _PowerRoot(m), _PowerRoot(m)
+    got = _correct(gf, None, [0.1, -0.2], 1e-10, axis=axis)
+    ref = _correct_to_stall(ref_gf, None, [0.1, -0.2], 1e-10, axis=axis)
+    assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+    assert gf.calls == ref_gf.calls
+    assert got[1] < 1e-20
+
+
+def test_cusp_trace_vertices_graze_by_the_batched_value():
+    # H recomputed per row of one (m, 2) batch, a path apart from the
+    # corrector's single-point jet; it is bit-equal to the jet's value, so it
+    # also equals the residual each vertex reports.
+    gf, obs = gm.SphericalGrazing(bbar=[-1.0, 0.0]), quartic_vsq()
+    curve = gm.trace_grazing_curve(gf, obs, window=0.3)
+    verts = curve.all_vertices()
+    h = np.abs(gf.value(obs, verts))
+    assert len(verts) == 240
+    assert np.max(h) <= curve.trace_tol
+    assert np.array_equal(h, np.concatenate([b.residuals for b in curve.branches]))

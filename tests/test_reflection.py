@@ -379,8 +379,10 @@ def test_grid_seed_equals_reference_double_loop(obstacle, phase):
         assert s == s_ref and np.array_equal(xb, xb_ref)
 
 
+# grad F is counted at ``Obstacle._gradient``, which ``gradient`` calls after
+# its domain check and ``classify_boundary_point`` calls directly.
 COUNTED = ((gm.Obstacle, "boundary_point"), (gm.SphericalPhase, "grad_psi"),
-           (gm.Obstacle, "gradient"))
+           (gm.Obstacle, "_gradient"))
 
 
 @pytest.fixture
@@ -415,6 +417,27 @@ def test_each_boundary_point_is_assembled_once(sphere, side_source, evaluations,
                  "--phase", str(tmp_path / "side.phase"), "--budget", "100",
                  "--out", str(tmp_path / "o")]) == 0
     assert evaluations == [100, 100, 100]
+
+
+@pytest.mark.parametrize("xbar", [[-0.2, 0.1], [[-0.2, 0.1], [0.3, -0.1], [0.0, 0.0]]],
+                         ids=["point", "batch"])
+def test_classification_checks_the_domain_once(sphere, side_source, monkeypatch, xbar):
+    # The boundary point and grad F are evaluated at the same xbar, so one
+    # radius check serves both.
+    checks = [0]
+    real = gm.Obstacle._check_domain
+
+    def counted(self, x):
+        checks[0] += 1
+        return real(self, x)
+
+    monkeypatch.setattr(gm.Obstacle, "_check_domain", counted)
+    cls = gm.classify_boundary_point(sphere, side_source, xbar)
+    assert checks[0] == 1
+    monkeypatch.setattr(gm.Obstacle, "_check_domain", real)
+    assert np.array_equal(cls.grad_f, sphere.gradient(xbar))
+    with pytest.raises(gm.DomainExceeded):
+        gm.classify_boundary_point(sphere, side_source, [0.4, 0.31])
 
 
 def test_inversion_and_sampler_do_not_re_derive_points(sphere, side_source, evaluations):
