@@ -208,15 +208,6 @@ class MultiPoly:
             self._derivs = (grad, hess)
         return self._derivs
 
-    def _jet_point(self, xs) -> tuple:
-        """Value, gradient and Hessian at one point given as a list of floats:
-        what ``value``, ``gradient`` and ``hessian`` return there, bit for bit."""
-        grad, hess = self._derivatives()
-        h = np.zeros((self.dim, self.dim))
-        for (i, j), p in hess.items():
-            h[i, j] = h[j, i] = p._eval_point(xs)
-        return self._eval_point(xs), np.array([g._eval_point(xs) for g in grad]), h
-
     def value(self, x):
         x = np.asarray(x, dtype=float)
         if x.ndim == 2:
@@ -565,20 +556,32 @@ class Obstacle:
             return fn(x)
         return np.array([fn(p) for p in x], dtype=float).reshape((len(x),) + shape)
 
-    def _jet(self, x) -> tuple:
-        """(F, grad F, hess F) at one point (d,) after one radius check, each
-        bit for bit what ``value``, ``gradient`` and ``hessian`` return there.
-        A polynomial surface evaluates all three from one ``x.tolist()``."""
-        x = self._check_domain(x)
+    def _check_at(self, xs: list) -> None:
+        """The radius check of one point given as a list of floats."""
+        self._check_radius(math.hypot(*xs))
+
+    def _jet_at(self, xs: list) -> tuple:
+        """(F, grad F, hess F) at one point given as a list of floats, after
+        one ``_check_at``: a float, a list and a list of rows, each entry bit
+        for bit what ``value``, ``gradient`` and ``hessian`` return there.  A
+        polynomial surface evaluates its cached derivative polynomials on the
+        floats; the other surfaces run their array methods once."""
+        self._check_at(xs)
         if isinstance(self.surface, PolynomialSurface):
-            return self.surface.poly._jet_point(x.tolist())
-        return self.surface.value(x), self.surface.gradient(x), self.surface.hessian(x)
+            poly = self.surface.poly
+            grad, hess = poly._derivatives()
+            h = [[0.0] * poly.dim for _ in range(poly.dim)]
+            for (i, j), p in hess.items():
+                h[i][j] = h[j][i] = p._eval_point(xs)
+            return poly._eval_point(xs), [g._eval_point(xs) for g in grad], h
+        x = np.array(xs)
+        return (self.surface.value(x), self.surface.gradient(x).tolist(),
+                self.surface.hessian(x).tolist())
 
     def _value_at(self, xs: list) -> float:
         """F at one point given as a list of floats: ``value`` there, bit for
-        bit, with the radius check done in float arithmetic and no arrays
-        for a polynomial surface."""
-        self._check_radius(math.hypot(*xs))
+        bit, after one ``_check_at`` and with no arrays for a polynomial surface."""
+        self._check_at(xs)
         if isinstance(self.surface, PolynomialSurface):
             return self.surface.poly._eval_point(xs)
         return self.surface.value(np.array(xs))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .diffgeo import (J_MAX_DEFAULT, GrazemapError, InvalidArgument, MultiPoly, NotNormalized,
                       Obstacle, PolynomialSurface, SymmetricH, UnsupportedSurface, ZeroVector,
-                      _matvec, _norm, _rowdot, rotate_coordinates)
+                      _matvec, _rowdot, rotate_coordinates)
 from .phases import BoundaryCovector, Phase, PlanePhase, SphericalPhase, xi_incoming
 from .reflection import classify_boundary_point
 
@@ -37,8 +37,8 @@ class StepCollapse(GrazemapError, RuntimeError):
     exit_code = 3
 
     def __init__(self, point):
-        super().__init__(f"correction failed below minimum step near {point}")
         self.point = np.asarray(point, dtype=float)
+        super().__init__(f"correction failed below minimum step near {self.point}")
 
 
 class InsufficientPoints(GrazemapError, ValueError):
@@ -86,12 +86,12 @@ class SphericalGrazing:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return -obstacle.hessian(x) @ (x - self.bbar)
 
-    def value_and_gradient(self, obstacle: Obstacle, x) -> tuple:
-        """(value, gradient) at one point (d,), bit for bit, from one surface jet."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        f, grad, hess = obstacle._jet(x)
-        d = x - self.bbar
-        return f - 1.0 - _rowdot(grad, d), -hess @ d
+    def _value_grad(self, obstacle: Obstacle, x0: float, x1: float) -> tuple:
+        """(H, dH/dx0, dH/dx1) at one plane point, on floats from one surface jet."""
+        f, (g0, g1), ((h00, h01), (h10, h11)) = obstacle._jet_at([x0, x1])
+        b0, b1 = self.bbar.tolist()
+        d0, d1 = x0 - b0, x1 - b1
+        return f - 1.0 - (g0 * d0 + g1 * d1), -(h00 * d0 + h01 * d1), -(h10 * d0 + h11 * d1)
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,11 @@ class PlanarGrazing:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return -obstacle.hessian(x) @ self.thetabar
 
-    def value_and_gradient(self, obstacle: Obstacle, x) -> tuple:
-        """(value, gradient) at one point (d,), bit for bit, from one surface jet."""
-        _, grad, hess = obstacle._jet(np.atleast_1d(np.asarray(x, dtype=float)))
-        return _rowdot(-grad, self.thetabar), -hess @ self.thetabar
+    def _value_grad(self, obstacle: Obstacle, x0: float, x1: float) -> tuple:
+        """(g, dg/dx0, dg/dx1) at one plane point, on floats from one surface jet."""
+        _, (g0, g1), ((h00, h01), (h10, h11)) = obstacle._jet_at([x0, x1])
+        t0, t1 = self.thetabar.tolist()
+        return -(g0 * t0 + g1 * t1), -(h00 * t0 + h01 * t1), -(h10 * t0 + h11 * t1)
 
 
 @dataclass(frozen=True)
@@ -164,9 +165,25 @@ class SymmetricZeta:
             return -2.0 * ltl @ self.bbar
         return (2.0 - surf.h_ratio_prime(s)) * 2.0 * (ltl @ x) - 2.0 * ltl @ self.bbar
 
-    def value_and_gradient(self, obstacle: Obstacle, x) -> tuple:
-        """(value, gradient) at one point (d,), as ``value`` and ``gradient``."""
-        return self.value(obstacle, x), self.gradient(obstacle, x)
+    def _value_grad(self, obstacle: Obstacle, x0: float, x1: float) -> tuple:
+        """(zeta, dzeta/dx0, dzeta/dx1) at one plane point, on floats.  Like
+        ``value``, it reads the profile, not the surface jet, and checks only
+        the profile's domain.  The gradient is L^T (c L xbar - 2 L bbar) with
+        c = 2 (2 - (h/h')'(s)), and c = 0 at the apex."""
+        surf = _symmetric_surface(obstacle)
+        (l00, l01), (l10, l11) = surf.lam.tolist()
+        b0, b1 = self.bbar.tolist()
+        y0, y1 = l00 * x0 + l01 * x1, l10 * x0 + l11 * x1
+        z0, z1 = l00 * b0 + l01 * b1, l10 * b0 + l11 * b1
+        s = y0 * y0 + y1 * y1
+        if s > surf.sdomain:
+            raise HDomainExceeded(f"|L xbar|^2 = {s} exceeds domain {surf.sdomain}")
+        f = c = 0.0
+        if s != 0.0:
+            f = -surf.h_ratio(s) + 2.0 * s - 2.0 * (y0 * z0 + y1 * z1)
+            c = 2.0 * (2.0 - surf.h_ratio_prime(s))
+        v0, v1 = c * y0 - 2.0 * z0, c * y1 - 2.0 * z1
+        return f, l00 * v0 + l10 * v1, l01 * v0 + l11 * v1
 
 
 GrazingFunction = SphericalGrazing | PlanarGrazing | SymmetricZeta
@@ -404,7 +421,7 @@ def _scan_roots(f, grid, tol: float) -> list[float]:
         if zero[i]:
             roots.append(float(grid[i]))
         else:
-            roots.append(_bisect(f, grid[i], grid[i + 1], vals[i], tol))
+            roots.append(_bisect(f, float(grid[i]), float(grid[i + 1]), float(vals[i]), tol))
     return roots
 
 
@@ -421,12 +438,20 @@ def _on_line(v, axis: int, offset: float) -> np.ndarray:
 
 
 def _line_roots(gf, obstacle, t_axis, offset, window):
-    """Sign-change roots of the grazing function along a transverse scan line."""
+    """Sign-change roots of the grazing function along a transverse scan line:
+    the grid in one batched ``value``, the bisection on floats."""
     lim = min(window, math.sqrt(max(obstacle.radius**2 - offset**2, 0.0)) * 0.999)
     if lim <= 0.0:
         return []
-    return _scan_roots(lambda v: gf.value(obstacle, _on_line(v, 1 - t_axis, offset)),
-                       np.linspace(-lim, lim, LINE_SCAN_N), LINE_ROOT_TOL)
+
+    def f(v):
+        if np.ndim(v):
+            return gf.value(obstacle, _on_line(v, 1 - t_axis, offset))
+        p = [offset, offset]
+        p[1 - t_axis] = v
+        return gf._value_grad(obstacle, *p)[0]
+
+    return _scan_roots(f, np.linspace(-lim, lim, LINE_SCAN_N), LINE_ROOT_TOL)
 
 
 def _detect_orientation(gf, obstacle, window):
@@ -462,26 +487,28 @@ def _correct(gf, obstacle, point, tol, axis=None):
     that does not lower |f| ends the iteration and is dropped.  A zero
     derivative ends the iteration.  At most 40 gradient steps or 80 axis steps.
 
-    Each iterate is evaluated once, value and gradient together.  Returns
-    (point, |residual|, gradient there), or None when the residual stays
-    above ``tol``.
+    Each iterate is evaluated once, value and gradient together, on floats
+    (``gf._value_grad``).  The point is a pair of floats.  Returns
+    (point, |residual|, gradient there) as a list, a float and a list, or
+    None when the residual stays above ``tol``.
     """
-    p = np.array(point, dtype=float)
-    f, grad = gf.value_and_gradient(obstacle, p)
+    p = list(point)
+    f, *grad = gf._value_grad(obstacle, *p)
     for _ in range(40 if axis is None else 80):
         if f == 0.0:
             return p, 0.0, grad
         if axis is None:
-            g2 = float(grad @ grad)
+            g2 = grad[0] * grad[0] + grad[1] * grad[1]
             if g2 == 0.0:
                 break
-            p_new = p - grad * (f / g2)
+            r = f / g2
+            p_new = [p[0] - grad[0] * r, p[1] - grad[1] * r]
         else:
             if grad[axis] == 0.0:
                 break
             p_new = p.copy()
             p_new[axis] = p[axis] - f / grad[axis]
-        f_new, grad_new = gf.value_and_gradient(obstacle, p_new)
+        f_new, *grad_new = gf._value_grad(obstacle, *p_new)
         if abs(f_new) > tol and abs(f_new) >= abs(f):
             break
         at_floor = abs(f_new) <= tol and abs(f_new) > FLOOR_RATIO * abs(f)
@@ -503,7 +530,9 @@ def trace_grazing_curve(gf: GrazingFunction, obstacle: Obstacle, window: float =
     apex (ratio SHRINK_FACTOR, down to SHRINK_STOP) and a pseudo-arclength
     continuation away from it (steps between H_MIN and H_MAX), out to the
     window boundary.  A branch that comes back within one step of its own
-    seed has closed a loop, and its continuation stops there.
+    seed has closed a loop, and its continuation stops there.  The tracing
+    runs on floats; each branch's residuals are |f| at its stored vertices,
+    from one batched ``value``.
     """
     if obstacle.dim_tangential != 2:
         raise UnsupportedSurface("curve tracing requires a 3D obstacle (two tangential variables)")
@@ -517,15 +546,15 @@ def trace_grazing_curve(gf: GrazingFunction, obstacle: Obstacle, window: float =
 
     branches = []
     for side, root in ((1, root_p), (-1, root_m)):
-        seed = np.zeros(2)
+        # Points are pairs of floats; a vertex becomes an array row when stored.
+        seed = [0.0, 0.0]
         seed[t_axis] = side * SEED_OFFSET
         seed[g_axis] = root
         # Polish the bisected root onto the zero set; keep it if that fails.
         polished = _correct(gf, obstacle, seed, trace_tol, axis=g_axis)
         if polished is None:
-            f_seed, grad = gf.value_and_gradient(obstacle, seed)
-            polished = seed, abs(f_seed), grad
-        seed, seed_res, grad = polished
+            polished = seed, None, gf._value_grad(obstacle, *seed)[1:]
+        seed, _, (g0, g1) = polished
 
         # Inward: geometric shrink of the transverse coordinate toward the apex.
         inward = []
@@ -536,63 +565,62 @@ def trace_grazing_curve(gf: GrazingFunction, obstacle: Obstacle, window: float =
             sol = _correct(gf, obstacle, guess, trace_tol, axis=g_axis)
             if sol is None:
                 break
-            inward.append(sol[:2])
+            inward.append(sol[0])
             guess[g_axis] = sol[0][g_axis]
             t_val *= SHRINK_FACTOR
 
         # Outward: predictor-corrector continuation.
         outward = []
-        current = seed.copy()
+        c0, c1 = seed
         prev_dir = None
         h = 10.0 * H_MIN
         travelled = 0.0
         while True:
-            norm = _norm(grad)
+            norm = math.hypot(g0, g1)
             if norm == 0.0:
                 break
-            tangent = np.array([-grad[1], grad[0]]) / norm
+            u0, u1 = -g1 / norm, g0 / norm
             if prev_dir is None:
-                if tangent[t_axis] * side < 0:
-                    tangent = -tangent
-            elif float(tangent @ prev_dir) < 0.0:
-                tangent = -tangent
-            t_here = abs(current[t_axis])
+                if (u0, u1)[t_axis] * side < 0:
+                    u0, u1 = -u0, -u1
+            elif u0 * prev_dir[0] + u1 * prev_dir[1] < 0.0:
+                u0, u1 = -u0, -u1
+            t_here = abs((c0, c1)[t_axis])
             h_cap = min(H_MAX, max(10.0 * H_MIN, 0.2 * t_here))
             step = min(h, h_cap)
             accepted = False
             left_domain = False
             while step >= H_MIN:
-                predicted = current + step * tangent
-                if _norm(predicted) > obstacle.radius * 0.995:
+                predicted = [c0 + step * u0, c1 + step * u1]
+                if math.hypot(*predicted) > obstacle.radius * 0.995:
                     left_domain = True
                     break
                 corrected = _correct(gf, obstacle, predicted, trace_tol)
-                if corrected is not None and _norm(corrected[0] - current) > 0.1 * step:
+                if (corrected is not None
+                        and math.hypot(corrected[0][0] - c0, corrected[0][1] - c1) > 0.1 * step):
                     accepted = True
                     break
                 step *= 0.5
             if left_domain:
                 break
             if not accepted:
-                raise StepCollapse(current)
-            point, res, grad = corrected
-            if (np.max(np.abs(point)) > window
-                    or _norm(point) > obstacle.radius * 0.999):
+                raise StepCollapse([c0, c1])
+            (p0, p1), _, (g0, g1) = corrected
+            if max(abs(p0), abs(p1)) > window or math.hypot(p0, p1) > obstacle.radius * 0.999:
                 break
-            outward.append((point, res))
-            chord = _norm(point - current)
+            outward.append([p0, p1])
+            chord = math.hypot(p0 - c0, p1 - c1)
             travelled += chord
-            if travelled > 2.0 * step and _norm(point - seed) < step:
+            if travelled > 2.0 * step and math.hypot(p0 - seed[0], p1 - seed[1]) < step:
                 break  # back at the seed: the branch closed a loop
-            prev_dir = (point - current) / max(chord, 1e-300)
-            current = point
+            prev_dir = ((p0 - c0) / max(chord, 1e-300), (p1 - c1) / max(chord, 1e-300))
+            c0, c1 = p0, p1
             h = min(step * 1.4, H_MAX)
             if len(outward) > 100000:
                 break
 
-        chain = list(reversed(inward)) + [(seed, seed_res)] + outward
-        verts = np.array([p for p, _ in chain])
-        resid = np.array([r for _, r in chain])
+        verts = np.array(inward[::-1] + [seed] + outward)
+        resid = np.abs(gf.value(obstacle, verts))
         arcs = np.concatenate(([0.0], np.cumsum(np.linalg.norm(np.diff(verts, axis=0), axis=1))))
         branches.append(CurveBranch(side=side, vertices=verts, residuals=resid, arc_params=arcs))
 

@@ -234,17 +234,19 @@ def test_symmetric_batch_paths_equal_per_point(surface):
 
 @pytest.mark.parametrize("obs", surface_zoo().values(), ids=surface_zoo().keys())
 def test_jet_equals_value_gradient_and_hessian(obs):
+    # The float jet: plain Python floats, each bit for bit the array methods'.
     pts = sample_disk(np.random.default_rng(10), 0.9 * obs.radius, 60)
     for p in np.vstack([np.zeros((1, 2)), pts]):
-        f, g, h = obs._jet(p)
-        assert np.array_equal(f, obs.value(p))
-        assert np.array_equal(g, obs.gradient(p))
-        assert np.array_equal(h, obs.hessian(p))
-        assert np.array_equal(obs._value_at(p.tolist()), obs.value(p))
-    outside = np.array([0.0, 1.25 * obs.radius])
-    for check in (lambda: obs._jet(outside), lambda: obs._value_at(outside.tolist())):
+        f, g, h = obs._jet_at(p.tolist())
+        assert all(type(v) is float for v in [f, *g, *h[0], *h[1]])
+        assert f == obs.value(p)
+        assert g == obs.gradient(p).tolist()
+        assert h == obs.hessian(p).tolist()
+        assert obs._value_at(p.tolist()) == obs.value(p)
+    outside = [0.0, 1.25 * obs.radius]
+    for check in (obs._jet_at, obs._value_at):
         with pytest.raises(gm.DomainExceeded, match="exceeds declared radius"):
-            check()
+            check(outside)
 
 
 def test_batch_domain_check_names_the_point_outside():

@@ -426,14 +426,48 @@ _ZOO_GRAZING = ([(name, gf) for name in surface_zoo()
                 + [(name, gm.SymmetricZeta(bbar=[-1.0, 0.2])) for name in ("symmetric-h", "exp-flat")])
 
 
+def _term_scales(gf, obs, p):
+    """For each output of ``gf._value_grad`` at p, a bound on the magnitudes
+    of the terms its float formula adds: rounding moves it a few ulps of that."""
+    if isinstance(gf, gm.SphericalGrazing):
+        d = np.abs(p - gf.bbar)
+        return np.concatenate(([abs(obs.value(p)) + 1.0 + np.abs(obs.gradient(p)) @ d],
+                               np.abs(obs.hessian(p)) @ d))
+    if isinstance(gf, gm.PlanarGrazing):
+        t = np.abs(gf.thetabar)
+        return np.concatenate(([np.abs(obs.gradient(p)) @ t], np.abs(obs.hessian(p)) @ t))
+    surf = obs.surface
+    lam, s = np.abs(surf.lam), surf._s(p)
+    y, z = lam @ np.abs(p), lam @ np.abs(gf.bbar)
+    c = abs(2.0 - surf.h_ratio_prime(s)) if s else 0.0
+    value = abs(surf.h_ratio(s)) + 2.0 * s + 2.0 * y @ z if s else 0.0
+    return np.concatenate(([value], lam.T @ (2.0 * c * y + 2.0 * z)))
+
+
 @pytest.mark.parametrize("name,gf", _ZOO_GRAZING,
                          ids=[f"{name}-{type(gf).__name__}" for name, gf in _ZOO_GRAZING])
 def test_value_and_gradient_equals_value_and_gradient(name, gf):
+    # The float (value, gradient) of the corrector against the array paths:
+    # the batched ``value`` and the single-point ``gradient``, within four
+    # ulps of the term scale (the float sums need not round as numpy's dots).
     obs = surface_zoo()[name]
-    for p in np.vstack([np.zeros((1, 2)), sample_disk(np.random.default_rng(12), 0.4, 60)]):
-        f, g = gf.value_and_gradient(obs, p)
-        assert np.array_equal(f, gf.value(obs, p))
-        assert np.array_equal(g, gf.gradient(obs, p))
+    pts = np.vstack([np.zeros((1, 2)), sample_disk(np.random.default_rng(12), 0.4, 60)])
+    values = gf.value(obs, pts)
+    for p, value in zip(pts, values):
+        got = np.array(gf._value_grad(obs, *p.tolist()))
+        want = np.concatenate(([value], gf.gradient(obs, p)))
+        assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * _term_scales(gf, obs, p))
+
+
+def test_float_zeta_names_the_point_past_the_profile_domain():
+    obs = gm.Obstacle(gm.SymmetricH.from_hcoeffs(2, [1.0], sdomain=0.01), radius=0.6)
+    gf = gm.SymmetricZeta(bbar=[-1.0, 0.0])
+    assert gf._value_grad(obs, 0.05, 0.0)[0] == pytest.approx(gf.value(obs, [0.05, 0.0]))
+    with pytest.raises(gm.grazing.HDomainExceeded) as err:
+        gf._value_grad(obs, 0.2, 0.0)
+    with pytest.raises(gm.grazing.HDomainExceeded) as ref:
+        gf.value(obs, [0.2, 0.0])
+    assert str(err.value) == str(ref.value)
 
 
 @pytest.mark.parametrize("obs", [quartic_vsq(), gm.sphere_obstacle(2, radius=0.5)],
@@ -445,25 +479,49 @@ def test_slice_point_equals_lockstep_points_at_every_grid_angle(obs):
 
 
 def test_trace_checks_the_domain_once_per_corrector_evaluation(monkeypatch):
-    # A corrector evaluation is one surface jet: one domain check for the
-    # value and the gradient together.  ``value`` (the scans, their
-    # bisections and the apex test) checks twice, for F and grad F.
-    calls = dict.fromkeys(("check", "value", "gradient", "value_and_gradient"), 0)
+    # A float evaluation (a corrector iterate or a seed-scan bisection step)
+    # makes one float radius check, ``_check_at``, for F, grad F and hess F
+    # together, and never the array check ``_check_domain``.  The array path
+    # (``value`` on the scan grids, the apex and the residual batches) checks
+    # twice per call, for F and grad F.
+    calls = dict.fromkeys(("check_at", "check_domain", "value", "gradient", "float", "steps"), 0)
 
     def counting(key, real):
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls[key] += 1
-            return real(*args)
+            return real(*args, **kwargs)
         return counted
 
+    def delta(real, tally):
+        # Wraps real so that each call appends the change of every count to tally.
+        def wrapped(*args, **kwargs):
+            before = dict(calls)
+            out = real(*args, **kwargs)
+            tally.append({k: calls[k] - before[k] for k in calls})
+            return out
+        return wrapped
+
+    corrections, scans, bisections = [], [], []
+    real_bisect = grazing._bisect
+    monkeypatch.setattr(gm.Obstacle, "_check_at", counting("check_at", gm.Obstacle._check_at))
     monkeypatch.setattr(gm.Obstacle, "_check_domain",
-                        counting("check", gm.Obstacle._check_domain))
-    for key in ("value", "gradient", "value_and_gradient"):
-        monkeypatch.setattr(gm.SphericalGrazing, key, counting(key, getattr(gm.SphericalGrazing, key)))
+                        counting("check_domain", gm.Obstacle._check_domain))
+    for key, name in (("value", "value"), ("gradient", "gradient"), ("float", "_value_grad")):
+        monkeypatch.setattr(gm.SphericalGrazing, name,
+                            counting(key, getattr(gm.SphericalGrazing, name)))
+    monkeypatch.setattr(grazing, "_correct", delta(grazing._correct, corrections))
+    monkeypatch.setattr(grazing, "_line_roots", delta(grazing._line_roots, scans))
+    monkeypatch.setattr(grazing, "_bisect",
+                        lambda f, *args: real_bisect(counting("steps", f), *args))
     gm.trace_grazing_curve(gm.SphericalGrazing(bbar=[-1.0, 0.0]), quartic_vsq(), window=0.3)
-    assert calls["value_and_gradient"] > 1000
+    assert sum(c["float"] for c in corrections) > 1000
+    assert all(c["check_at"] == c["float"] and c["check_domain"] == 0 for c in corrections)
+    assert len(scans) == 4 and sum(c["steps"] for c in scans) >= 60
+    # One grid batch per scan line: two array checks; one float check per step.
+    assert all(c["check_domain"] == 2 and c["check_at"] == c["steps"] == c["float"]
+               for c in scans)
     assert calls["gradient"] == 0
-    assert calls["check"] == calls["value_and_gradient"] + 2 * calls["value"]
+    assert calls["check_domain"] == 2 * calls["value"]
 
 
 def test_closed_grazing_loop_is_traced_once_around(tmp_path):
@@ -612,11 +670,11 @@ def test_cusp_trace_corrections_stop_at_the_rounding_floor(monkeypatch):
     # shrinking ~5%, so a corrector that waits for |H| to stop falling runs
     # to its 40-step cap (41 evaluations; 4624 for the whole trace).
     calls, per_correction = [0], []
-    real_vg, real_correct = gm.SphericalGrazing.value_and_gradient, grazing._correct
+    real_vg, real_correct = gm.SphericalGrazing._value_grad, grazing._correct
 
-    def value_and_gradient(self, obstacle, x):
+    def value_grad(self, obstacle, x0, x1):
         calls[0] += 1
-        return real_vg(self, obstacle, x)
+        return real_vg(self, obstacle, x0, x1)
 
     def correct(*args, **kwargs):
         before = calls[0]
@@ -624,7 +682,7 @@ def test_cusp_trace_corrections_stop_at_the_rounding_floor(monkeypatch):
         per_correction.append(calls[0] - before)
         return out
 
-    monkeypatch.setattr(gm.SphericalGrazing, "value_and_gradient", value_and_gradient)
+    monkeypatch.setattr(gm.SphericalGrazing, "_value_grad", value_grad)
     monkeypatch.setattr(grazing, "_correct", correct)
     gm.trace_grazing_curve(gm.SphericalGrazing(bbar=[-1.0, 0.0]), quartic_vsq(), window=0.3)
     assert calls[0] <= 1500
@@ -635,35 +693,36 @@ class _PowerRoot:
     """f = u^m with u = a . x - 1/4: an m-fold root along a line, where exact
     Newton shrinks |f| by ((m - 1)/m)^m per step, a ratio below 1/e."""
 
-    a = np.array([0.6, 0.8])
+    a0, a1 = 0.6, 0.8
 
     def __init__(self, m):
         self.m, self.calls = m, 0
 
-    def value_and_gradient(self, obstacle, x):
+    def _value_grad(self, obstacle, x0, x1):
         self.calls += 1
-        u = float(x @ self.a) - 0.25
-        return u ** self.m, self.m * u ** (self.m - 1) * self.a
+        u = x0 * self.a0 + x1 * self.a1 - 0.25
+        du = self.m * u ** (self.m - 1)
+        return u ** self.m, du * self.a0, du * self.a1
 
 
 def _correct_to_stall(gf, obstacle, point, tol, axis=None):
     """The corrector that stops only when a step fails to lower |f|."""
-    p = np.array(point, dtype=float)
-    f, grad = gf.value_and_gradient(obstacle, p)
+    p = list(point)
+    f, *grad = gf._value_grad(obstacle, *p)
     for _ in range(40 if axis is None else 80):
         if f == 0.0:
             return p, 0.0, grad
         if axis is None:
-            g2 = float(grad @ grad)
+            g2 = grad[0] * grad[0] + grad[1] * grad[1]
             if g2 == 0.0:
                 break
-            p_new = p - grad * (f / g2)
+            p_new = [p[0] - grad[0] * (f / g2), p[1] - grad[1] * (f / g2)]
         else:
             if grad[axis] == 0.0:
                 break
             p_new = p.copy()
             p_new[axis] = p[axis] - f / grad[axis]
-        f_new, grad_new = gf.value_and_gradient(obstacle, p_new)
+        f_new, *grad_new = gf._value_grad(obstacle, *p_new)
         if abs(f_new) >= abs(f):
             if abs(f_new) <= tol:
                 p, f, grad = p_new, f_new, grad_new
@@ -677,20 +736,21 @@ def _correct_to_stall(gf, obstacle, point, tol, axis=None):
 def test_floor_stop_never_cuts_a_multiple_root_convergence(m, axis):
     # The floor rule leaves every step of a real convergence in place: point,
     # residual and evaluation count equal the stall-only corrector's (81
-    # evaluations for m = 9 along an axis).  A floor ratio below 0.45 cuts
-    # one of these runs short.
+    # evaluations for m = 9 along an axis).  Any floor ratio of 0.444 or
+    # below cuts one of these runs short.
     gf, ref_gf = _PowerRoot(m), _PowerRoot(m)
     got = _correct(gf, None, [0.1, -0.2], 1e-10, axis=axis)
     ref = _correct_to_stall(ref_gf, None, [0.1, -0.2], 1e-10, axis=axis)
-    assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+    assert got[0] == ref[0] and got[1] == ref[1]
     assert gf.calls == ref_gf.calls
     assert got[1] < 1e-20
 
 
 def test_cusp_trace_vertices_graze_by_the_batched_value():
     # H recomputed per row of one (m, 2) batch, a path apart from the
-    # corrector's single-point jet; it is bit-equal to the jet's value, so it
-    # also equals the residual each vertex reports.
+    # corrector's float jet, grazes within the tolerance and equals the
+    # residual column bit for bit: the trace stores the batched |H| of each
+    # vertex, not the corrector's float |f|.
     gf, obs = gm.SphericalGrazing(bbar=[-1.0, 0.0]), quartic_vsq()
     curve = gm.trace_grazing_curve(gf, obs, window=0.3)
     verts = curve.all_vertices()
