@@ -64,12 +64,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=42, help="sampling seed")
         p.add_argument("--format", choices=("csv", "svg", "both"), default=None)
 
-    for name, helptext in (("classify", "grazing-set report"),
-                           ("trace", "trace the grazing curve to CSV"),
-                           ("render", "render the grazing curve to SVG"),
-                           ("rfm-check", "verify the reflected flow map by sampling"),
-                           ("reflect", "tabulate reflected covectors on a boundary grid")):
+    # main runs args.run.  The lambdas look their run_* function up at call
+    # time, not once when the parser is built.
+    for name, helptext, run in (
+            ("classify", "grazing-set report", lambda a: run_classify(a)),
+            ("trace", "trace the grazing curve to CSV", lambda a: run_trace(a)),
+            ("render", "render the grazing curve to SVG",
+             lambda a: run_trace(a, with_svg=True, with_sheet=a.sheet)),
+            ("rfm-check", "verify the reflected flow map by sampling", lambda a: run_rfm_check(a)),
+            ("reflect", "tabulate reflected covectors on a boundary grid",
+             lambda a: run_reflect(a))):
         common(sub.add_parser(name, help=helptext))
+        sub.choices[name].set_defaults(run=run)
     sub.choices["render"].add_argument("--sheet", action="store_true",
                                        help="overlay the shadow-boundary sheet projection")
     return parser
@@ -187,22 +193,12 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "classify":
-            return run_classify(args)
-        if args.command == "trace":
-            return run_trace(args)
-        if args.command == "render":
-            return run_trace(args, with_svg=True, with_sheet=args.sheet)
-        if args.command == "rfm-check":
-            return run_rfm_check(args)
-        if args.command == "reflect":
-            return run_reflect(args)
+        return args.run(args)
     except GrazemapError as exc:
         label = "numerical failure" if exc.exit_code == EXIT_FAIL else "error"
         sys.stderr.write(f"{label}: {exc}\n")
@@ -210,8 +206,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    parser.print_usage(sys.stderr)
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

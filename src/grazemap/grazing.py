@@ -141,10 +141,8 @@ class SymmetricZeta:
         each row bit for bit the point's; a batch names its first row whose
         |L xbar|^2 leaves the profile's domain."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.ndim == 1:
-            return symmetric_zeta(obstacle, self.bbar, x)
         surf = _symmetric_surface(obstacle)
-        y = _matvec(surf.lam, x)
+        y = _matvec(surf.lam, np.atleast_2d(x))
         s = _rowdot(y, y)
         over = np.flatnonzero(s > surf.sdomain)
         if over.size:
@@ -154,7 +152,7 @@ class SymmetricZeta:
         out = np.zeros(len(s))
         out[live] = (-surf.h_ratio(s[live]) + 2.0 * s[live]
                      - _rowdot(2.0 * y[live], surf.lam @ self.bbar))
-        return out
+        return float(out[0]) if x.ndim == 1 else out
 
     def gradient(self, obstacle: Obstacle, x) -> np.ndarray:
         surf = _symmetric_surface(obstacle)
@@ -197,16 +195,7 @@ def _symmetric_surface(obstacle: Obstacle) -> SymmetricH:
 
 def symmetric_zeta(obstacle: Obstacle, bbar, xbar) -> float:
     """Regularized grazing function for symmetric profiles; 0 at the apex."""
-    surf = _symmetric_surface(obstacle)
-    x = np.atleast_1d(np.asarray(xbar, dtype=float))
-    b = np.atleast_1d(np.asarray(bbar, dtype=float))
-    y = surf.lam @ x
-    s = float(y @ y)
-    if s > surf.sdomain:
-        raise HDomainExceeded(f"|L xbar|^2 = {s} exceeds domain {surf.sdomain}")
-    if s == 0.0:
-        return 0.0
-    return float(-surf.h_ratio(s) + 2.0 * s - 2.0 * y @ (surf.lam @ b))
+    return SymmetricZeta(bbar).value(obstacle, xbar)
 
 
 def grazing_function_for(obstacle: Obstacle, phase: Phase) -> GrazingFunction:

@@ -239,12 +239,10 @@ def boundary_trace_hessian(phase: Phase, obstacle: Obstacle, xbar) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 def eikonal_residual(phase: Phase, points) -> float:
-    """max | |grad psi|^2 - 1 | over the given full-space points."""
-    worst = 0.0
-    for p in np.atleast_2d(np.asarray(points, dtype=float)):
-        g = phase.grad_psi(p)
-        worst = max(worst, abs(float(g @ g) - 1.0))
-    return worst
+    """max | |grad psi|^2 - 1 | over the given full-space points, in one batched
+    ``grad_psi``; NaN when any gradient is NaN."""
+    g = phase.grad_psi(np.atleast_2d(np.asarray(points, dtype=float)))
+    return float(np.max(np.abs(_rowdot(g, g) - 1.0), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -266,9 +264,8 @@ def convexity_check(phase: Phase, sample_pairs) -> ConvexityVerdict:
         z1 = np.asarray(z1, dtype=float)
         z2 = np.asarray(z2, dtype=float)
         margin = phase.psi(z2) - phase.psi(z1) - float(phase.grad_psi(z1) @ (z2 - z1))
-        if margin < min_margin:
-            min_margin = margin
-            worst = (z1, z2)
+        if margin < min_margin or np.isnan(margin):  # a NaN margin sticks and fails
+            min_margin, worst = margin, (z1, z2)
     return ConvexityVerdict(passed=bool(min_margin >= -CONVEXITY_TOL),
                             min_margin=float(min_margin), worst_pair=worst)
 
@@ -282,7 +279,7 @@ def validate_phase(phase: Phase, obstacle: Obstacle, n_points: int = 1000,
     xb = xb[np.linalg.norm(xb, axis=1) <= obstacle.radius]
     pts = obstacle.boundary_point(xb)
     res = eikonal_residual(phase, pts)
-    if res > EIKONAL_TOL:
+    if not res <= EIKONAL_TOL:  # NaN fails
         raise PhaseValidationError(f"eikonal residual {res} exceeds {EIKONAL_TOL}")
     idx = rng.integers(0, len(pts), size=(min(n_pairs, 4 * len(pts) ** 2), 2))
     verdict = convexity_check(phase, [(pts[i], pts[j]) for i, j in idx])

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from operator import attrgetter
 
 import numpy as np
@@ -148,14 +149,6 @@ def _stack(records) -> BoundaryClassification:
         xbar=xbar, margin=column("margin"), label=column("label"), grad_f=column("grad_f"),
         incoming=BoundaryCovector(xbar, column("incoming.xi1"), column("incoming.xibar"),
                                   column("incoming.point")))
-
-
-def _rows(rec: BoundaryClassification, k) -> BoundaryClassification:
-    """The batch record of rows k of a batch record."""
-    xbar, xi = rec.xbar[k], rec.incoming
-    return BoundaryClassification(
-        xbar=xbar, margin=rec.margin[k], label=rec.label[k], grad_f=rec.grad_f[k],
-        incoming=BoundaryCovector(xbar, xi.xi1[k], xi.xibar[k], xi.point[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +463,11 @@ def verify_rfm(obstacle: Obstacle, phase: Phase, s0: float = 1.0,
     whose margin clears FD_MARGIN_FLOOR: below that the FD determinant
     is dominated by differencing noise).  With no illuminated sample
     nothing was checked: the verdict does not pass and reads INCONCLUSIVE.
+
+    The rejection draw is the one loop over samples; it keeps each sample's
+    record and domain row (s, xbar, t).  The Jacobians, checks, rows and
+    failure lists are array passes over the stacked records; a grazing
+    sample gets no Jacobian (NaN in its row) and fails no check.
     """
     if budget <= 0:
         raise InvalidArgument("budget must be positive")
@@ -478,9 +476,9 @@ def verify_rfm(obstacle: Obstacle, phase: Phase, s0: float = 1.0,
     # Samples stay a difference step inside the domain, where jacobian_fd steps.
     r = obstacle.radius - FD_STEP
 
-    samples = []
+    records, dom_rows = [], []
     tries = 0
-    while len(samples) < budget and tries < 200 * budget:
+    while len(records) < budget and tries < 200 * budget:
         tries += 1
         xb = rng.uniform(-r, r, size=d)
         if _norm(xb) > r:
@@ -488,66 +486,53 @@ def verify_rfm(obstacle: Obstacle, phase: Phase, s0: float = 1.0,
         cls = classify_boundary_point(obstacle, phase, xb)
         if cls.label == "shadow":
             continue
-        s = rng.uniform(0.0, s0)
-        t = rng.uniform(-1.0, 1.0)
-        samples.append((s, xb, t, cls))
+        records.append(cls)
+        dom_rows.append((rng.uniform(0.0, s0), *xb, rng.uniform(-1.0, 1.0)))  # draws s, then t
 
-    # The Jacobians of the illuminated samples as one batch each, from the
-    # records of the draw; the FD one only where the margin clears its floor.
-    j_an = np.full(len(samples), np.nan)
-    j_fd = np.full(len(samples), np.nan)
-    if samples:
-        recs = _stack([cls for _, _, _, cls in samples])
-        # One domain point (s, xbar, t) per sample.
-        dom_pts = np.column_stack(([s for s, _, _, _ in samples], recs.xbar,
-                                   [t for _, _, t, _ in samples]))
-        lit = np.flatnonzero(recs.label == "illuminated")
-        if len(lit):
-            j_an[lit] = np.linalg.det(_spatial_block(obstacle, phase, dom_pts[lit, 0],
-                                                     _rows(recs, lit)))
-            fd = lit[recs.margin[lit] >= FD_MARGIN_FLOOR]
-            if len(fd):
-                j_fd[fd] = _fd_det(obstacle, phase, dom_pts[fd])
+    # One domain row (s, xbar, t) and one stacked record per sample.
+    n = len(records)
+    dom = np.array(dom_rows).reshape(n, d + 2)
+    recs = _stack(records)
+    lit = recs.label == "illuminated"
+    fd = lit & (recs.margin >= FD_MARGIN_FLOOR)
+    # The Jacobians as one batch each, NaN where a sample is not compared.
+    j_an, j_fd = np.full((2, n), np.nan)
+    if lit.any():
+        j_an[lit] = np.linalg.det(_spatial_block(obstacle, phase, dom[lit, 0],
+                                                 _stack(list(compress(records, lit)))))
+    if fd.any():
+        j_fd[fd] = _fd_det(obstacle, phase, dom[fd])
 
-    rows = []
-    bound_failures = []
-    fd_failures = []
-    worst_gap = np.inf
-    worst_rel = 0.0
-    n_illum = 0
-    for (s, xb, t, cls), j_a, j_f in zip(samples, j_an.tolist(), j_fd.tolist()):
-        mu = cls.margin
-        ok = True
-        if cls.label == "illuminated":
-            n_illum += 1
-            gap = j_a - 2.0 * mu
-            worst_gap = min(worst_gap, gap)
-            if gap < -BOUND_SLACK:
-                bound_failures.append((s, xb, t, mu, j_a))
-                ok = False
-            if mu >= FD_MARGIN_FLOOR:
-                rel = abs(j_a - j_f) / max(abs(j_a), abs(j_f))
-                worst_rel = max(worst_rel, rel)
-                if rel > FD_REL_TOL:
-                    fd_failures.append((s, xb, t, mu, j_a, j_f))
-                    ok = False
-        rows.append((s, xb, t, mu, j_a, j_f, 2.0 * mu, ok))
+    # NaN entries compare false, so a sample fails only the checks it was given.
+    bound = 2.0 * recs.margin
+    gap = j_an - bound
+    rel = np.abs(j_an - j_fd) / np.maximum(np.abs(j_an), np.abs(j_fd))
+    bound_fail = gap < -BOUND_SLACK
+    fd_fail = rel > FD_REL_TOL
+    ok = ~(bound_fail | fd_fail)
+    rows = list(zip(dom[:, 0].tolist(), dom[:, 1:-1], dom[:, -1].tolist(), recs.margin.tolist(),
+                    j_an.tolist(), j_fd.tolist(), bound.tolist(), ok.tolist()))
+    bound_failures = [rows[k][:5] for k in np.flatnonzero(bound_fail)]
+    fd_failures = [rows[k][:6] for k in np.flatnonzero(fd_fail)]
+    n_illum = int(lit.sum())
 
     injectivity_failures = []
-    if len(samples) >= 2:
-        n_pairs = min(10000, 5 * len(samples))
-        idx = rng.integers(0, len(samples), size=(n_pairs, 2))
+    if n >= 2:
+        idx = rng.integers(0, n, size=(min(10000, 5 * n), 2))
         idx = idx[idx[:, 0] != idx[:, 1]]
         # One image per sample, from its record.
-        img_pts = np.column_stack((recs.image(dom_pts[:, :1]), dom_pts[:, -1] + 2 * dom_pts[:, 0]))
-        dom = np.linalg.norm(dom_pts[idx[:, 0]] - dom_pts[idx[:, 1]], axis=1)
-        img = np.linalg.norm(img_pts[idx[:, 0]] - img_pts[idx[:, 1]], axis=1)
-        for k in np.flatnonzero((img < 1e-9) & (dom > 1e-6)):
-            (s1, x1, t1, _), (s2, x2, t2, _) = samples[idx[k, 0]], samples[idx[k, 1]]
-            injectivity_failures.append(((s1, x1, t1), (s2, x2, t2), float(dom[k]), float(img[k])))
+        img_pts = np.column_stack((recs.image(dom[:, :1]), dom[:, -1] + 2 * dom[:, 0]))
+        dom_dist = np.linalg.norm(dom[idx[:, 0]] - dom[idx[:, 1]], axis=1)
+        img_dist = np.linalg.norm(img_pts[idx[:, 0]] - img_pts[idx[:, 1]], axis=1)
+        hit = (img_dist < 1e-9) & (dom_dist > 1e-6)
+        injectivity_failures = [(rows[i][:3], rows[j][:3], a, b) for (i, j), a, b
+                                in zip(idx[hit].tolist(), dom_dist[hit].tolist(),
+                                       img_dist[hit].tolist())]
 
     passed = n_illum > 0 and not (bound_failures or fd_failures or injectivity_failures)
-    return RfmVerdict(passed=passed, n_samples=len(samples), n_illuminated=n_illum,
-                      worst_bound_gap=float(worst_gap), worst_fd_rel_error=float(worst_rel),
+    return RfmVerdict(passed=passed, n_samples=n, n_illuminated=n_illum,
+                      # fmin/fmax skip NaN: a NaN Jacobian never becomes the worst value.
+                      worst_bound_gap=float(np.fmin.reduce(gap[lit], initial=np.inf)),
+                      worst_fd_rel_error=float(np.fmax.reduce(rel[fd], initial=0.0)),
                       injectivity_failures=injectivity_failures,
                       bound_failures=bound_failures, fd_failures=fd_failures, rows=rows)

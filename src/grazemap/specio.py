@@ -117,7 +117,11 @@ def parse_obstacle(path: str) -> Obstacle:
     if dim > MAX_DIM:
         raise SpecError(path, dim_line, f"dim must be <= {MAX_DIM}, got {dim}")
     d = dim - 1
-    radius = _radius(path, *values.get("radius", (1, "1.0")))
+    radius_line, radius_raw = values.get("radius", (1, "1.0"))
+    radius = _radius(path, radius_line, radius_raw)
+    if not math.isfinite(d * radius * radius):  # the samplers compare squared norms with it
+        raise SpecError(path, radius_line,
+                        f"radius must keep (dim - 1) * radius^2 finite, got {radius_raw!r}")
 
     if kind == "polynomial":
         if not terms:

@@ -268,7 +268,8 @@ def test_reflect_csv(specs, tmp_path):
     ("classify", "obstacle", SPHERE_OBSTACLE.replace("radius = 0.5", "radius = nan"), 4),
     ("classify", "obstacle", CUSP_OBSTACLE.replace("term = -1 4 0", "term = nan 4 0"), 5),
     ("reflect", "phase", "kind = spherical\nb = inf -1 0\n", 2),
-], ids=["radius", "term", "source"])
+    ("reflect", "obstacle", SPHERE_OBSTACLE.replace("radius = 0.5", "radius = 1e200"), 4),
+], ids=["radius", "term", "source", "radius-squared"])
 def test_non_finite_spec_number_is_spec_error(specs, tmp_path, capsys, command, kind, text, line):
     bad = tmp_path / f"bad.{kind}"
     bad.write_text(text, encoding="utf-8")

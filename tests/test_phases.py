@@ -172,6 +172,30 @@ def test_validate_phase_accepts_and_rejects(sphere):
         gm.validate_phase(half, sphere)
 
 
+def test_phase_checks_fail_on_nan(sphere):
+    # A NaN gradient once read as eikonal residual 0.0 and a NaN value as no
+    # convexity margin at all, so validate_phase passed both phases.
+    calls = []
+
+    def nan_grad(x):
+        calls.append(np.shape(x))
+        return np.full(3, np.nan)
+
+    no_grad = gm.ConvexPhase(value_fn=lambda x: float(x[1]), grad_fn=nan_grad, name="nan-grad")
+    pts = sphere.boundary_point(sample_disk(np.random.default_rng(3), 0.4, 20))
+    assert np.isnan(gm.eikonal_residual(no_grad, pts))
+    assert calls == [(3,)] * 20  # a user provider sees one point at a time
+    with pytest.raises(gm.phases.PhaseValidationError, match="eikonal residual nan exceeds"):
+        gm.validate_phase(no_grad, sphere, n_points=50, n_pairs=50)
+    no_value = gm.ConvexPhase(value_fn=lambda x: np.nan,
+                              grad_fn=lambda x: np.array([0.0, 1.0, 0.0]), name="nan-value")
+    verdict = gm.convexity_check(no_value, [(pts[0], pts[1]), (pts[2], pts[3])])
+    assert not verdict.passed and np.isnan(verdict.min_margin)
+    assert np.array_equal(np.stack(verdict.worst_pair), pts[2:4])  # the last NaN pair
+    with pytest.raises(gm.phases.PhaseValidationError, match="convexity violated: margin nan"):
+        gm.validate_phase(no_value, sphere, n_points=50, n_pairs=50)
+
+
 def test_plane_phase_requires_unit_theta():
     with pytest.raises(gm.phases.PhaseValidationError):
         gm.PlanePhase(theta=[0.0, 2.0, 0.0])

@@ -220,3 +220,26 @@ def test_verify_rfm_failure_lists_equal_per_sample_reference(sphere):
     assert np.array_equal(_flat(verdict.rows), _flat(rows), equal_nan=True)
     assert np.array_equal(_flat(verdict.bound_failures), _flat(bound_failures))
     assert _flat(verdict.fd_failures).tolist() == _flat(fd_failures).tolist()
+
+
+@pytest.mark.parametrize("ids", [("sphere", "spherical"), ("symmetric", "user-convex")],
+                         ids=["sphere/side", "symmetric/user-convex"])
+def test_verify_rfm_grazing_samples_equal_per_sample_reference(ids, monkeypatch):
+    # A wide grazing band labels many drawn samples grazing: they get no
+    # Jacobian (NaN in their rows), fail no check and are not illuminated.
+    import grazemap.reflection as refl
+    monkeypatch.setattr(refl, "GRAZING_TOL", 0.05)
+    obstacle, phase = _pair(ids)
+    verdict = gm.verify_rfm(obstacle, phase, s0=1.0, budget=100, seed=2)
+    rows, bound_failures, fd_failures, injectivity, summary = reference_verify_rfm(
+        obstacle, phase, 1.0, 100, 2)
+    grazing = [row for row in verdict.rows if abs(row[3]) <= 0.05]
+    assert grazing and all(np.isnan(row[4:6]).all() and row[7] for row in grazing)
+    assert verdict.n_illuminated == verdict.n_samples - len(grazing)
+    assert (verdict.n_samples, verdict.n_illuminated, verdict.worst_bound_gap,
+            verdict.worst_fd_rel_error) == summary
+    assert _flat(verdict.rows).tobytes() == _flat(rows).tobytes()
+    assert _flat(verdict.bound_failures).tobytes() == _flat(bound_failures).tobytes()
+    assert _flat(verdict.fd_failures).tobytes() == _flat(fd_failures).tobytes()
+    assert verdict.injectivity_failures == injectivity == []
+    assert verdict.passed == (not bound_failures and not fd_failures)

@@ -47,3 +47,45 @@ def test_benchmark_tracer_mechanisms_resolve():
                     or obj.__module__ != f"grazemap.{layer}"):
                 missing.append(name)
     assert missing == []
+
+
+def test_every_private_helper_has_a_caller():
+    # A module-level private function or class counts as called when its own
+    # module names it, or when a module imports it by name from there or
+    # reaches it as an attribute of that module; two modules' helpers of one
+    # name stay distinct.  A private method counts when any module reads an
+    # attribute of its name.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    names = {module: set() for module in trees}  # module -> names it loads
+    used = set()  # (module, name) reached from outside the module
+    attributes = set()
+    for module, tree in trees.items():
+        imported = {}  # local name -> defining module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                imported.update({alias.asname or alias.name: node.module for alias in node.names})
+            elif isinstance(node, ast.Name):
+                names[module].add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in trees:
+                    used.add((node.value.id, node.attr))
+        used.update((imported[name], name) for name in names[module] if name in imported)
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if (private(node.name) and node.name not in names[module]
+                    and (module, node.name) not in used):
+                unused.append(f"{module}.{node.name}")
+            for method in node.body if isinstance(node, ast.ClassDef) else ():
+                if (isinstance(method, ast.FunctionDef) and private(method.name)
+                        and method.name not in attributes):
+                    unused.append(f"{module}.{node.name}.{method.name}")
+    assert unused == []

@@ -125,6 +125,8 @@ SINGLE_FAULTS = {
     "obstacle-radius-not-positive": (parse_obstacle,
                                      "kind = builtin\nname = sphere\nradius = -1\n", 3,
                                      "radius must be positive and finite"),
+    "obstacle-radius-overflows": (parse_obstacle, "kind = builtin\nname = sphere\nradius = 1e200\n",
+                                  3, "radius must keep (dim - 1) * radius^2 finite, got '1e200'"),
     "no-term": (parse_obstacle, "dim = 3\nkind = polynomial\n", 2,
                 "polynomial obstacle needs at least one 'term' line"),
     "term-field-count": (parse_obstacle, "kind = polynomial\nterm = 1 0 0\nterm = -1 4\n", 3,
