@@ -23,7 +23,7 @@ from .phases import (BoundaryCovector, ConvexPhase, PlanePhase, SphericalPhase,
                      boundary_trace_hessian, convexity_check, eikonal_residual,
                      validate_phase, xi_incoming, xi_jacobian)
 from .reflection import (BoundaryClassification, FlowSample, GrazingSingular,
-                         JacobianReport, NoConvergence, OutsideRange,
+                         JacobianReport, NoConvergence, NonFiniteMargin, OutsideRange,
                          RfmVerdict, ShadowPoint,
                          classify_boundary_point, flow_map, invert_flow,
                          jacobian_analytic, jacobian_fd, reflect_direction,

@@ -148,8 +148,10 @@ def run_rfm_check(args) -> int:
     out = _outdir(args)
     cols = (["s"] + [f"x{i + 2}" for i in range(obstacle.dim_tangential)]
             + ["t", "mu", "j_analytic", "j_fd", "bound", "pass"])
+    # The row fields are Python floats from tolist() and xbar a numpy row:
+    # repr of each float is _fmt's text, without a call per field.
     _write_csv(out / "rfm.csv", cols,
-               [[_fmt(v) for v in (s, *xb, t, mu, ja, jf, bound)] + [str(int(ok))]
+               [[*map(repr, (s, *xb.tolist(), t, mu, ja, jf, bound)), str(int(ok))]
                 for s, xb, t, mu, ja, jf, bound, ok in verdict.rows])
     sys.stdout.write(f"samples = {verdict.n_samples}\n")
     sys.stdout.write(f"illuminated = {verdict.n_illuminated}\n")

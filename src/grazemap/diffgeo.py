@@ -560,23 +560,31 @@ class Obstacle:
         """The radius check of one point given as a list of floats."""
         self._check_radius(math.hypot(*xs))
 
-    def _jet_at(self, xs: list) -> tuple:
-        """(F, grad F, hess F) at one point given as a list of floats, after
-        one ``_check_at``: a float, a list and a list of rows, each entry bit
-        for bit what ``value``, ``gradient`` and ``hessian`` return there.  A
-        polynomial surface evaluates its cached derivative polynomials on the
-        floats; the other surfaces run their array methods once."""
+    def _value_grad_at(self, xs: list) -> tuple:
+        """(F, grad F) at one point given as a list of floats, after one
+        ``_check_at``: a float and a list, each entry bit for bit what
+        ``value`` and ``gradient`` return there.  A polynomial surface
+        evaluates its cached gradient polynomials on the floats; the other
+        surfaces run their array methods once."""
         self._check_at(xs)
         if isinstance(self.surface, PolynomialSurface):
             poly = self.surface.poly
-            grad, hess = poly._derivatives()
-            h = [[0.0] * poly.dim for _ in range(poly.dim)]
-            for (i, j), p in hess.items():
-                h[i][j] = h[j][i] = p._eval_point(xs)
-            return poly._eval_point(xs), [g._eval_point(xs) for g in grad], h
+            return poly._eval_point(xs), [g._eval_point(xs) for g in poly._derivatives()[0]]
         x = np.array(xs)
-        return (self.surface.value(x), self.surface.gradient(x).tolist(),
-                self.surface.hessian(x).tolist())
+        return self.surface.value(x), self.surface.gradient(x).tolist()
+
+    def _jet_at(self, xs: list) -> tuple:
+        """(F, grad F, hess F) at one point given as a list of floats:
+        ``_value_grad_at`` and the Hessian, as a list of rows bit for bit
+        what ``hessian`` returns there."""
+        f, g = self._value_grad_at(xs)
+        if isinstance(self.surface, PolynomialSurface):
+            poly = self.surface.poly
+            h = [[0.0] * poly.dim for _ in range(poly.dim)]
+            for (i, j), p in poly._derivatives()[1].items():
+                h[i][j] = h[j][i] = p._eval_point(xs)
+            return f, g, h
+        return f, g, self.surface.hessian(np.array(xs)).tolist()
 
     def _value_at(self, xs: list) -> float:
         """F at one point given as a list of floats: ``value`` there, bit for

@@ -48,6 +48,12 @@ class GrazingSingular(GrazemapError, ValueError):
     exit_code = 3
 
 
+class NonFiniteMargin(GrazemapError, ValueError):
+    """The tangency margin at a boundary point is NaN, so it has no label."""
+
+    exit_code = 3
+
+
 class NoConvergence(GrazemapError, RuntimeError):
     """Newton inversion failed to reach the residual target."""
 
@@ -126,15 +132,28 @@ _LABELS = ("grazing", "illuminated", "shadow")  # by (margin > tol) + 2 (margin 
 
 def classify_boundary_point(obstacle: Obstacle, phase: Phase, xbar) -> BoundaryClassification:
     """Assemble the boundary point over xbar (d,), or over each row of a batch
-    (m, d), and label it by the sign of its tangency margin."""
+    (m, d), and label it by the sign of its tangency margin.
+
+    A NaN margin fails both comparisons and would read as grazing; it raises
+    ``NonFiniteMargin`` naming the (first) such xbar instead.  Only the
+    points the comparisons label grazing are tested.
+    """
     xi = xi_incoming(phase, obstacle, xbar)
     grad_f = obstacle._gradient(xi.xbar)  # its boundary point has checked the domain
     mu = _rowdot(grad_f, xi.xibar) - xi.xi1
     if mu.ndim:
-        label = np.take(_LABELS, (mu > GRAZING_TOL) + 2 * (mu < -GRAZING_TOL))
+        code = (mu > GRAZING_TOL) + 2 * (mu < -GRAZING_TOL)
+        grazing = np.flatnonzero(code == 0)
+        nan = grazing[np.isnan(mu[grazing])]
+        if nan.size:
+            raise NonFiniteMargin(f"tangency margin is nan at xbar={xi.xbar[nan[0]].tolist()}")
+        label = np.take(_LABELS, code)
     else:  # one point: a float and a str, without numpy scalar arithmetic
         mu = float(mu)
-        label = _LABELS[(mu > GRAZING_TOL) + 2 * (mu < -GRAZING_TOL)]
+        code = (mu > GRAZING_TOL) + 2 * (mu < -GRAZING_TOL)
+        if not code and mu != mu:
+            raise NonFiniteMargin(f"tangency margin is nan at xbar={xi.xbar.tolist()}")
+        label = _LABELS[code]
     return BoundaryClassification(xbar=xi.xbar, margin=mu, label=label, grad_f=grad_f,
                                   incoming=xi)
 

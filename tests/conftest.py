@@ -85,3 +85,14 @@ def illuminated_samples(obstacle, phase, rng, n, radius=None, margin_floor=1e-3)
         if mu >= margin_floor:
             out.append((x, mu))
     return out
+
+
+def nan_above_phase(x3_cut=0.2):
+    """The convex distance phase of a source at (1, -1, 0), with a gradient
+    that is NaN where x3 > x3_cut: its tangency margin is NaN there."""
+    base = gm.ConvexPhase.distance_to_sphere([1.0, -1.0, 0.0], 2.0)
+
+    def grad(x):
+        return np.full(3, np.nan) if x[2] > x3_cut else base.grad_psi(x)
+
+    return gm.ConvexPhase(value_fn=base.value_fn, grad_fn=grad, name="nan-above")

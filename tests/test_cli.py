@@ -12,6 +12,8 @@ import grazemap
 from grazemap import cli, reflection
 from grazemap.cli import main
 
+from conftest import nan_above_phase
+
 CUSP_OBSTACLE = ("dim = 3\nkind = polynomial\nradius = 1.0\n"
                  "term = 1 0 0\nterm = -1 4 0\nterm = -1 0 2\n")
 ROUNDED_OBSTACLE = ("dim = 3\nkind = polynomial\nradius = 1.0\n"
@@ -185,6 +187,21 @@ def test_rfm_check_unlit_obstacle_is_inconclusive(specs, tmp_path, capsys):
     assert lines[-1] == "RFM INCONCLUSIVE"
 
 
+def test_rfm_check_nan_margin_exits_3(specs, tmp_path, capsys, monkeypatch):
+    # A phase whose margin is NaN on part of the boundary is a numerical
+    # failure with one line-anchored message, not a PASS that skipped it.
+    monkeypatch.setattr(cli, "parse_phase", lambda *args, **kwargs: nan_above_phase())
+    code = main(["rfm-check", "--obstacle", specs["sphere.obstacle"], "--phase",
+                 specs["side.phase"], "--budget", "300", "--seed", "1",
+                 "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("numerical failure: tangency margin is nan at xbar=[")
+    assert "Traceback" not in captured.err
+
+
 def test_rfm_check_invalid_budget(specs, tmp_path, capsys):
     code = main(["rfm-check", "--obstacle", specs["sphere.obstacle"], "--phase",
                  specs["side.phase"], "--budget", "0", "--out", str(tmp_path / "o")])
@@ -230,13 +247,13 @@ def test_every_library_exception_carries_an_exit_code():
         for name, cls in inspect.getmembers(module, inspect.isclass):
             if issubclass(cls, BaseException) and cls.__module__ == module.__name__:
                 found[name] = cls
-    assert len(found) == 20  # GrazemapError and its 19 subclasses
+    assert len(found) == 21  # GrazemapError and its 20 subclasses
     for name, cls in found.items():
         assert issubclass(cls, grazemap.GrazemapError), name
         assert cls.exit_code in (1, 3), name
     assert {name for name, cls in found.items() if cls.exit_code == 3} == {
         "SeedNotFound", "StepCollapse", "InsufficientPoints", "SliceMiss", "NoConvergence",
-        "GrazingSingular"}
+        "GrazingSingular", "NonFiniteMargin"}
 
 
 @pytest.mark.parametrize("exc, code, label", [

@@ -243,8 +243,9 @@ def test_jet_equals_value_gradient_and_hessian(obs):
         assert g == obs.gradient(p).tolist()
         assert h == obs.hessian(p).tolist()
         assert obs._value_at(p.tolist()) == obs.value(p)
+        assert obs._value_grad_at(p.tolist()) == (f, g)  # the jet without its Hessian
     outside = [0.0, 1.25 * obs.radius]
-    for check in (obs._jet_at, obs._value_at):
+    for check in (obs._jet_at, obs._value_at, obs._value_grad_at):
         with pytest.raises(gm.DomainExceeded, match="exceeds declared radius"):
             check(outside)
 

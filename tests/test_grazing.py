@@ -1,5 +1,6 @@
 import math
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import grazemap as gm
 from grazemap.diffgeo import MultiPoly
 from grazemap.cli import main
 from grazemap import grazing
-from grazemap.grazing import (SEED_OFFSET, SLICE_N_PHI, _bisect, _bisect_lanes, _correct,
+from grazemap.grazing import (LINE_ROOT_TOL, LINE_SCAN_N, SEED_OFFSET, SLICE_N_PHI, _correct,
                               _SliceCurve, leading_homogeneous_part)
 
 from conftest import (planar_c1_obstacle, planar_cusp_obstacle, quartic_mixed_vsq,
@@ -377,6 +378,48 @@ def test_gs_reports(make_obs, phase, verdict):
     assert report.verdict == verdict
 
 
+def _sextic():
+    return gm.polynomial_obstacle(2, {(0, 0): 1.0, (6, 0): -1.0, (0, 2): -1.0})
+
+
+def _miscounted_slices(monkeypatch):
+    monkeypatch.setattr(grazing, "slice_grazing_count",
+                        lambda obstacle, bbar, x2s: gm.SliceCount(2, 1, np.zeros((3, 2)), x2s))
+    return quartic_vsq()
+
+
+SIDE = gm.SphericalPhase(source=[1.0, -1.0, 0.0])
+# Every way gs_assumption_report can come out INCONCLUSIVE, with the start of
+# the note that says why.
+INCONCLUSIVE_CASES = [
+    ("inflection", lambda mp: gm.polynomial_obstacle(2, {(0, 0): 1.0, (3, 0): -1.0, (0, 2): -1.0}),
+     gm.SphericalPhase(source=[1.0, 1.0, 0.0]), {}, "inflection contact"),
+    ("slice-counts", _miscounted_slices, SIDE, {}, "slice counts differ from (1,1)"),
+    ("tracing-failed", lambda mp: quartic_vsq(), SIDE, {"window": 1e-4}, "tracing failed: "),
+    ("fit-failed", lambda mp: quartic_vsq(), gm.PlanePhase(theta=[0.0, 1.0, 0.0]), {},
+     "regularity fit failed: "),
+    ("fit-inconclusive", lambda mp: _sextic(), SIDE, {},
+     "regularity fit inconclusive: exponent 0.4039 is in neither"),
+    ("dim-2", lambda mp: gm.sphere_obstacle(1, 0.5), gm.SphericalPhase(source=[1.0, -1.0]), {},
+     "dim = 2: tracing, the regularity fit and slice counts cover dim 3 only"),
+    ("dim-4", lambda mp: gm.sphere_obstacle(3, 0.5),
+     gm.SphericalPhase(source=[1.0, -1.0, 0.0, 0.0]), {}, "dim = 4: tracing"),
+]
+
+
+@pytest.mark.parametrize("make_obs,phase,kwargs,cause", [case[1:] for case in INCONCLUSIVE_CASES],
+                         ids=[case[0] for case in INCONCLUSIVE_CASES])
+def test_every_inconclusive_report_says_why(monkeypatch, make_obs, phase, kwargs, cause):
+    report = gm.gs_assumption_report(make_obs(monkeypatch), phase, **kwargs)
+    assert report.verdict == gm.grazing.VERDICT_INCONCLUSIVE
+    boilerplate = ("curve verdicts are numerical evidence, not proofs",
+                   "diffractive type of nearby grazing points is sampled, not exhaustive")
+    assert report.notes[:2] == boilerplate
+    causes = [note for note in report.notes[2:]
+              if note != "slice counts apply to spherical sources only"]
+    assert any(note.startswith(cause) for note in causes), report.notes
+
+
 def test_gs_report_sphere_and_symmetric(sphere, side_source):
     assert gm.gs_assumption_report(sphere, side_source).verdict == "GS-HOLDS-SMOOTH"
     flat = gm.Obstacle(gm.SymmetricH.exp_flat(2), radius=0.6)
@@ -459,6 +502,16 @@ def test_value_and_gradient_equals_value_and_gradient(name, gf):
         assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * _term_scales(gf, obs, p))
 
 
+@pytest.mark.parametrize("name,gf", _ZOO_GRAZING,
+                         ids=[f"{name}-{type(gf).__name__}" for name, gf in _ZOO_GRAZING])
+def test_float_value_equals_the_float_jet_value(name, gf):
+    # The seed bisection's Hessian-free float value is the corrector's, bit for bit.
+    obs = surface_zoo()[name]
+    for p in np.vstack([np.zeros((1, 2)), sample_disk(np.random.default_rng(13), 0.4, 40)]):
+        value = gf._value_at(obs, *p.tolist())
+        assert type(value) is float and value == gf._value_grad(obs, *p.tolist())[0]
+
+
 def test_float_zeta_names_the_point_past_the_profile_domain():
     obs = gm.Obstacle(gm.SymmetricH.from_hcoeffs(2, [1.0], sdomain=0.01), radius=0.6)
     gf = gm.SymmetricZeta(bbar=[-1.0, 0.0])
@@ -478,13 +531,64 @@ def test_slice_point_equals_lockstep_points_at_every_grid_angle(obs):
     assert np.array_equal(curve.points(phis), np.array([curve.point(phi) for phi in phis]))
 
 
+@pytest.mark.parametrize("name", [name for name in surface_zoo() if name != "exp-flat"])
+def test_slice_newton_is_one_float_path_on_every_surface(name):
+    # The float Newton of ``point`` and the lockstep one of ``points`` on the
+    # surfaces without compiled polynomials too (array jets, differenced
+    # gradients); the flat profile has no slice curve at this parameter.
+    curve = _SliceCurve(surface_zoo()[name], -1.0, -0.05)
+    phis = np.linspace(0.0, 2.0 * np.pi, 97)
+    assert np.array_equal(curve.points(phis), np.array([curve.point(phi) for phi in phis]))
+
+
+def test_slice_count_solves_each_ray_in_a_few_newton_steps(monkeypatch):
+    # Cusp/side: the lockstep solve of the 1441 grid angles takes 10 rounds
+    # (the jet at every bracket's outer end, then one per Newton step), and
+    # the two crossings take 7.  Each single-angle ``point`` of the angular
+    # bisection makes 7 or 8 float jet evaluations after its march; bisecting
+    # the march bracket to 1e-14 would take about 40.
+    rounds, jets, log = [0], [0], []
+    real_ray_jet, real_jet = _SliceCurve._ray_jet, gm.Obstacle._value_grad_at
+
+    def ray_jet(self, r, u):
+        rounds[0] += bool(np.ndim(r))
+        return real_ray_jet(self, r, u)
+
+    def value_grad_at(self, xs):
+        jets[0] += 1
+        return real_jet(self, xs)
+
+    def tally(name, real):
+        def wrapped(self, phi):
+            before = rounds[0], jets[0]
+            out = real(self, phi)
+            log.append((name, len(phi) if name == "points" else 1,
+                        rounds[0] - before[0], jets[0] - before[1]))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(_SliceCurve, "_ray_jet", ray_jet)
+    monkeypatch.setattr(gm.Obstacle, "_value_grad_at", value_grad_at)
+    for name in ("point", "points"):
+        monkeypatch.setattr(_SliceCurve, name, tally(name, getattr(_SliceCurve, name)))
+    sc = gm.slice_grazing_count(quartic_vsq(), [-1.0, 0.0], -0.05)
+    assert (sc.count_pos, sc.count_neg) == (1, 1)
+    assert [entry for entry in log if entry[0] == "points"] == [("points", SLICE_N_PHI + 1, 10, 0),
+                                                                ("points", 2, 7, 0)]
+    singles = [entry for entry in log if entry[0] == "point"]
+    assert all(entry[2] == 0 for entry in singles)
+    assert sorted(Counter(entry[3] for entry in singles).items()) == [(7, 64), (8, 8)]
+
+
 def test_trace_checks_the_domain_once_per_corrector_evaluation(monkeypatch):
-    # A float evaluation (a corrector iterate or a seed-scan bisection step)
-    # makes one float radius check, ``_check_at``, for F, grad F and hess F
-    # together, and never the array check ``_check_domain``.  The array path
-    # (``value`` on the scan grids, the apex and the residual batches) checks
-    # twice per call, for F and grad F.
-    calls = dict.fromkeys(("check_at", "check_domain", "value", "gradient", "float", "steps"), 0)
+    # A float evaluation (a corrector iterate or a seed bisection step) makes
+    # one float radius check, ``_check_at``, and never the array check
+    # ``_check_domain``.  Each of the four seed scan lines is one batched
+    # ``value``, which checks twice, for F and grad F, and makes no float
+    # evaluation.  Only the two seed roots are bisected, on the Hessian-free
+    # ``_value_at``: a grid step of 0.6 / 1023 halves 33 times below 1e-13.
+    calls = dict.fromkeys(("check_at", "check_domain", "value", "gradient", "float",
+                           "float_value"), 0)
 
     def counting(key, real):
         def counted(*args, **kwargs):
@@ -502,24 +606,28 @@ def test_trace_checks_the_domain_once_per_corrector_evaluation(monkeypatch):
         return wrapped
 
     corrections, scans, bisections = [], [], []
-    real_bisect = grazing._bisect
     monkeypatch.setattr(gm.Obstacle, "_check_at", counting("check_at", gm.Obstacle._check_at))
     monkeypatch.setattr(gm.Obstacle, "_check_domain",
                         counting("check_domain", gm.Obstacle._check_domain))
-    for key, name in (("value", "value"), ("gradient", "gradient"), ("float", "_value_grad")):
+    for key, name in (("value", "value"), ("gradient", "gradient"), ("float", "_value_grad"),
+                      ("float_value", "_value_at")):
         monkeypatch.setattr(gm.SphericalGrazing, name,
                             counting(key, getattr(gm.SphericalGrazing, name)))
     monkeypatch.setattr(grazing, "_correct", delta(grazing._correct, corrections))
-    monkeypatch.setattr(grazing, "_line_roots", delta(grazing._line_roots, scans))
-    monkeypatch.setattr(grazing, "_bisect",
-                        lambda f, *args: real_bisect(counting("steps", f), *args))
+    monkeypatch.setattr(grazing._ScanLine, "__init__",
+                        delta(grazing._ScanLine.__init__, scans))
+    monkeypatch.setattr(grazing, "_bisect", delta(grazing._bisect, bisections))
     gm.trace_grazing_curve(gm.SphericalGrazing(bbar=[-1.0, 0.0]), quartic_vsq(), window=0.3)
     assert sum(c["float"] for c in corrections) > 1000
     assert all(c["check_at"] == c["float"] and c["check_domain"] == 0 for c in corrections)
-    assert len(scans) == 4 and sum(c["steps"] for c in scans) >= 60
-    # One grid batch per scan line: two array checks; one float check per step.
-    assert all(c["check_domain"] == 2 and c["check_at"] == c["steps"] == c["float"]
-               for c in scans)
+    assert len(scans) == 4
+    assert all(c["value"] == 1 and c["check_domain"] == 2 and c["check_at"] == 0 for c in scans)
+    halvings = math.ceil(math.log2(0.6 / (LINE_SCAN_N - 1) / LINE_ROOT_TOL))
+    assert halvings == 33
+    assert [c["float_value"] for c in bisections] == [halvings] * 2
+    assert all(c["check_at"] == c["float_value"] and c["float"] == c["check_domain"] == 0
+               for c in bisections)
+    assert calls["float_value"] == 2 * halvings
     assert calls["gradient"] == 0
     assert calls["check_domain"] == 2 * calls["value"]
 
@@ -616,24 +724,6 @@ def test_check_u1ww_matches_loop(terms):
     v = gm.check_u1ww(poly)
     assert v.min_eig == best
     assert np.array_equal(v.argmin, arg)
-
-
-@pytest.mark.parametrize("tol", [1e-14, 1e-6])
-def test_bisect_lanes_equals_bisect_per_lane(tol):
-    roots = np.linspace(-0.9, 0.9, 37)
-    lo, hi = roots - 1.0, roots + 0.7
-    roots[5], lo[5], hi[5] = -0.625, -1.125, -0.125     # exact zero at the first midpoint
-    sign = np.where(np.arange(37) % 2 == 0, 1.0, -1.0)   # rising and falling lanes
-
-    def f_lanes(t, idx):
-        return sign[idx] * (t - roots[idx]) * (1.0 + (t - roots[idx]) ** 2)
-
-    got = _bisect_lanes(f_lanes, lo, hi, f_lanes(lo, np.arange(37)), tol)
-    for k in range(37):
-        def f(t):
-            return float(f_lanes(np.array([t]), np.array([k]))[0])
-        assert got[k] == _bisect(f, lo[k], hi[k], f(lo[k]), tol)
-    assert got[5] == roots[5]
 
 
 @pytest.mark.parametrize("surface", [

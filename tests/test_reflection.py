@@ -7,7 +7,7 @@ from grazemap.phases import boundary_trace_hessian
 from grazemap.reflection import (GRAZING_FLOOR, GRID_N_S, GRID_N_X, S_RANGE, _grid_seed,
                                  _reflected_field_derivative, factor_matrices)
 
-from conftest import illuminated_samples, quartic_vsq, sample_disk
+from conftest import illuminated_samples, nan_above_phase, quartic_vsq, sample_disk
 
 
 def specular(obstacle, x, v):
@@ -291,6 +291,27 @@ def test_verify_rfm_catches_focusing_field(sphere):
     assert not verdict.passed
     assert verdict.bound_failures
     assert any(row[4] < 0.0 for row in verdict.rows if not np.isnan(row[4]))
+
+
+def test_nan_margin_is_a_numerical_failure_not_a_grazing_point(sphere):
+    # A NaN margin fails both comparisons with the grazing tolerance; it was
+    # labelled grazing, so verify_rfm gave such samples no check and read PASS
+    # with 127 NaN rows of 300.
+    phase = nan_above_phase()
+    first = r"^tangency margin is nan at xbar=\[0\.011821388267762745, 0\.4504546870520088\]$"
+    with pytest.raises(gm.NonFiniteMargin, match=first):
+        gm.verify_rfm(sphere, phase, s0=1.0, budget=300, seed=1)
+    pts = np.array([[-0.1, 0.0], [0.1, -0.1], [0.0, 0.3], [0.0, 0.25]])
+    with pytest.raises(gm.NonFiniteMargin, match=r"at xbar=\[0\.0, 0\.3\]$"):
+        gm.classify_boundary_point(sphere, phase, pts)  # the first NaN row is named
+    with pytest.raises(gm.NonFiniteMargin, match=r"at xbar=\[0\.0, 0\.25\]$"):
+        gm.classify_boundary_point(sphere, phase, pts[3])
+    # Lit and shadow points below the cut keep their labels, batched or not.
+    assert gm.classify_boundary_point(sphere, phase, pts[:2]).label.tolist() == [
+        "illuminated", "shadow"]
+    assert [gm.classify_boundary_point(sphere, phase, p).label for p in pts[:2]] == [
+        "illuminated", "shadow"]
+    assert gm.NonFiniteMargin.exit_code == 3
 
 
 def test_verify_rfm_injectivity_pass_fires(sphere, side_source, monkeypatch):
