@@ -157,6 +157,9 @@ def run_rfm_check(args) -> int:
     sys.stdout.write(f"illuminated = {verdict.n_illuminated}\n")
     sys.stdout.write(f"worst_bound_gap = {_fmt(verdict.worst_bound_gap)}\n")
     sys.stdout.write(f"worst_fd_rel_error = {_fmt(verdict.worst_fd_rel_error)}\n")
+    if verdict.n_samples < args.budget:
+        sys.stdout.write(f"note = drew {verdict.n_samples} of {args.budget} samples in "
+                         f"{verdict.tries} tries (try cap reached)\n")
     summary = verdict.summary()
     sys.stdout.write(f"RFM {summary}\n")
     return VERDICT_EXIT[summary]

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from operator import attrgetter
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .diffgeo import (GrazemapError, InvalidArgument, Obstacle, _central_difference, _norm,
+from .diffgeo import (GrazemapError, InvalidArgument, Obstacle, _central_difference,
                       _outer, _per_row, _rowdot)
 from .phases import BoundaryCovector, Phase, _xi_jacobian, xi_incoming
 
@@ -130,38 +130,49 @@ class BoundaryClassification:
 _LABELS = ("grazing", "illuminated", "shadow")  # by (margin > tol) + 2 (margin < -tol)
 
 
+def _assemble(obstacle: Obstacle, phase: Phase, xbar) -> BoundaryClassification:
+    """``classify_boundary_point`` without its NaN check: a NaN margin fails
+    both comparisons and is labelled grazing."""
+    xi = xi_incoming(phase, obstacle, xbar)
+    grad_f = obstacle._gradient(xi.xbar)  # its boundary point has checked the domain
+    mu = _rowdot(grad_f, xi.xibar) - xi.xi1
+    if mu.ndim:
+        label = np.take(_LABELS, (mu > GRAZING_TOL) + 2 * (mu < -GRAZING_TOL))
+    else:  # one point: a float and a str, without numpy scalar arithmetic
+        mu = float(mu)
+        label = _LABELS[(mu > GRAZING_TOL) + 2 * (mu < -GRAZING_TOL)]
+    return BoundaryClassification(xbar=xi.xbar, margin=mu, label=label, grad_f=grad_f,
+                                  incoming=xi)
+
+
+def _nan_margin(xbar: np.ndarray) -> NonFiniteMargin:
+    return NonFiniteMargin(f"tangency margin is nan at xbar={xbar.tolist()}")
+
+
 def classify_boundary_point(obstacle: Obstacle, phase: Phase, xbar) -> BoundaryClassification:
     """Assemble the boundary point over xbar (d,), or over each row of a batch
     (m, d), and label it by the sign of its tangency margin.
 
     A NaN margin fails both comparisons and would read as grazing; it raises
-    ``NonFiniteMargin`` naming the (first) such xbar instead.  Only the
-    points the comparisons label grazing are tested.
+    ``NonFiniteMargin`` naming the (first) such xbar instead.
     """
-    xi = xi_incoming(phase, obstacle, xbar)
-    grad_f = obstacle._gradient(xi.xbar)  # its boundary point has checked the domain
-    mu = _rowdot(grad_f, xi.xibar) - xi.xi1
-    if mu.ndim:
-        code = (mu > GRAZING_TOL) + 2 * (mu < -GRAZING_TOL)
-        grazing = np.flatnonzero(code == 0)
-        nan = grazing[np.isnan(mu[grazing])]
+    cls = _assemble(obstacle, phase, xbar)
+    if cls.xbar.ndim == 1:
+        if cls.margin != cls.margin:
+            raise _nan_margin(cls.xbar)
+    else:
+        nan = np.flatnonzero(np.isnan(cls.margin))
         if nan.size:
-            raise NonFiniteMargin(f"tangency margin is nan at xbar={xi.xbar[nan[0]].tolist()}")
-        label = np.take(_LABELS, code)
-    else:  # one point: a float and a str, without numpy scalar arithmetic
-        mu = float(mu)
-        code = (mu > GRAZING_TOL) + 2 * (mu < -GRAZING_TOL)
-        if not code and mu != mu:
-            raise NonFiniteMargin(f"tangency margin is nan at xbar={xi.xbar.tolist()}")
-        label = _LABELS[code]
-    return BoundaryClassification(xbar=xi.xbar, margin=mu, label=label, grad_f=grad_f,
-                                  incoming=xi)
+            raise _nan_margin(cls.xbar[nan[0]])
+    return cls
 
 
-def _stack(records) -> BoundaryClassification:
-    """The batch record whose row k is the single-point record records[k]."""
+def _gather(parts) -> BoundaryClassification:
+    """The batch record of the rows ``rows`` of each batch record ``cls`` of
+    parts [(cls, rows), ...], in order: rows of the records, not re-assemblies."""
     def column(name):
-        return np.array(list(map(attrgetter(name), records)))
+        get = attrgetter(name)
+        return np.concatenate([get(cls)[rows] for cls, rows in parts])
 
     xbar = column("xbar")
     return BoundaryClassification(
@@ -450,6 +461,7 @@ class RfmVerdict:
     passed: bool
     n_samples: int
     n_illuminated: int
+    tries: int                   # candidates drawn; 200 * budget caps them
     worst_bound_gap: float       # min over samples of j_analytic - 2*margin
     worst_fd_rel_error: float    # max relative |j_analytic - j_fd|
     injectivity_failures: list
@@ -466,6 +478,67 @@ class RfmVerdict:
 FD_MARGIN_FLOOR = 1e-3  # smallest margin at which the FD Jacobian is compared
 FD_REL_TOL = 1e-6       # largest relative analytic-vs-FD Jacobian gap that passes
 BOUND_SLACK = 1e-9      # how far j_analytic may fall below 2*margin and still pass
+DRAW_BLOCK = 1 << 14    # most raw doubles one block of the draw takes: bounds its batches
+
+
+def _draw(obstacle: Obstacle, phase: Phase, rng, r: float, s0: float, budget: int):
+    """The rejection draw of ``verify_rfm``, run over blocks of raw doubles.
+
+    It is the loop that draws a candidate xb = rng.uniform(-r, r, size=d),
+    rejects it outside |xb| <= r or in shadow, then draws s =
+    rng.uniform(0, s0) and t = rng.uniform(-1, 1), until ``budget`` samples
+    or 200 * budget candidates.  Each uniform is lo + (hi - lo) u of one raw
+    double u, so a block of raw doubles holds every candidate the loop can
+    draw from it: one window of d doubles at every even offset for d = 2,
+    where a candidate takes 2 doubles and a sample 2 more, and at every
+    offset otherwise.  The windows in the disk are classified in one batch,
+    and a walk over their labels replays the loop.  The generator then
+    stands where the loop leaves it: at its saved state advanced by the
+    doubles consumed.
+
+    Returns the samples' record (rows of the block batches), their domain
+    rows (s, xbar, t) and the number of candidates tried.
+    """
+    d = obstacle.dim_tangential
+    cap = 200 * budget
+    step = 2 if d == 2 else 1
+    reject, accept = d // step, (d + 2) // step  # windows a rejection, a sample moves on
+    state = rng.bit_generator.state
+    kept, doms = [], []
+    n = tries = used = 0
+    u = np.empty(0)
+    size = 2 * (d + 2) * budget  # first block: twice what a draw keeping every candidate takes
+    while n < budget and tries < cap:
+        u = np.concatenate((u, rng.random(min(size, DRAW_BLOCK, (cap - tries) * (d + 2)))))
+        # The windows whose candidate, s and t all lie in the block.
+        xb = -r + (2.0 * r) * sliding_window_view(u, d)[:len(u) - d - 1:step]
+        # _rowdot is the dot _norm takes of one vector, row by row.
+        inside = np.flatnonzero(np.sqrt(_rowdot(xb, xb)) <= r)
+        cls = _assemble(obstacle, phase, xb[inside])
+        code = np.zeros(len(xb), dtype=np.int8)  # 0 rejected, 1 a sample, 2 a NaN margin
+        code[inside] = np.where(np.isnan(cls.margin), 2, cls.label != "shadow")
+        codes = code.tolist()
+        picked, k = [], 0
+        while n < budget and tries < cap and k < len(codes):
+            tries += 1
+            if not codes[k]:
+                k += reject
+                continue
+            if codes[k] == 2:
+                raise _nan_margin(xb[k])
+            picked.append(k)
+            n += 1
+            k += accept
+        at = np.array(picked, dtype=int) * step + d  # offsets of the samples' s
+        kept.append(_gather([(cls, np.searchsorted(inside, picked))]))  # drops the rest
+        doms.append(np.column_stack((0.0 + s0 * u[at], xb[picked], -1.0 + 2.0 * u[at + 1])))
+        used += k * step
+        u = u[k * step:]
+        # Next block: the doubles per sample so far, with a quarter to spare.
+        size = max(64, int(1.25 * used / n * (budget - n))) if n else 2 * size
+    rng.bit_generator.state = state
+    rng.bit_generator.advance(used)
+    return _gather([(rec, slice(None)) for rec in kept]), np.concatenate(doms), tries
 
 
 def verify_rfm(obstacle: Obstacle, phase: Phase, s0: float = 1.0,
@@ -482,43 +555,29 @@ def verify_rfm(obstacle: Obstacle, phase: Phase, s0: float = 1.0,
     whose margin clears FD_MARGIN_FLOOR: below that the FD determinant
     is dominated by differencing noise).  With no illuminated sample
     nothing was checked: the verdict does not pass and reads INCONCLUSIVE.
+    The draw stops at 200 * budget candidates, so it can end with fewer
+    samples than ``budget``; ``tries`` says how many it drew.
 
-    The rejection draw is the one loop over samples; it keeps each sample's
-    record and domain row (s, xbar, t).  The Jacobians, checks, rows and
-    failure lists are array passes over the stacked records; a grazing
-    sample gets no Jacobian (NaN in its row) and fails no check.
+    The rejection draw classifies its candidates in batched blocks (see
+    ``_draw``).  The Jacobians, checks, rows and failure lists are array
+    passes over the samples' record; a grazing sample gets no Jacobian
+    (NaN in its row) and fails no check.
     """
     if budget <= 0:
         raise InvalidArgument("budget must be positive")
+    if not 0.0 <= s0 < np.inf:  # the range rng.uniform(0, s0) accepts
+        raise InvalidArgument("s0 must be finite and nonnegative")
     rng = np.random.default_rng(seed)
-    d = obstacle.dim_tangential
     # Samples stay a difference step inside the domain, where jacobian_fd steps.
-    r = obstacle.radius - FD_STEP
-
-    records, dom_rows = [], []
-    tries = 0
-    while len(records) < budget and tries < 200 * budget:
-        tries += 1
-        xb = rng.uniform(-r, r, size=d)
-        if _norm(xb) > r:
-            continue
-        cls = classify_boundary_point(obstacle, phase, xb)
-        if cls.label == "shadow":
-            continue
-        records.append(cls)
-        dom_rows.append((rng.uniform(0.0, s0), *xb, rng.uniform(-1.0, 1.0)))  # draws s, then t
-
-    # One domain row (s, xbar, t) and one stacked record per sample.
-    n = len(records)
-    dom = np.array(dom_rows).reshape(n, d + 2)
-    recs = _stack(records)
+    recs, dom, tries = _draw(obstacle, phase, rng, obstacle.radius - FD_STEP, s0, budget)
+    n = len(dom)
     lit = recs.label == "illuminated"
     fd = lit & (recs.margin >= FD_MARGIN_FLOOR)
     # The Jacobians as one batch each, NaN where a sample is not compared.
     j_an, j_fd = np.full((2, n), np.nan)
     if lit.any():
         j_an[lit] = np.linalg.det(_spatial_block(obstacle, phase, dom[lit, 0],
-                                                 _stack(list(compress(records, lit)))))
+                                                 _gather([(recs, lit)])))
     if fd.any():
         j_fd[fd] = _fd_det(obstacle, phase, dom[fd])
 
@@ -549,7 +608,7 @@ def verify_rfm(obstacle: Obstacle, phase: Phase, s0: float = 1.0,
                                        img_dist[hit].tolist())]
 
     passed = n_illum > 0 and not (bound_failures or fd_failures or injectivity_failures)
-    return RfmVerdict(passed=passed, n_samples=n, n_illuminated=n_illum,
+    return RfmVerdict(passed=passed, n_samples=n, n_illuminated=n_illum, tries=tries,
                       # fmin/fmax skip NaN: a NaN Jacobian never becomes the worst value.
                       worst_bound_gap=float(np.fmin.reduce(gap[lit], initial=np.inf)),
                       worst_fd_rel_error=float(np.fmax.reduce(rel[fd], initial=0.0)),

@@ -140,9 +140,31 @@ def test_rfm_check_pass(specs, tmp_path, capsys):
     assert code == 0
     stdout = capsys.readouterr().out
     assert stdout.strip().endswith("RFM PASS")
+    assert "note = " not in stdout  # the draw met its budget
     lines = (out / "rfm.csv").read_text().splitlines()
     assert lines[0] == "s,x2,x3,t,mu,j_analytic,j_fd,bound,pass"
     assert len(lines) == 201
+
+
+def test_rfm_check_short_draw_says_so(tmp_path, capsys):
+    # At dim = 10 about 0.64 % of the cube's candidates lie in the disk and
+    # fewer still are lit, below the 0.5 % that 200 tries per sample need:
+    # the draw stops at its try cap.  The verdict and exit code stand, and a
+    # note says the budget was not met.
+    obstacle = tmp_path / "sphere10.obstacle"
+    obstacle.write_text("dim = 10\nkind = builtin\nname = sphere\nradius = 0.5\n",
+                        encoding="utf-8")
+    phase = tmp_path / "side10.phase"
+    phase.write_text("kind = spherical\nb = 1 -1" + " 0" * 8 + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    code = main(["rfm-check", "--obstacle", str(obstacle), "--phase", str(phase),
+                 "--budget", "20", "--out", str(out)])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "samples = 6"
+    assert lines[-2:] == ["note = drew 6 of 20 samples in 4000 tries (try cap reached)",
+                          "RFM PASS"]
+    assert len((out / "rfm.csv").read_text().splitlines()) == 7
 
 
 def test_rfm_check_sample_near_domain_edge(specs, tmp_path, capsys):
@@ -184,7 +206,8 @@ def test_rfm_check_unlit_obstacle_is_inconclusive(specs, tmp_path, capsys):
     assert code == 2
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "samples = 0"
-    assert lines[-1] == "RFM INCONCLUSIVE"
+    assert lines[-2:] == ["note = drew 0 of 20 samples in 4000 tries (try cap reached)",
+                          "RFM INCONCLUSIVE"]
 
 
 def test_rfm_check_nan_margin_exits_3(specs, tmp_path, capsys, monkeypatch):
@@ -376,7 +399,7 @@ def test_rfm_check_unlit_reports_infinite_bound_gap(specs, tmp_path, capsys):
           "--budget", "20", "--out", str(out)])
     assert capsys.readouterr().out.splitlines() == [
         "samples = 0", "illuminated = 0", "worst_bound_gap = inf", "worst_fd_rel_error = 0.0",
-        "RFM INCONCLUSIVE"]
+        "note = drew 0 of 20 samples in 4000 tries (try cap reached)", "RFM INCONCLUSIVE"]
     assert (out / "rfm.csv").read_text() == "s,x2,x3,t,mu,j_analytic,j_fd,bound,pass\n"
 
 

@@ -4,8 +4,8 @@ import pytest
 import grazemap as gm
 from grazemap.cli import main
 from grazemap.phases import boundary_trace_hessian
-from grazemap.reflection import (GRAZING_FLOOR, GRID_N_S, GRID_N_X, S_RANGE, _grid_seed,
-                                 _reflected_field_derivative, factor_matrices)
+from grazemap.reflection import (FD_STEP, GRAZING_FLOOR, GRID_N_S, GRID_N_X, S_RANGE,
+                                 _grid_seed, _reflected_field_derivative, factor_matrices)
 
 from conftest import illuminated_samples, nan_above_phase, quartic_vsq, sample_disk
 
@@ -319,19 +319,14 @@ def test_verify_rfm_injectivity_pass_fires(sphere, side_source, monkeypatch):
     # spatial flow point is constant, so all images coincide while the
     # boundary points differ.  The pass must record the pairs.
     import grazemap.reflection as refl
-    real_rng = np.random.default_rng
+    real_draw = refl._draw
 
-    class ScalarDrawsAtLow:
-        def __init__(self, seed):
-            self.rng = real_rng(seed)
+    def draw_at_low(*args):
+        recs, dom, tries = real_draw(*args)
+        dom[:, 0], dom[:, -1] = 0.0, -1.0
+        return recs, dom, tries
 
-        def uniform(self, lo=0.0, hi=1.0, size=None):
-            return lo if size is None else self.rng.uniform(lo, hi, size)
-
-        def integers(self, *args, **kwargs):
-            return self.rng.integers(*args, **kwargs)
-
-    monkeypatch.setattr(refl.np.random, "default_rng", ScalarDrawsAtLow)
+    monkeypatch.setattr(refl, "_draw", draw_at_low)
     monkeypatch.setattr(refl.BoundaryClassification, "image",
                         lambda self, s: np.zeros(np.shape(s)[:-1] + (3,)))
     verdict = gm.verify_rfm(sphere, side_source, s0=1.0, budget=50, seed=3)
@@ -351,6 +346,14 @@ def test_verify_rfm_keeps_difference_steps_inside_domain(sphere, side_source):
 def test_verify_rfm_rejects_zero_budget(sphere, side_source):
     with pytest.raises(ValueError):
         gm.verify_rfm(sphere, side_source, budget=0)
+
+
+@pytest.mark.parametrize("s0", [-0.5, np.nan, np.inf])
+def test_verify_rfm_rejects_a_ray_range_it_cannot_draw_from(sphere, side_source, s0):
+    # rng.uniform(0, s0) refuses these ranges; the draw is checked up front,
+    # whether or not a sample is ever kept.
+    with pytest.raises(gm.InvalidArgument, match="^s0 must be finite and nonnegative$"):
+        gm.verify_rfm(sphere, side_source, s0=s0, budget=5)
 
 
 def test_jacobian_fd_accepts_the_grazing_points_flow_map_accepts(sphere, side_source):
@@ -471,12 +474,18 @@ def test_inversion_and_sampler_do_not_re_derive_points(sphere, side_source, eval
     assert all(n <= bound for n, bound in zip(evaluations, (23, 14, 26)))
     evaluations[:] = [0, 0, 0]
     verdict = gm.verify_rfm(sphere, side_source, budget=300, seed=1)
-    # One assembly per drawn candidate (686) and the 8 difference points of
-    # each of the 299 FD-compared samples; the analytic Jacobians and the
-    # images read the draw's records.
+    # The draw's first block holds 2 (d + 2) * budget = 2400 raw doubles and
+    # this draw consumes fewer, so it classifies each in-disk window of that
+    # block once: candidates start at even offsets, up to 2400 - 4 so that s
+    # and t fit.  Add the 8 difference points of each of the 299 FD-compared
+    # samples; the analytic Jacobians and the images read the draw's records.
+    assert 2 * verdict.tries + 2 * 300 <= 2400
+    r = sphere.radius - FD_STEP
+    windows = -r + 2.0 * r * np.random.default_rng(1).random(2400)[:2398].reshape(-1, 2)
+    n_classified = int(np.count_nonzero(np.linalg.norm(windows, axis=1) <= r))
     n_fd = sum(1 for row in verdict.rows if not np.isnan(row[5]))
     assert n_fd == 299
-    assert evaluations == [686 + 8 * n_fd] * 3
+    assert evaluations == [n_classified + 8 * n_fd] * 3
 
 
 def test_batched_jacobian_assembles_each_point_once(sphere, side_source, evaluations):

@@ -187,12 +187,28 @@ def _flat(items):
     return np.array([np.hstack([np.ravel(v).astype(float) for v in item]) for item in items])
 
 
-@pytest.mark.parametrize("ids, budget", [
-    (("sphere", "spherical"), 300), (("sphere", "convex-distance"), 120),
-    (("cusp", "spherical"), 150), (("symmetric", "user-convex"), 80)],
-    ids=["sphere/side", "sphere/convex-distance", "cusp/side", "symmetric/user-convex"])
-def test_verify_rfm_equals_per_sample_reference(ids, budget):
-    obstacle, phase = _pair(ids)
+# Spheres with d = 1, 3 and 9 tangential axes lit from (1, -1, 0, ...), whose
+# draws take a candidate at every offset of the random stream, and a plane
+# wave travelling away from the cap, which lights nothing.
+MORE_OBSTACLES = {f"sphere-d{d}": lambda d=d: gm.sphere_obstacle(d, radius=0.5)
+                  for d in (1, 3, 9)}
+MORE_PHASES = {f"spherical-d{d}":
+               lambda d=d: gm.SphericalPhase(source=[1.0, -1.0] + [0.0] * (d - 1))
+               for d in (1, 3, 9)}
+MORE_PHASES["unlit"] = lambda: gm.PlanePhase(theta=[1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("ids, budget, draw", [
+    (("sphere", "spherical"), 300, "one block"), (("sphere", "convex-distance"), 120, "one block"),
+    (("cusp", "spherical"), 150, "blocks"), (("symmetric", "user-convex"), 80, "one block"),
+    (("sphere-d1", "spherical-d1"), 150, "one block"),
+    (("sphere-d3", "spherical-d3"), 150, "blocks"),
+    (("sphere-d9", "spherical-d9"), 20, "try cap"), (("sphere", "unlit"), 20, "try cap")],
+    ids=["sphere/side", "sphere/convex-distance", "cusp/side", "symmetric/user-convex",
+         "sphere-d1/side", "sphere-d3/side", "sphere-d9/side", "sphere/unlit"])
+def test_verify_rfm_equals_per_sample_reference(ids, budget, draw):
+    obstacle, phase = ({**OBSTACLES, **MORE_OBSTACLES}[ids[0]](),
+                       {**PHASES, **MORE_PHASES}[ids[1]]())
     verdict = gm.verify_rfm(obstacle, phase, s0=1.0, budget=budget, seed=1)
     rows, bound_failures, fd_failures, injectivity, summary = reference_verify_rfm(
         obstacle, phase, 1.0, budget, 1)
@@ -202,7 +218,16 @@ def test_verify_rfm_equals_per_sample_reference(ids, budget):
     assert len(verdict.bound_failures) == len(bound_failures)
     assert len(verdict.fd_failures) == len(fd_failures)
     assert verdict.injectivity_failures == injectivity == []
-    assert verdict.passed == (not bound_failures and not fd_failures)
+    assert verdict.passed == (summary[1] > 0 and not bound_failures and not fd_failures)
+    # The raw doubles the draw consumed: d per candidate and 2 per sample.  Its
+    # first block holds 2 (d + 2) * budget; "blocks" draws run past it.
+    d = obstacle.dim_tangential
+    used = d * verdict.tries + 2 * verdict.n_samples
+    if draw == "try cap":
+        assert verdict.n_samples < budget and verdict.tries == 200 * budget
+    else:
+        assert verdict.n_samples == budget
+    assert (used > 2 * (d + 2) * budget) == (draw != "one block")
 
 
 def test_verify_rfm_failure_lists_equal_per_sample_reference(sphere):
