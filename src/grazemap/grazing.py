@@ -173,6 +173,8 @@ class SymmetricZeta:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         ltl = surf.lam.T @ surf.lam
         s = float((surf.lam @ x) @ (surf.lam @ x))
+        if s > surf.sdomain:
+            raise HDomainExceeded(f"|L xbar|^2 = {s} exceeds domain {surf.sdomain}")
         if s == 0.0:
             return -2.0 * ltl @ self.bbar
         return (2.0 - surf.h_ratio_prime(s)) * 2.0 * (ltl @ x) - 2.0 * ltl @ self.bbar

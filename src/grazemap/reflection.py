@@ -25,10 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, index
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .diffgeo import (GrazemapError, InvalidArgument, Obstacle, _central_difference,
                       _outer, _per_row, _rowdot)
@@ -202,8 +201,8 @@ def flow_map(obstacle: Obstacle, phase: Phase, s: float, xbar, t: float = 0.0) -
     cls = classify_boundary_point(obstacle, phase, xbar)
     if cls.label == "shadow":
         raise ShadowPoint(f"margin {cls.margin} < -{GRAZING_TOL} at xbar={xbar}")
-    if s < 0.0:
-        raise InvalidArgument("ray parameter s must be nonnegative")
+    if not 0.0 <= s < np.inf:
+        raise InvalidArgument("ray parameter s must be finite and nonnegative")
     y = np.concatenate((cls.image(s), [t + 2.0 * s]))
     return FlowSample(s=float(s), xbar=cls.xbar, t=float(t), y=y)
 
@@ -461,7 +460,7 @@ class RfmVerdict:
     passed: bool
     n_samples: int
     n_illuminated: int
-    tries: int                   # candidates drawn; 200 * budget caps them
+    tries: int                   # candidates (rows) drawn; 200 * budget caps them
     worst_bound_gap: float       # min over samples of j_analytic - 2*margin
     worst_fd_rel_error: float    # max relative |j_analytic - j_fd|
     injectivity_failures: list
@@ -478,66 +477,49 @@ class RfmVerdict:
 FD_MARGIN_FLOOR = 1e-3  # smallest margin at which the FD Jacobian is compared
 FD_REL_TOL = 1e-6       # largest relative analytic-vs-FD Jacobian gap that passes
 BOUND_SLACK = 1e-9      # how far j_analytic may fall below 2*margin and still pass
-DRAW_BLOCK = 1 << 14    # most raw doubles one block of the draw takes: bounds its batches
+DRAW_BLOCK = 1 << 12    # most rows (tries) one chunk of the draw takes: bounds its batches
 
 
 def _draw(obstacle: Obstacle, phase: Phase, rng, r: float, s0: float, budget: int):
-    """The rejection draw of ``verify_rfm``, run over blocks of raw doubles.
+    """The rejection draw of ``verify_rfm``, in chunks of rows of raw doubles.
 
-    It is the loop that draws a candidate xb = rng.uniform(-r, r, size=d),
-    rejects it outside |xb| <= r or in shadow, then draws s =
-    rng.uniform(0, s0) and t = rng.uniform(-1, 1), until ``budget`` samples
-    or 200 * budget candidates.  Each uniform is lo + (hi - lo) u of one raw
-    double u, so a block of raw doubles holds every candidate the loop can
-    draw from it: one window of d doubles at every even offset for d = 2,
-    where a candidate takes 2 doubles and a sample 2 more, and at every
-    offset otherwise.  The windows in the disk are classified in one batch,
-    and a walk over their labels replays the loop.  The generator then
-    stands where the loop leaves it: at its saved state advanced by the
-    doubles consumed.
+    Each try takes one row u of d + 2 raw doubles: the candidate xb = -r +
+    (2r) u[:d], rejected outside |xb| <= r or in shadow, and for a kept
+    sample s = s0 u[d] and t = -1 + 2 u[d + 1]; a rejected try uses up its
+    whole row.  Tries stop at ``budget`` samples or 200 * budget tries.
+    rng.random((k, d + 2)) is k successive rng.random(d + 2) calls, so a
+    chunk is k tries of the per-try loop: its in-disk rows are classified in
+    one batch, and it keeps the first non-shadow rows it needs.  The
+    generator then stands right after the last row tried, as after that loop.
 
-    Returns the samples' record (rows of the block batches), their domain
-    rows (s, xbar, t) and the number of candidates tried.
+    Returns the samples' record (rows of the chunk batches), their domain
+    rows (s, xbar, t) and the number of tries.
     """
     d = obstacle.dim_tangential
     cap = 200 * budget
-    step = 2 if d == 2 else 1
-    reject, accept = d // step, (d + 2) // step  # windows a rejection, a sample moves on
     state = rng.bit_generator.state
     kept, doms = [], []
-    n = tries = used = 0
-    u = np.empty(0)
-    size = 2 * (d + 2) * budget  # first block: twice what a draw keeping every candidate takes
+    n = tries = 0
+    k = 4 * budget  # first chunk: enough rows for a draw that keeps a quarter of its tries
     while n < budget and tries < cap:
-        u = np.concatenate((u, rng.random(min(size, DRAW_BLOCK, (cap - tries) * (d + 2)))))
-        # The windows whose candidate, s and t all lie in the block.
-        xb = -r + (2.0 * r) * sliding_window_view(u, d)[:len(u) - d - 1:step]
+        u = rng.random((min(k, DRAW_BLOCK, cap - tries), d + 2))
+        xb = -r + (2.0 * r) * u[:, :d]
         # _rowdot is the dot _norm takes of one vector, row by row.
         inside = np.flatnonzero(np.sqrt(_rowdot(xb, xb)) <= r)
         cls = _assemble(obstacle, phase, xb[inside])
-        code = np.zeros(len(xb), dtype=np.int8)  # 0 rejected, 1 a sample, 2 a NaN margin
-        code[inside] = np.where(np.isnan(cls.margin), 2, cls.label != "shadow")
-        codes = code.tolist()
-        picked, k = [], 0
-        while n < budget and tries < cap and k < len(codes):
-            tries += 1
-            if not codes[k]:
-                k += reject
-                continue
-            if codes[k] == 2:
-                raise _nan_margin(xb[k])
-            picked.append(k)
-            n += 1
-            k += accept
-        at = np.array(picked, dtype=int) * step + d  # offsets of the samples' s
-        kept.append(_gather([(cls, np.searchsorted(inside, picked))]))  # drops the rest
-        doms.append(np.column_stack((0.0 + s0 * u[at], xb[picked], -1.0 + 2.0 * u[at + 1])))
-        used += k * step
-        u = u[k * step:]
-        # Next block: the doubles per sample so far, with a quarter to spare.
-        size = max(64, int(1.25 * used / n * (budget - n))) if n else 2 * size
+        picked = np.flatnonzero(cls.label != "shadow")[:budget - n]  # a NaN margin reads grazing
+        nan = np.flatnonzero(np.isnan(cls.margin[picked]))
+        if nan.size:  # the first NaN row tried
+            raise _nan_margin(cls.xbar[picked[nan[0]]])
+        rows = inside[picked]  # the samples' rows of the chunk
+        n += len(rows)
+        tries += int(rows[-1]) + 1 if n == budget else len(u)  # up to the last sample kept
+        kept.append(_gather([(cls, picked)]))
+        doms.append(np.column_stack((0.0 + s0 * u[rows, d], xb[rows], -1.0 + 2.0 * u[rows, d + 1])))
+        # Next chunk: the tries per sample so far, with a quarter to spare.
+        k = max(64, int(1.25 * tries / n * (budget - n))) if n else 2 * k
     rng.bit_generator.state = state
-    rng.bit_generator.advance(used)
+    rng.bit_generator.advance((d + 2) * tries)
     return _gather([(rec, slice(None)) for rec in kept]), np.concatenate(doms), tries
 
 
@@ -558,11 +540,17 @@ def verify_rfm(obstacle: Obstacle, phase: Phase, s0: float = 1.0,
     The draw stops at 200 * budget candidates, so it can end with fewer
     samples than ``budget``; ``tries`` says how many it drew.
 
-    The rejection draw classifies its candidates in batched blocks (see
-    ``_draw``).  The Jacobians, checks, rows and failure lists are array
-    passes over the samples' record; a grazing sample gets no Jacobian
-    (NaN in its row) and fails no check.
+    Each try of the rejection draw takes one row of d + 2 raw doubles from
+    the generator, and the draw classifies its candidates in chunks of rows
+    (see ``_draw``).  The Jacobians, checks, rows and failure lists are array
+    passes over the samples' record; a grazing sample gets no Jacobian (NaN
+    in its row) and fails no check.  A budget that is not an integer raises
+    ``InvalidArgument``.
     """
+    try:
+        budget = index(budget)
+    except TypeError:
+        raise InvalidArgument(f"budget must be an integer, got {budget!r}") from None
     if budget <= 0:
         raise InvalidArgument("budget must be positive")
     if not 0.0 <= s0 < np.inf:  # the range rng.uniform(0, s0) accepts

@@ -521,6 +521,9 @@ def test_float_zeta_names_the_point_past_the_profile_domain():
     with pytest.raises(gm.grazing.HDomainExceeded) as ref:
         gf.value(obs, [0.2, 0.0])
     assert str(err.value) == str(ref.value)
+    with pytest.raises(gm.grazing.HDomainExceeded) as grad:
+        gf.gradient(obs, [0.2, 0.0])
+    assert str(grad.value) == str(ref.value)
 
 
 @pytest.mark.parametrize("obs", [quartic_vsq(), gm.sphere_obstacle(2, radius=0.5)],

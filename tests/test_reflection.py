@@ -348,6 +348,24 @@ def test_verify_rfm_rejects_zero_budget(sphere, side_source):
         gm.verify_rfm(sphere, side_source, budget=0)
 
 
+@pytest.mark.parametrize("budget", [2.5, np.float64(3.0), "5", None],
+                         ids=["float", "numpy-float", "str", "none"])
+def test_verify_rfm_rejects_a_budget_that_is_not_an_integer(sphere, side_source, budget):
+    # These raised numpy's or the comparison's builtin TypeError.
+    with pytest.raises(gm.InvalidArgument, match="^budget must be an integer, got "):
+        gm.verify_rfm(sphere, side_source, budget=budget)
+    # Python and numpy integers still pass.
+    assert gm.verify_rfm(sphere, side_source, budget=np.int64(3)).n_samples == 3
+
+
+@pytest.mark.parametrize("s", [-0.5, np.nan, np.inf])
+def test_flow_map_rejects_a_ray_parameter_off_the_ray(sphere, side_source, s):
+    # A NaN s passed the old `s < 0` guard and gave a flow point of NaNs.
+    with pytest.raises(gm.InvalidArgument,
+                       match="^ray parameter s must be finite and nonnegative$"):
+        gm.flow_map(sphere, side_source, s, [-0.2, 0.1])
+
+
 @pytest.mark.parametrize("s0", [-0.5, np.nan, np.inf])
 def test_verify_rfm_rejects_a_ray_range_it_cannot_draw_from(sphere, side_source, s0):
     # rng.uniform(0, s0) refuses these ranges; the draw is checked up front,
@@ -474,17 +492,16 @@ def test_inversion_and_sampler_do_not_re_derive_points(sphere, side_source, eval
     assert all(n <= bound for n, bound in zip(evaluations, (23, 14, 26)))
     evaluations[:] = [0, 0, 0]
     verdict = gm.verify_rfm(sphere, side_source, budget=300, seed=1)
-    # The draw's first block holds 2 (d + 2) * budget = 2400 raw doubles and
-    # this draw consumes fewer, so it classifies each in-disk window of that
-    # block once: candidates start at even offsets, up to 2400 - 4 so that s
-    # and t fit.  Add the 8 difference points of each of the 299 FD-compared
-    # samples; the analytic Jacobians and the images read the draw's records.
-    assert 2 * verdict.tries + 2 * 300 <= 2400
+    # The draw's first chunk holds 4 * budget = 1200 rows of 4 raw doubles and
+    # this draw tries fewer, so it classifies each in-disk candidate of that
+    # chunk once.  Add the 8 difference points of each FD-compared sample;
+    # the analytic Jacobians and the images read the draw's records.
+    assert verdict.tries <= 1200
     r = sphere.radius - FD_STEP
-    windows = -r + 2.0 * r * np.random.default_rng(1).random(2400)[:2398].reshape(-1, 2)
-    n_classified = int(np.count_nonzero(np.linalg.norm(windows, axis=1) <= r))
+    candidates = -r + 2.0 * r * np.random.default_rng(1).random((1200, 4))[:, :2]
+    n_classified = int(np.count_nonzero(np.linalg.norm(candidates, axis=1) <= r))
     n_fd = sum(1 for row in verdict.rows if not np.isnan(row[5]))
-    assert n_fd == 299
+    assert n_fd == 300
     assert evaluations == [n_classified + 8 * n_fd] * 3
 
 

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import grazemap as gm
-from grazemap.reflection import (FD_MARGIN_FLOOR, FD_STEP, BOUND_SLACK, FD_REL_TOL,
+import grazemap.reflection as refl
+from grazemap.reflection import (FD_MARGIN_FLOOR, FD_STEP, BOUND_SLACK, FD_REL_TOL, _draw,
                                  _reflected_field_derivative)
 
 from conftest import quartic_vsq, sample_disk
@@ -133,22 +134,31 @@ def test_batch_domain_exceeded_names_the_largest_xbar(sphere, side_source):
         gm.jacobian_analytic(sphere, side_source, 0.1, pts)
 
 
-def reference_verify_rfm(obstacle, phase, s0, budget, seed):
-    """verify_rfm as a per-sample loop over the public single-point functions:
-    (rows, failure lists, summary numbers)."""
-    rng = np.random.default_rng(seed)
+def reference_draw(obstacle, phase, rng, s0, budget):
+    """verify_rfm's rejection draw as a per-try loop over the public
+    single-point functions: each try takes one row u of d + 2 raw doubles.
+    Returns the samples [(s, xbar, t, record), ...] and the number of tries."""
+    d = obstacle.dim_tangential
     r = obstacle.radius - FD_STEP
     samples, tries = [], 0
     while len(samples) < budget and tries < 200 * budget:
         tries += 1
-        xb = rng.uniform(-r, r, size=obstacle.dim_tangential)
+        u = rng.random(d + 2)
+        xb = -r + (2.0 * r) * u[:d]
         if np.linalg.norm(xb) > r:
             continue
         cls = gm.classify_boundary_point(obstacle, phase, xb)
         if cls.label == "shadow":
             continue
-        s = rng.uniform(0.0, s0)
-        samples.append((s, xb, rng.uniform(-1.0, 1.0), cls))
+        samples.append((0.0 + s0 * u[d], xb, -1.0 + 2.0 * u[d + 1], cls))
+    return samples, tries
+
+
+def reference_verify_rfm(obstacle, phase, s0, budget, seed):
+    """verify_rfm as a per-sample loop over the public single-point functions:
+    (rows, failure lists, summary numbers)."""
+    rng = np.random.default_rng(seed)
+    samples, _ = reference_draw(obstacle, phase, rng, s0, budget)
     rows, bound_failures, fd_failures = [], [], []
     worst_gap, worst_rel, n_illum = np.inf, 0.0, 0
     for s, xb, t, cls in samples:
@@ -187,25 +197,25 @@ def _flat(items):
     return np.array([np.hstack([np.ravel(v).astype(float) for v in item]) for item in items])
 
 
-# Spheres with d = 1, 3 and 9 tangential axes lit from (1, -1, 0, ...), whose
-# draws take a candidate at every offset of the random stream, and a plane
-# wave travelling away from the cap, which lights nothing.
+# Spheres with d = 1, 3, 4 and 9 tangential axes lit from (1, -1, 0, ...),
+# and a plane wave travelling away from the cap, which lights nothing.
 MORE_OBSTACLES = {f"sphere-d{d}": lambda d=d: gm.sphere_obstacle(d, radius=0.5)
-                  for d in (1, 3, 9)}
+                  for d in (1, 3, 4, 9)}
 MORE_PHASES = {f"spherical-d{d}":
                lambda d=d: gm.SphericalPhase(source=[1.0, -1.0] + [0.0] * (d - 1))
-               for d in (1, 3, 9)}
+               for d in (1, 3, 4, 9)}
 MORE_PHASES["unlit"] = lambda: gm.PlanePhase(theta=[1.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("ids, budget, draw", [
-    (("sphere", "spherical"), 300, "one block"), (("sphere", "convex-distance"), 120, "one block"),
-    (("cusp", "spherical"), 150, "blocks"), (("symmetric", "user-convex"), 80, "one block"),
-    (("sphere-d1", "spherical-d1"), 150, "one block"),
-    (("sphere-d3", "spherical-d3"), 150, "blocks"),
+    (("sphere", "spherical"), 300, "one chunk"), (("sphere", "convex-distance"), 120, "one chunk"),
+    (("cusp", "spherical"), 150, "chunks"), (("symmetric", "user-convex"), 80, "one chunk"),
+    (("sphere-d1", "spherical-d1"), 150, "one chunk"),
+    (("sphere-d3", "spherical-d3"), 150, "chunks"),
+    (("sphere-d4", "spherical-d4"), 100, "chunks"),
     (("sphere-d9", "spherical-d9"), 20, "try cap"), (("sphere", "unlit"), 20, "try cap")],
     ids=["sphere/side", "sphere/convex-distance", "cusp/side", "symmetric/user-convex",
-         "sphere-d1/side", "sphere-d3/side", "sphere-d9/side", "sphere/unlit"])
+         "sphere-d1/side", "sphere-d3/side", "sphere-d4/side", "sphere-d9/side", "sphere/unlit"])
 def test_verify_rfm_equals_per_sample_reference(ids, budget, draw):
     obstacle, phase = ({**OBSTACLES, **MORE_OBSTACLES}[ids[0]](),
                        {**PHASES, **MORE_PHASES}[ids[1]]())
@@ -219,15 +229,44 @@ def test_verify_rfm_equals_per_sample_reference(ids, budget, draw):
     assert len(verdict.fd_failures) == len(fd_failures)
     assert verdict.injectivity_failures == injectivity == []
     assert verdict.passed == (summary[1] > 0 and not bound_failures and not fd_failures)
-    # The raw doubles the draw consumed: d per candidate and 2 per sample.  Its
-    # first block holds 2 (d + 2) * budget; "blocks" draws run past it.
+    # The draw against the per-try loop: its rows, its tries and where it
+    # leaves the generator, which the injectivity pairs read on from.
     d = obstacle.dim_tangential
-    used = d * verdict.tries + 2 * verdict.n_samples
+    rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+    _, dom, tries = _draw(obstacle, phase, rng, obstacle.radius - FD_STEP, 1.0, budget)
+    samples, ref_tries = reference_draw(obstacle, phase, ref_rng, 1.0, budget)
+    assert tries == ref_tries == verdict.tries
+    assert dom.tobytes() == _flat([sample[:3] for sample in samples]).tobytes()
+    assert dom.shape == (len(samples), d + 2)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
     if draw == "try cap":
         assert verdict.n_samples < budget and verdict.tries == 200 * budget
     else:
         assert verdict.n_samples == budget
-    assert (used > 2 * (d + 2) * budget) == (draw != "one block")
+    # The first chunk holds 4 * budget rows; "chunks" draws run past it.
+    assert (verdict.tries > 4 * budget) == (draw != "one chunk")
+
+
+def test_draw_classifies_about_the_in_disk_candidates_it_tries(monkeypatch):
+    # A row is classified only if it lies in the disk and its chunk is drawn;
+    # only the last chunk's rows past the last sample go to waste.  On this
+    # d = 3 sphere a draw that classified a candidate at every offset of the
+    # raw-double stream read 3.46x the in-disk candidates it tried.
+    obstacle = gm.sphere_obstacle(3, radius=0.5)
+    phase = gm.SphericalPhase(source=[1.0, -1.0, 0.0, 0.0])
+    classified = [0]
+    real = refl._assemble
+
+    def counted(ob, ph, xbar):
+        classified[0] += len(xbar)
+        return real(ob, ph, xbar)
+
+    monkeypatch.setattr(refl, "_assemble", counted)
+    r = obstacle.radius - FD_STEP
+    _, _, tries = _draw(obstacle, phase, np.random.default_rng(42), r, 1.0, 10_000)
+    xb = -r + (2.0 * r) * np.random.default_rng(42).random((tries, 5))[:, :3]
+    in_disk = int(np.count_nonzero(np.linalg.norm(xb, axis=1) <= r))
+    assert in_disk <= classified[0] <= 1.1 * in_disk
 
 
 def test_verify_rfm_failure_lists_equal_per_sample_reference(sphere):
