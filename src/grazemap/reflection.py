@@ -500,9 +500,9 @@ def _draw(obstacle: Obstacle, phase: Phase, rng, r: float, s0: float, budget: in
     state = rng.bit_generator.state
     kept, doms = [], []
     n = tries = 0
-    k = 4 * budget  # first chunk: enough rows for a draw that keeps a quarter of its tries
     while n < budget and tries < cap:
-        u = rng.random((min(k, DRAW_BLOCK, cap - tries), d + 2))
+        # 4 * budget rows: enough for a draw that keeps a quarter of its tries.
+        u = rng.random((min(4 * budget, DRAW_BLOCK, cap - tries), d + 2))
         xb = -r + (2.0 * r) * u[:, :d]
         # _rowdot is the dot _norm takes of one vector, row by row.
         inside = np.flatnonzero(np.sqrt(_rowdot(xb, xb)) <= r)
@@ -516,8 +516,6 @@ def _draw(obstacle: Obstacle, phase: Phase, rng, r: float, s0: float, budget: in
         tries += int(rows[-1]) + 1 if n == budget else len(u)  # up to the last sample kept
         kept.append(_gather([(cls, picked)]))
         doms.append(np.column_stack((0.0 + s0 * u[rows, d], xb[rows], -1.0 + 2.0 * u[rows, d + 1])))
-        # Next chunk: the tries per sample so far, with a quarter to spare.
-        k = max(64, int(1.25 * tries / n * (budget - n))) if n else 2 * k
     rng.bit_generator.state = state
     rng.bit_generator.advance((d + 2) * tries)
     return _gather([(rec, slice(None)) for rec in kept]), np.concatenate(doms), tries

@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import math
 import os
 import pkgutil
 import subprocess
@@ -168,12 +169,17 @@ def test_rfm_check_short_draw_says_so(tmp_path, capsys):
 
 
 def test_rfm_check_sample_near_domain_edge(specs, tmp_path, capsys):
-    # This seed draws a sample within the difference step of the domain edge.
+    # This seed draws a sample within two difference steps of the domain edge
+    # (the sphere spec's radius is 0.5).
+    out = tmp_path / "o"
     code = main(["rfm-check", "--obstacle", specs["sphere.obstacle"], "--phase",
                  specs["side.phase"], "--budget", "100", "--s0", "1.0",
-                 "--seed", "726285599", "--out", str(tmp_path / "o")])
+                 "--seed", "726285599", "--out", str(out)])
     assert code == 0
     assert capsys.readouterr().out.strip().endswith("RFM PASS")
+    rows = [line.split(",") for line in (out / "rfm.csv").read_text().splitlines()[1:]]
+    edge = max(math.hypot(float(row[1]), float(row[2])) for row in rows)
+    assert edge > 0.5 - 2 * reflection.FD_STEP
 
 
 def test_rfm_check_plane_wave(specs, tmp_path, capsys):

@@ -338,9 +338,11 @@ def test_verify_rfm_injectivity_pass_fires(sphere, side_source, monkeypatch):
 
 
 def test_verify_rfm_keeps_difference_steps_inside_domain(sphere, side_source):
-    # A sample within the difference step of the domain edge used to make
-    # jacobian_fd raise DomainExceeded on this seed.
-    assert gm.verify_rfm(sphere, side_source, s0=1.0, budget=100, seed=726285599).passed
+    # This seed draws a sample within two difference steps of the domain edge:
+    # drawn from the full disk, it made jacobian_fd raise DomainExceeded.
+    verdict = gm.verify_rfm(sphere, side_source, s0=1.0, budget=100, seed=726285599)
+    assert verdict.passed
+    assert max(np.linalg.norm(row[1]) for row in verdict.rows) > sphere.radius - 2 * FD_STEP
 
 
 def test_verify_rfm_rejects_zero_budget(sphere, side_source):
