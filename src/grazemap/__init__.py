@@ -22,7 +22,7 @@ from .phases import (BoundaryCovector, ConvexPhase, PlanePhase, SphericalPhase,
                      boundary_trace, boundary_trace_gradient,
                      boundary_trace_hessian, convexity_check, eikonal_residual,
                      validate_phase, xi_incoming, xi_jacobian)
-from .reflection import (BoundaryClassification, FlowSample, GrazingSingular,
+from .reflection import (MAX_BUDGET, BoundaryClassification, FlowSample, GrazingSingular,
                          JacobianReport, NoConvergence, NonFiniteMargin, OutsideRange,
                          RfmVerdict, ShadowPoint,
                          classify_boundary_point, flow_map, invert_flow,

@@ -65,6 +65,7 @@ class UnsupportedSurface(GrazemapError, TypeError):
 
 
 J_MAX_DEFAULT = 16  # highest directional Taylor order the apex classification reads
+_SUM_CHUNK = 256  # terms per statement of a sum in a MultiPoly jet kernel
 
 
 def _central_difference(f, x, h) -> np.ndarray:
@@ -152,14 +153,19 @@ class MultiPoly:
     polynomials are built on the first ``gradient``/``hessian`` call and
     kept.
 
+    One point is evaluated by the jet kernel (``_kernel``), a straight-line
+    function generated on the first single-point call and kept; a batch by
+    ``_eval_batch``, one array pass per term.
+
     ``value``, ``gradient`` and ``hessian`` take one point (dim,) and return
     a float, (dim,) and (dim, dim), or a batch (m, dim) and return (m,),
-    (m, dim) and (m, dim, dim).  A batch entry equals the single-point result
-    bit for bit: both raise each coordinate to its exponent with the C
-    library's ``pow`` and multiply and add in the same order.
+    (m, dim) and (m, dim, dim); a single point of another length raises
+    ``InvalidArgument``.  A batch entry equals the single-point result bit
+    for bit: both raise each coordinate to its exponent with the C library's
+    ``pow`` and multiply and add in the same order.
     """
 
-    __slots__ = ("dim", "terms", "_compiled", "_derivs")
+    __slots__ = ("dim", "terms", "_compiled", "_derivs", "_jet")
 
     def __init__(self, dim: int, terms):
         self.dim = int(dim)
@@ -176,15 +182,7 @@ class MultiPoly:
         self._compiled = tuple((c, tuple((i, e) for i, e in enumerate(expo) if e))
                                for expo, c in self.terms.items())
         self._derivs = None
-
-    def _eval_point(self, xs) -> float:
-        total = 0.0
-        for coeff, powers in self._compiled:
-            prod = coeff
-            for i, e in powers:
-                prod *= xs[i] ** e
-            total += prod
-        return total
+        self._jet = None
 
     def _eval_batch(self, x: np.ndarray) -> np.ndarray:
         total = np.zeros(len(x))
@@ -208,11 +206,68 @@ class MultiPoly:
             self._derivs = (grad, hess)
         return self._derivs
 
+    def _kernel(self):
+        """The jet kernel ``kernel(x0, ..., x_{dim-1}, order)``: F for order
+        0, (F, [dF/dx_i]) for order 1 and (F, [dF/dx_i], [[d2F/dx_i dx_j]])
+        for order 2, as Python floats.
+
+        Generated from the term lists of F and its cached derivative
+        polynomials.  Each power is computed once, just before the first
+        polynomial that reads it, so a lower order computes none it does not
+        use.  Each polynomial is 0.0 + c * p * ... + ... in ``_compiled``
+        order, the order ``_eval_batch`` multiplies and adds in, so every
+        entry equals the batch row bit for bit; the leading 0.0 turns a lone
+        -0.0 product into 0.0 as the batch's zero start does.  Coefficients
+        are names bound in the namespace the source runs in, never text, so
+        no value becomes code; exponents are ints.  A sum is split into
+        statements of _SUM_CHUNK terms, within the compiler's nesting limit.
+        Built in locals and published in one assignment, as the derivative
+        cache is.
+        """
+        if self._jet is None:
+            grad, hess = self._derivatives()
+            dims = range(self.dim)
+            g = "[" + ", ".join(f"g{i}" for i in dims) + "]"
+            h = "[" + ", ".join("[" + ", ".join(f"h{min(i, j)}_{max(i, j)}" for j in dims) + "]"
+                                for i in dims) + "]"
+            orders = [([("f", self)], "f"),
+                      ([(f"g{i}", grad[i]) for i in dims], f"f, {g}"),
+                      ([(f"h{i}_{j}", p) for (i, j), p in hess.items()], f"f, {g}, {h}")]
+            names = {}  # the namespace the source runs in: coefficient name -> float
+            powers = set()  # the (variable, exponent) pairs computed so far
+            lines = [f"def kernel({''.join(f'x{i}, ' for i in dims)}order):"]
+            for order, (polys, returned) in enumerate(orders):
+                for name, poly in polys:
+                    terms = []
+                    for coeff, factors in poly._compiled:
+                        k = f"c{len(names)}"
+                        names[k] = coeff
+                        for i, e in factors:
+                            if (i, e) not in powers:
+                                powers.add((i, e))
+                                lines.append(f"    p{i}_{e} = x{i} ** {e}")
+                        terms.append(" * ".join([k] + [f"p{i}_{e}" for i, e in factors]))
+                    head = "0.0"
+                    for at in range(0, max(len(terms), 1), _SUM_CHUNK):
+                        chunk = terms[at:at + _SUM_CHUNK]
+                        lines.append(f"    {name} = {' + '.join([head] + chunk)}")
+                        head = name
+                lines.append(f"    if order == {order}:\n        return {returned}")
+            exec(compile("\n".join(lines), "<MultiPoly jet>", "exec"), names)
+            self._jet = names["kernel"]
+        return self._jet
+
+    def _at_point(self, x: np.ndarray, order: int):
+        """The jet kernel to ``order`` at one point x (dim,)."""
+        if x.shape != (self.dim,):
+            raise InvalidArgument(f"point has shape {x.shape}, expected ({self.dim},)")
+        return self._kernel()(*x.tolist(), order)
+
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return self._eval_batch(x)
-        return self._eval_point(x.tolist())
+        if x.ndim != 2:
+            return self._at_point(x, 0)
+        return self._eval_batch(x)
 
     def derivative(self, var: int) -> "MultiPoly":
         out: dict[tuple[int, ...], float] = {}
@@ -227,27 +282,21 @@ class MultiPoly:
         return MultiPoly(self.dim, out)
 
     def gradient(self, x) -> np.ndarray:
-        grad, _ = self._derivatives()
         x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return np.column_stack([g._eval_batch(x) for g in grad])
-        xs = x.tolist()
-        return np.array([g._eval_point(xs) for g in grad])
+        if x.ndim != 2:
+            return np.array(self._at_point(x, 1)[1])
+        grad, _ = self._derivatives()
+        return np.column_stack([g._eval_batch(x) for g in grad])
 
     def hessian(self, x) -> np.ndarray:
-        _, hess = self._derivatives()
         x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            h = np.zeros((len(x), self.dim, self.dim))
-            for i in range(self.dim):
-                for j in range(i, self.dim):
-                    h[:, i, j] = h[:, j, i] = hess[i, j]._eval_batch(x)
-            return h
-        xs = x.tolist()
-        h = np.zeros((self.dim, self.dim))
+        if x.ndim != 2:
+            return np.array(self._at_point(x, 2)[2])
+        _, hess = self._derivatives()
+        h = np.zeros((len(x), self.dim, self.dim))
         for i in range(self.dim):
             for j in range(i, self.dim):
-                h[i, j] = h[j, i] = hess[i, j]._eval_point(xs)
+                h[:, i, j] = h[:, j, i] = hess[i, j]._eval_batch(x)
         return h
 
     def degree(self) -> int:
@@ -563,35 +612,33 @@ class Obstacle:
     def _value_grad_at(self, xs: list) -> tuple:
         """(F, grad F) at one point given as a list of floats, after one
         ``_check_at``: a float and a list, each entry bit for bit what
-        ``value`` and ``gradient`` return there.  A polynomial surface
-        evaluates its cached gradient polynomials on the floats; the other
-        surfaces run their array methods once."""
+        ``value`` and ``gradient`` return there.  A polynomial surface runs
+        its jet kernel to order 1; the other surfaces run their array
+        methods once."""
         self._check_at(xs)
         if isinstance(self.surface, PolynomialSurface):
-            poly = self.surface.poly
-            return poly._eval_point(xs), [g._eval_point(xs) for g in poly._derivatives()[0]]
+            return self.surface.poly._kernel()(*xs, 1)
         x = np.array(xs)
         return self.surface.value(x), self.surface.gradient(x).tolist()
 
     def _jet_at(self, xs: list) -> tuple:
         """(F, grad F, hess F) at one point given as a list of floats:
         ``_value_grad_at`` and the Hessian, as a list of rows bit for bit
-        what ``hessian`` returns there."""
-        f, g = self._value_grad_at(xs)
+        what ``hessian`` returns there; one jet kernel call for a polynomial
+        surface."""
         if isinstance(self.surface, PolynomialSurface):
-            poly = self.surface.poly
-            h = [[0.0] * poly.dim for _ in range(poly.dim)]
-            for (i, j), p in poly._derivatives()[1].items():
-                h[i][j] = h[j][i] = p._eval_point(xs)
-            return f, g, h
+            self._check_at(xs)
+            return self.surface.poly._kernel()(*xs, 2)
+        f, g = self._value_grad_at(xs)
         return f, g, self.surface.hessian(np.array(xs)).tolist()
 
     def _value_at(self, xs: list) -> float:
         """F at one point given as a list of floats: ``value`` there, bit for
-        bit, after one ``_check_at`` and with no arrays for a polynomial surface."""
+        bit, after one ``_check_at`` and with no arrays for a polynomial
+        surface (its jet kernel to order 0)."""
         self._check_at(xs)
         if isinstance(self.surface, PolynomialSurface):
-            return self.surface.poly._eval_point(xs)
+            return self.surface.poly._kernel()(*xs, 0)
         return self.surface.value(np.array(xs))
 
     def value(self, x):

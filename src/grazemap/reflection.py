@@ -195,14 +195,17 @@ class FlowSample:
 def flow_map(obstacle: Obstacle, phase: Phase, s: float, xbar, t: float = 0.0) -> FlowSample:
     """Point at parameter s on the reflected ray from the boundary point over xbar.
 
-    Defined on grazing and illuminated points only; the time coordinate is
-    carried along unchanged apart from the t + 2s advance.
+    Defined on grazing and illuminated points only, for a finite s >= 0 and a
+    finite t; the time coordinate is carried along unchanged apart from the
+    t + 2s advance.
     """
     cls = classify_boundary_point(obstacle, phase, xbar)
     if cls.label == "shadow":
         raise ShadowPoint(f"margin {cls.margin} < -{GRAZING_TOL} at xbar={xbar}")
     if not 0.0 <= s < np.inf:
         raise InvalidArgument("ray parameter s must be finite and nonnegative")
+    if not -np.inf < t < np.inf:
+        raise InvalidArgument("time t must be finite")
     y = np.concatenate((cls.image(s), [t + 2.0 * s]))
     return FlowSample(s=float(s), xbar=cls.xbar, t=float(t), y=y)
 
@@ -478,6 +481,9 @@ FD_MARGIN_FLOOR = 1e-3  # smallest margin at which the FD Jacobian is compared
 FD_REL_TOL = 1e-6       # largest relative analytic-vs-FD Jacobian gap that passes
 BOUND_SLACK = 1e-9      # how far j_analytic may fall below 2*margin and still pass
 DRAW_BLOCK = 1 << 12    # most rows (tries) one chunk of the draw takes: bounds its batches
+# Largest sample budget ``verify_rfm`` and the ``--budget`` flag accept: the
+# draw keeps a record and a CSV row per sample, so memory grows with it.
+MAX_BUDGET = 10**6
 
 
 def _draw(obstacle: Obstacle, phase: Phase, rng, r: float, s0: float, budget: int):
@@ -521,6 +527,15 @@ def _draw(obstacle: Obstacle, phase: Phase, rng, r: float, s0: float, budget: in
     return _gather([(rec, slice(None)) for rec in kept]), np.concatenate(doms), tries
 
 
+def _integer(value, name: str) -> int:
+    """value as an int through ``operator.index`` (Python and numpy integers
+    pass), or ``InvalidArgument`` naming it."""
+    try:
+        return index(value)
+    except TypeError:
+        raise InvalidArgument(f"{name} must be an integer, got {value!r}") from None
+
+
 def verify_rfm(obstacle: Obstacle, phase: Phase, s0: float = 1.0,
                budget: int = 1000, seed: int = 42) -> RfmVerdict:
     """Sampled evidence that the reflected flow map is an injective local
@@ -542,16 +557,23 @@ def verify_rfm(obstacle: Obstacle, phase: Phase, s0: float = 1.0,
     the generator, and the draw classifies its candidates in chunks of rows
     (see ``_draw``).  The Jacobians, checks, rows and failure lists are array
     passes over the samples' record; a grazing sample gets no Jacobian (NaN
-    in its row) and fails no check.  A budget that is not an integer raises
-    ``InvalidArgument``.
+    in its row) and fails no check.  A budget that is not an integer in
+    1..MAX_BUDGET, a seed that is not a nonnegative integer and an s0 that
+    is not a finite nonnegative number raise ``InvalidArgument``, before
+    anything is drawn.
     """
-    try:
-        budget = index(budget)
-    except TypeError:
-        raise InvalidArgument(f"budget must be an integer, got {budget!r}") from None
+    budget, seed = _integer(budget, "budget"), _integer(seed, "seed")
     if budget <= 0:
         raise InvalidArgument("budget must be positive")
-    if not 0.0 <= s0 < np.inf:  # the range rng.uniform(0, s0) accepts
+    if budget > MAX_BUDGET:
+        raise InvalidArgument(f"budget {budget} exceeds MAX_BUDGET = {MAX_BUDGET}")
+    if seed < 0:
+        raise InvalidArgument(f"seed must be nonnegative, got {seed}")
+    try:
+        s0_ok = 0.0 <= s0 < np.inf  # the range rng.uniform(0, s0) accepts
+    except TypeError:
+        s0_ok = False
+    if not s0_ok:
         raise InvalidArgument("s0 must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     # Samples stay a difference step inside the domain, where jacobian_fd steps.

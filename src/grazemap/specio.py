@@ -18,6 +18,7 @@ import numpy as np
 from .diffgeo import (GrazemapError, InvalidArgument, NotNormalized, Obstacle,
                       PolynomialSurface, SymmetricH, sphere_obstacle)
 from .phases import ConvexPhase, Phase, PlanePhase, SphericalPhase
+from .reflection import MAX_BUDGET
 
 
 class SpecError(GrazemapError, ValueError):
@@ -187,9 +188,12 @@ def parse_obstacle(path: str) -> Obstacle:
 def _require_outside(path: str, line: int, raw: str, point, obstacle: Obstacle,
                      what: str, sym: str) -> None:
     """Spec error unless ``point`` lies outside the obstacle: not both
-    |pbar| <= radius and p1 <= F(pbar)."""
+    |pbar| <= radius and p1 <= F(pbar).  F is read as a one-row batch, bit
+    for bit the single-point value: a polynomial surface's first
+    single-point call generates its jet kernel, which this one check would
+    not repay, so parsing builds none."""
     if np.linalg.norm(point[1:]) <= obstacle.radius:
-        p1, f_p = float(point[0]), float(obstacle.value(point[1:]))
+        p1, f_p = float(point[0]), float(obstacle.value(point[None, 1:])[0])
         if p1 <= f_p:
             raise SpecError(path, line, f"{what} {raw!r} is not outside the obstacle: "
                             f"{sym}1 = {p1!r} <= F({sym}bar) = {f_p!r}")
@@ -237,10 +241,12 @@ def parse_phase(path: str, dim: int = 3, obstacle: Obstacle | None = None) -> Ph
 def check_flags(tol: float, window: float, s0: float, budget: int) -> None:
     """Reject command-line overrides no computation can use, as ``<flags>``
     spec errors: tol, window and s0 must be finite, tol and s0 positive,
-    window nonnegative and budget positive."""
+    window nonnegative and budget in 1..MAX_BUDGET."""
     if not all(math.isfinite(x) for x in (tol, window, s0)):
         raise SpecError("<flags>", 0, "tolerance, window, and s0 overrides must be finite")
     if tol <= 0 or window < 0 or s0 <= 0:
         raise SpecError("<flags>", 0, "tolerance, window, and s0 overrides must be positive")
     if budget <= 0:
         raise SpecError("<flags>", 0, "InvalidBudget: --budget must be positive")
+    if budget > MAX_BUDGET:
+        raise SpecError("<flags>", 0, f"InvalidBudget: --budget must be at most {MAX_BUDGET}")

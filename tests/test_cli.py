@@ -250,6 +250,18 @@ def test_non_positive_budget_is_flag_error(specs, tmp_path, capsys, command, bud
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["rfm-check", "reflect"])
+def test_budget_above_max_budget_is_flag_error(specs, tmp_path, capsys, command):
+    # 10**6 + 1 is refused before anything is drawn or written.
+    out = tmp_path / "o"
+    code = main([command, "--obstacle", specs["sphere.obstacle"], "--phase", specs["side.phase"],
+                 "--budget", str(reflection.MAX_BUDGET + 1), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: <flags>:0: InvalidBudget: --budget must be at most 1000000\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("center", ["1 0 0", "0.5 0 0"], ids=["apex", "inside"])
 def test_convex_distance_center_not_outside_obstacle_is_spec_error(specs, tmp_path, capsys,
                                                                    center):

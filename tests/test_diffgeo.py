@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,38 +262,174 @@ def test_batch_domain_check_names_the_point_outside():
 
 
 def test_derivative_cache_is_complete_for_every_thread():
-    # Threads that share a fresh MultiPoly race to fill its derivative cache;
-    # each must see either no cache or a complete one.
+    # Threads that share a fresh MultiPoly race to fill its derivative cache
+    # and to build its jet kernel; each must see either no cache or a
+    # complete one, through the array methods and through the float jet.
     import sys
     import threading
+    import time
 
     terms = {(i, j, k): 1.0 / (1 + i + j + k) for i in range(5) for j in range(5) for k in range(5)}
     x = np.array([0.1, -0.2, 0.3])
     expected = MultiPoly(3, terms).hessian(x)
+    # The same terms less the degree-1 ones, so that they make a surface.
+    surface = {**terms, (1, 0, 0): 0.0, (0, 1, 0): 0.0, (0, 0, 1): 0.0}
+    expected_jet = gm.polynomial_obstacle(3, surface)._jet_at(x.tolist())
+
+    def race(first_call, pause):
+        # Thread k starts k * pause after the others, so that the later ones
+        # also arrive while the first is building.
+        barrier = threading.Barrier(4)
+        results, errors = [], []
+
+        def work(k):
+            barrier.wait(timeout=60)
+            time.sleep(k * pause)
+            try:
+                results.append(first_call())
+            except Exception as exc:  # noqa: BLE001 - any failure is the finding
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert not errors
+        assert len(results) == 4
+        return results
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(20):
+        for i in range(20):
+            pause = (0.0, 1e-4, 1e-3, 4e-3)[i % 4]
             poly = MultiPoly(3, terms)
-            barrier = threading.Barrier(4)
-            results, errors = [], []
-
-            def work():
-                barrier.wait()
-                try:
-                    results.append(poly.hessian(x))
-                except Exception as exc:  # noqa: BLE001 - any failure is the finding
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=work) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert not errors
-            assert all(np.array_equal(r, expected) for r in results)
+            assert all(np.array_equal(r, expected) for r in race(lambda: poly.hessian(x), pause))
+            obs = gm.polynomial_obstacle(3, surface)
+            assert obs.surface.poly._jet is None
+            assert all(r == expected_jet for r in race(lambda: obs._jet_at(x.tolist()), pause))
     finally:
         sys.setswitchinterval(interval)
+
+
+SPECIAL_VALUES = (-0.0, math.nan, math.inf, -math.inf)
+
+
+def _generated_polys(rng, d):
+    """Polynomials in d variables with exponents 0..6: dense finite ones, one
+    with -0.0, nan and inf coefficients, the zero polynomial, a quadratic,
+    whose Hessian entries are constants, and one-term polynomials, whose
+    value or gradient entries are a lone product that is -0.0 at a zero."""
+    def terms(n, special):
+        out = {}
+        for _ in range(n):
+            expo = tuple(rng.integers(0, 7, d).tolist())
+            out[expo] = (SPECIAL_VALUES[rng.integers(len(SPECIAL_VALUES))]
+                         if special and rng.random() < 0.3 else float(rng.normal()))
+        return out
+
+    quadratic = {e: float(rng.normal()) for e in np.ndindex((3,) * d) if sum(e) <= 2}
+    return ([MultiPoly(d, terms(24, False)) for _ in range(3)]
+            + [MultiPoly(d, terms(12, True)), MultiPoly(d, {}), MultiPoly(d, {(0,) * d: -0.0}),
+               MultiPoly(d, quadratic), MultiPoly(d, {(1,) * d: -1.5}),
+               MultiPoly(d, {(3,) + (2,) * (d - 1): 0.5})])
+
+
+def _generated_points(rng, d):
+    pts = rng.uniform(-1.5, 1.5, (40, d))
+    pts[:8] = np.array(SPECIAL_VALUES + (0.0, 1.0, -1.0, 0.5))[rng.integers(8, size=(8, d))]
+    pts[8], pts[9] = 0.0, -0.0
+    return pts
+
+
+def _term_loop(poly, xs):
+    """poly at one point by the term loop single points ran before the jet
+    kernel: per term, coefficient times each float power in turn, added to
+    0.0 in term order."""
+    total = 0.0
+    for coeff, powers in poly._compiled:
+        prod = coeff
+        for i, e in powers:
+            prod *= xs[i] ** e
+        total += prod
+    return total
+
+
+def _bits(a):
+    """The bytes of a float array with each nan's sign cleared.  Adding two
+    nans returns one of them, and which one is not fixed: CPython's generic
+    float add and its specialized one (after a few calls) pick different
+    operands, and so may numpy's array add.  Every other bit is compared."""
+    a = np.array(a, dtype=float)
+    a[np.isnan(a)] = math.nan
+    return a.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_jet_kernel_equals_the_batch_term_loop_byte_for_byte(d):
+    # The batch methods run _eval_batch, one array pass per term; the
+    # single-point methods and the float jet run the generated kernel.  Bytes,
+    # not ==, so that the sign of a zero and the place of each nan count too.
+    rng = np.random.default_rng(11 + d)
+    for poly in _generated_polys(rng, d):
+        pts = _generated_points(rng, d)
+        obs = gm.Obstacle(gm.PolynomialSurface(d, poly), radius=math.inf)
+        grad, hess = poly._derivatives()
+        hess = [[hess[min(i, j), max(i, j)] for j in range(d)] for i in range(d)]
+        loop = [[_term_loop(poly, p.tolist()) for p in pts],
+                [[_term_loop(g, p.tolist()) for g in grad] for p in pts],
+                [[[_term_loop(h, p.tolist()) for h in row] for row in hess] for p in pts]]
+        with np.errstate(all="ignore"):  # inf - inf in the batch sums
+            batches = [poly.value(pts), poly.gradient(pts), poly.hessian(pts)]
+        got = {"value": [[poly.value(p) for p in pts]],
+               "gradient": [None, [poly.gradient(p) for p in pts]],
+               "hessian": [None, None, [poly.hessian(p) for p in pts]],
+               "_jet_at": list(zip(*(obs._jet_at(p.tolist()) for p in pts))),
+               "_value_grad_at": list(zip(*(obs._value_grad_at(p.tolist()) for p in pts))),
+               "_value_at": [[obs._value_at(p.tolist()) for p in pts]]}
+        for method, parts in got.items():
+            for part, ref, batch in zip(parts, loop, batches):
+                if part is not None:
+                    assert _bits(part) == _bits(ref), (poly.terms, method)
+                    assert _bits(part) == _bits(batch), (poly.terms, method)
+
+
+def test_jet_kernel_splits_a_long_sum_and_keeps_its_order():
+    # 3150 terms: as one expression they would pass the compiler's nesting limit.
+    rng = np.random.default_rng(12)
+    poly = MultiPoly(3, {e: float(rng.normal()) for e in np.ndindex(15, 15, 14)})
+    assert len(poly.terms) == 3150
+    pts = rng.uniform(-1.0, 1.0, (5, 3))
+    assert np.array([poly.value(p) for p in pts]).tobytes() == poly.value(pts).tobytes()
+    assert np.array([poly.hessian(p) for p in pts]).tobytes() == poly.hessian(pts).tobytes()
+
+
+@pytest.mark.parametrize("x", [[0.1], [0.1, 0.2, 0.3], 0.5], ids=["short", "long", "scalar"])
+def test_multipoly_refuses_a_single_point_of_the_wrong_length(x):
+    # The term loop read only the variables a term names, so a short or long
+    # point gave a number; the kernel takes one argument per variable.
+    p = MultiPoly(2, {(2, 0): 1.0, (0, 0): 1.0})
+    for method in (p.value, p.gradient, p.hessian):
+        with pytest.raises(gm.InvalidArgument, match=r"^point has shape \(\d?,?\), expected \(2,\)$"):
+            method(x)
+
+
+def test_parsing_and_batch_evaluation_build_no_jet_kernel():
+    # The kernel is built on the first single-point call, not by parsing
+    # (the phase's outside check included) or by the batch paths, which
+    # never need it.
+    specs = Path(__file__).resolve().parents[1] / "specs"
+    obs = gm.parse_obstacle(str(specs / "rounded_quartic.obstacle"))
+    gm.parse_phase(str(specs / "top_source.phase"), obstacle=obs)
+    gm.parse_phase(str(specs / "convex_distance.phase"), obstacle=obs)
+    poly = obs.surface.poly
+    pts = sample_disk(np.random.default_rng(13), obs.radius, 20)
+    obs.value(pts), obs.gradient(pts), obs.boundary_point(pts), obs.hessian(pts)
+    assert poly._jet is None
+    assert obs.value(pts[0]) == obs.value(pts)[0]
+    assert poly._jet is not None
 
 
 @pytest.mark.parametrize("obs", [gm.sphere_obstacle(2, radius=0.5), quartic_vsq(),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import grazemap as gm
+from grazemap import reflection
 from grazemap.cli import main
 from grazemap.phases import boundary_trace_hessian
 from grazemap.reflection import (FD_STEP, GRAZING_FLOOR, GRID_N_S, GRID_N_X, S_RANGE,
@@ -358,6 +359,54 @@ def test_verify_rfm_rejects_a_budget_that_is_not_an_integer(sphere, side_source,
         gm.verify_rfm(sphere, side_source, budget=budget)
     # Python and numpy integers still pass.
     assert gm.verify_rfm(sphere, side_source, budget=np.int64(3)).n_samples == 3
+
+
+@pytest.mark.parametrize("seed", [2.5, np.float64(7.0), "7", None],
+                         ids=["float", "numpy-float", "str", "none"])
+def test_verify_rfm_rejects_a_seed_that_is_not_an_integer(sphere, side_source, seed):
+    # np.random.default_rng raised its builtin TypeError for the first three
+    # and drew a fresh, unrepeatable stream for None.
+    with pytest.raises(gm.InvalidArgument, match="^seed must be an integer, got "):
+        gm.verify_rfm(sphere, side_source, budget=3, seed=seed)
+    assert gm.verify_rfm(sphere, side_source, budget=3, seed=np.uint32(7)).n_samples == 3
+
+
+def test_verify_rfm_rejects_a_negative_seed(sphere, side_source):
+    # np.random.default_rng raised its builtin ValueError.
+    with pytest.raises(gm.InvalidArgument, match="^seed must be nonnegative, got -1$"):
+        gm.verify_rfm(sphere, side_source, budget=3, seed=-1)
+
+
+@pytest.mark.parametrize("s0", ["1", None], ids=["str", "none"])
+def test_verify_rfm_rejects_an_s0_that_is_not_a_number(sphere, side_source, s0):
+    # The range test raised the comparison's builtin TypeError.
+    with pytest.raises(gm.InvalidArgument, match="^s0 must be finite and nonnegative$"):
+        gm.verify_rfm(sphere, side_source, s0=s0, budget=3)
+
+
+def test_verify_rfm_refuses_a_budget_above_max_budget_before_drawing(sphere, side_source,
+                                                                     monkeypatch):
+    # A draw keeps a record per sample; budget=10**12 ran until the process
+    # was killed.  MAX_BUDGET itself reaches the draw, here a stand-in.
+    class Drew(Exception):
+        pass
+
+    def draw(*args):
+        raise Drew
+
+    monkeypatch.setattr(reflection, "_draw", draw)
+    with pytest.raises(gm.InvalidArgument, match=r"^budget 1000001 exceeds MAX_BUDGET = 1000000$"):
+        gm.verify_rfm(sphere, side_source, budget=gm.MAX_BUDGET + 1)
+    with pytest.raises(Drew):
+        gm.verify_rfm(sphere, side_source, budget=gm.MAX_BUDGET)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_flow_map_rejects_a_time_that_is_not_finite(sphere, side_source, t):
+    # A NaN t gave a flow point whose time coordinate was NaN, with no error.
+    with pytest.raises(gm.InvalidArgument, match="^time t must be finite$"):
+        gm.flow_map(sphere, side_source, 0.3, [-0.2, 0.1], t=t)
+    assert gm.flow_map(sphere, side_source, 0.3, [-0.2, 0.1], t=-2.5).y[-1] == -2.5 + 0.6
 
 
 @pytest.mark.parametrize("s", [-0.5, np.nan, np.inf])

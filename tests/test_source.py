@@ -89,3 +89,26 @@ def test_every_private_helper_has_a_caller():
                         and method.name not in attributes):
                     unused.append(f"{module}.{node.name}.{method.name}")
     assert unused == []
+
+
+def test_only_the_jet_kernel_generator_turns_text_into_code():
+    # The one generated code is MultiPoly's jet kernel, whose source holds
+    # names and int exponents only: no other function may exec, compile or
+    # eval, under any name.
+    found = []
+
+    def visit(node, path, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+            name = (child.id if isinstance(child, ast.Name)
+                    else child.attr if isinstance(child, ast.Attribute) else None)
+            if name in {"exec", "compile", "eval"}:
+                found.append((path.name, inner, name))
+            visit(child, path, inner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, "")
+    assert sorted(found) == [("diffgeo.py", "MultiPoly._kernel", "compile"),
+                             ("diffgeo.py", "MultiPoly._kernel", "exec")]

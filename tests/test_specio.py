@@ -193,6 +193,8 @@ SINGLE_FAULTS = {
                            "tolerance, window, and s0 overrides must be positive"),
     "flags-budget": (lambda path: check_flags(1e-10, 0.3, 1.0, 0), None, 0,
                      "InvalidBudget: --budget must be positive"),
+    "flags-budget-above-max": (lambda path: check_flags(1e-10, 0.3, 1.0, 10**6 + 1), None, 0,
+                               "InvalidBudget: --budget must be at most 1000000"),
 }
 
 
