@@ -126,9 +126,10 @@ def run_trace(args, with_svg: bool = False, with_sheet: bool = False) -> int:
         curve = grazing.trace_grazing_curve(gf, obstacle, window=args.window, trace_tol=args.tol)
     if fmt in ("csv", "both"):
         cols = ["branch", "arc"] + [f"x{i + 2}" for i in range(obstacle.dim_tangential)]
-        rows = [[str(branch.side)] + [_fmt(v) for v in (arc, *vert, res)]
+        rows = [[str(branch.side), *map(repr, row)]
                 for branch in (curve.branches if curve is not None else ())
-                for arc, vert, res in zip(branch.arc_params, branch.vertices, branch.residuals)]
+                for row in np.column_stack((branch.arc_params, branch.vertices,
+                                            branch.residuals)).tolist()]
         _write_csv(out / "trace.csv", cols + ["residual"], rows)
     if fmt in ("svg", "both"):
         sheet = None

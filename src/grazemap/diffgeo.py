@@ -159,10 +159,11 @@ class MultiPoly:
 
     ``value``, ``gradient`` and ``hessian`` take one point (dim,) and return
     a float, (dim,) and (dim, dim), or a batch (m, dim) and return (m,),
-    (m, dim) and (m, dim, dim); a single point of another length raises
-    ``InvalidArgument``.  A batch entry equals the single-point result bit
-    for bit: both raise each coordinate to its exponent with the C library's
-    ``pow`` and multiply and add in the same order.
+    (m, dim) and (m, dim, dim); a single point of another length or a batch
+    of another width raises ``InvalidArgument``.  A batch entry equals the
+    single-point result bit for bit: both raise each coordinate to its
+    exponent with the C library's ``pow`` and multiply and add in the same
+    order, and a single point whose power overflows reads its batch row.
     """
 
     __slots__ = ("dim", "terms", "_compiled", "_derivs", "_jet")
@@ -185,6 +186,8 @@ class MultiPoly:
         self._jet = None
 
     def _eval_batch(self, x: np.ndarray) -> np.ndarray:
+        if x.shape[1] != self.dim:
+            raise InvalidArgument(f"batch has shape {x.shape}, expected (m, {self.dim})")
         total = np.zeros(len(x))
         for coeff, powers in self._compiled:
             prod = coeff
@@ -258,10 +261,17 @@ class MultiPoly:
         return self._jet
 
     def _at_point(self, x: np.ndarray, order: int):
-        """The jet kernel to ``order`` at one point x (dim,)."""
+        """Entry ``order`` of the jet kernel at one point x (dim,): F, grad F
+        or hess F, as a float or lists.  Where a power overflows, on which
+        ``float ** int`` raises, the entry of the one-row batch, which reads
+        inf for it."""
         if x.shape != (self.dim,):
             raise InvalidArgument(f"point has shape {x.shape}, expected ({self.dim},)")
-        return self._kernel()(*x.tolist(), order)
+        try:
+            jet = self._kernel()(*x.tolist(), order)
+        except OverflowError:
+            return (self.value, self.gradient, self.hessian)[order](x[None])[0].tolist()
+        return jet if order == 0 else jet[order]
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -284,14 +294,14 @@ class MultiPoly:
     def gradient(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2:
-            return np.array(self._at_point(x, 1)[1])
+            return np.array(self._at_point(x, 1))
         grad, _ = self._derivatives()
         return np.column_stack([g._eval_batch(x) for g in grad])
 
     def hessian(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2:
-            return np.array(self._at_point(x, 2)[2])
+            return np.array(self._at_point(x, 2))
         _, hess = self._derivatives()
         h = np.zeros((len(x), self.dim, self.dim))
         for i in range(self.dim):
@@ -409,7 +419,10 @@ def _h_poly_eval(coeffs, s, deriv: int = 0):
         fac = 1.0
         for m in range(deriv):
             fac *= j - m
-        total += a * fac * power(s, j - deriv)
+        try:
+            total += a * fac * power(s, j - deriv)
+        except OverflowError:  # pow raises where float_power gives inf
+            return _h_poly_eval(coeffs, np.array([s]), deriv)[0].tolist()
     return total
 
 
@@ -609,37 +622,26 @@ class Obstacle:
         """The radius check of one point given as a list of floats."""
         self._check_radius(math.hypot(*xs))
 
-    def _value_grad_at(self, xs: list) -> tuple:
-        """(F, grad F) at one point given as a list of floats, after one
-        ``_check_at``: a float and a list, each entry bit for bit what
-        ``value`` and ``gradient`` return there.  A polynomial surface runs
-        its jet kernel to order 1; the other surfaces run their array
-        methods once."""
+    def _jet_at(self, xs: list, order: int):
+        """The jet of F to ``order`` at one point given as a list of floats,
+        after one ``_check_at``: F for order 0, (F, grad F) for order 1 and
+        (F, grad F, hess F) for order 2, as a float, a list and a list of
+        rows, each entry bit for bit what ``value``, ``gradient`` and
+        ``hessian`` return there.  A polynomial surface runs its jet kernel
+        to ``order``; the other surfaces, and a polynomial point whose powers
+        overflow, run the array methods the order needs."""
         self._check_at(xs)
         if isinstance(self.surface, PolynomialSurface):
-            return self.surface.poly._kernel()(*xs, 1)
+            try:
+                return self.surface.poly._kernel()(*xs, order)
+            except OverflowError:
+                pass
         x = np.array(xs)
-        return self.surface.value(x), self.surface.gradient(x).tolist()
-
-    def _jet_at(self, xs: list) -> tuple:
-        """(F, grad F, hess F) at one point given as a list of floats:
-        ``_value_grad_at`` and the Hessian, as a list of rows bit for bit
-        what ``hessian`` returns there; one jet kernel call for a polynomial
-        surface."""
-        if isinstance(self.surface, PolynomialSurface):
-            self._check_at(xs)
-            return self.surface.poly._kernel()(*xs, 2)
-        f, g = self._value_grad_at(xs)
-        return f, g, self.surface.hessian(np.array(xs)).tolist()
-
-    def _value_at(self, xs: list) -> float:
-        """F at one point given as a list of floats: ``value`` there, bit for
-        bit, after one ``_check_at`` and with no arrays for a polynomial
-        surface (its jet kernel to order 0)."""
-        self._check_at(xs)
-        if isinstance(self.surface, PolynomialSurface):
-            return self.surface.poly._kernel()(*xs, 0)
-        return self.surface.value(np.array(xs))
+        f = self.surface.value(x)
+        if order == 0:
+            return f
+        g = self.surface.gradient(x).tolist()
+        return (f, g) if order == 1 else (f, g, self.surface.hessian(x).tolist())
 
     def value(self, x):
         """F at one point (d,) -> float, or at each row of a batch (m, d) -> (m,)."""

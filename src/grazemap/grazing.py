@@ -88,7 +88,7 @@ class SphericalGrazing:
 
     def _value_grad(self, obstacle: Obstacle, x0: float, x1: float) -> tuple:
         """(H, dH/dx0, dH/dx1) at one plane point, on floats from one surface jet."""
-        f, (g0, g1), ((h00, h01), (h10, h11)) = obstacle._jet_at([x0, x1])
+        f, (g0, g1), ((h00, h01), (h10, h11)) = obstacle._jet_at([x0, x1], 2)
         b0, b1 = self.bbar.tolist()
         d0, d1 = x0 - b0, x1 - b1
         return f - 1.0 - (g0 * d0 + g1 * d1), -(h00 * d0 + h01 * d1), -(h10 * d0 + h11 * d1)
@@ -96,7 +96,7 @@ class SphericalGrazing:
     def _value_at(self, obstacle: Obstacle, x0: float, x1: float) -> float:
         """H at one plane point, on floats from the Hessian-free surface jet:
         the value of ``_value_grad`` there, bit for bit."""
-        f, (g0, g1) = obstacle._value_grad_at([x0, x1])
+        f, (g0, g1) = obstacle._jet_at([x0, x1], 1)
         b0, b1 = self.bbar.tolist()
         return f - 1.0 - (g0 * (x0 - b0) + g1 * (x1 - b1))
 
@@ -125,14 +125,14 @@ class PlanarGrazing:
 
     def _value_grad(self, obstacle: Obstacle, x0: float, x1: float) -> tuple:
         """(g, dg/dx0, dg/dx1) at one plane point, on floats from one surface jet."""
-        _, (g0, g1), ((h00, h01), (h10, h11)) = obstacle._jet_at([x0, x1])
+        _, (g0, g1), ((h00, h01), (h10, h11)) = obstacle._jet_at([x0, x1], 2)
         t0, t1 = self.thetabar.tolist()
         return -(g0 * t0 + g1 * t1), -(h00 * t0 + h01 * t1), -(h10 * t0 + h11 * t1)
 
     def _value_at(self, obstacle: Obstacle, x0: float, x1: float) -> float:
         """g at one plane point, on floats from the Hessian-free surface jet:
         the value of ``_value_grad`` there, bit for bit."""
-        _, (g0, g1) = obstacle._value_grad_at([x0, x1])
+        _, (g0, g1) = obstacle._jet_at([x0, x1], 1)
         t0, t1 = self.thetabar.tolist()
         return -(g0 * t0 + g1 * t1)
 
@@ -431,7 +431,8 @@ class _ScanLine:
     """A seed scan line across ``t_axis`` at ``offset``: the grazing function
     on its grid from one batched ``value``, the grid events of its roots
     (``_sign_events``), and each event's root, bisected to LINE_ROOT_TOL on
-    the Hessian-free float value ``gf._value_at`` when first asked for."""
+    the Hessian-free float value ``gf._value_at`` when first asked for and
+    kept, so a root that is never compared or seeded is never bisected."""
 
     def __init__(self, gf, obstacle, t_axis: int, offset: float, lim: float):
         self.grid = np.linspace(-lim, lim, LINE_SCAN_N)
@@ -451,28 +452,11 @@ class _ScanLine:
             self._roots[i] = _refine(self._f, self.grid, self.vals, i, LINE_ROOT_TOL)
         return self._roots[i]
 
-    def reach(self, i: int) -> tuple:
-        """Bounds on |root(i)| read off the grid: its grid point for an exact
-        zero, else the ends of its sign change, which hold the bisection."""
-        lo, hi = float(self.grid[i]), float(self.grid[i + 1])
-        if self.vals[i] == 0.0:
-            return abs(lo), abs(lo)
-        return max(lo, -hi, 0.0), max(-lo, hi)
-
     def nearest(self) -> int:
-        """The event whose root lies nearest the apex, the first of equals."""
-        return _least(self.events, self.reach, lambda i: abs(self.root(i)))
-
-
-def _least(items, reach, exact):
-    """The first of ``items`` with the least ``exact`` value, where
-    ``reach(item)`` bounds that value from both sides: an item whose lower
-    bound exceeds another's upper bound is out, and ``exact`` is evaluated
-    only when more than one item is left."""
-    bounds = [reach(item) for item in items]
-    cap = min(hi for _, hi in bounds)
-    left = [item for item, (lo, _) in zip(items, bounds) if lo <= cap]
-    return left[0] if len(left) == 1 else min(left, key=exact)
+        """The event whose root lies nearest the apex, the first of equals; a
+        lone event is taken without bisecting its root."""
+        events = self.events
+        return events[0] if len(events) == 1 else min(events, key=lambda i: abs(self.root(i)))
 
 
 def _detect_orientation(gf, obstacle, window):
@@ -481,9 +465,9 @@ def _detect_orientation(gf, obstacle, window):
 
     The axes are scored on their scan lines' grid events: fewest extra roots
     first, then the least sum of the two nearest roots' distances from the
-    apex, axis 1 first on ties.  A root is bisected only where the grid's
-    bounds on these distances cannot decide (``_least``), so usually just
-    the two seed roots are.
+    apex, axis 1 first on ties.  A root is bisected only when it has a rival
+    to beat, an event on its line or an axis scored as well as its own, so
+    usually just the two seed roots are.
     """
     lim = min(window, math.sqrt(max(obstacle.radius**2 - SEED_OFFSET**2, 0.0)) * 0.999)
     scored = []
@@ -497,13 +481,9 @@ def _detect_orientation(gf, obstacle, window):
     if not scored:
         raise SeedNotFound(f"no sign change at transverse offset {SEED_OFFSET} in window {window}")
     fewest = min(penalty for penalty, _, _ in scored)
-
-    def reach(item):
-        (lo_p, hi_p), (lo_m, hi_m) = (line.reach(i) for line, i in item[2])
-        return lo_p + lo_m, hi_p + hi_m
-
-    _, t_axis, seeds = _least([item for item in scored if item[0] == fewest], reach,
-                              lambda item: sum(abs(line.root(i)) for line, i in item[2]))
+    best = [item for item in scored if item[0] == fewest]
+    _, t_axis, seeds = best[0] if len(best) == 1 else min(
+        best, key=lambda item: sum(abs(line.root(i)) for line, i in item[2]))
     return t_axis, *(line.root(i) for line, i in seeds)
 
 
@@ -787,8 +767,8 @@ class _SliceCurve:
     quartic's flat direction F - 1 cancels near F = 1, the root is defined
     only to about 2e-13, and the steps never fall below 1e-14.
 
-    ``point`` runs on Python floats through the Hessian-free jet
-    ``Obstacle._value_grad_at``; ``points`` runs the same march and Newton in
+    ``point`` runs on Python floats through the surface jet to order 1,
+    ``Obstacle._jet_at(xs, 1)``; ``points`` runs the same march and Newton in
     lockstep over many angles on (m, 2) batches.  Each angle's arithmetic is
     the same in both, bit for bit.
     """
@@ -818,7 +798,7 @@ class _SliceCurve:
 
     def _k_at(self, x2: float, x3: float) -> float:
         """``k`` at one point given as floats: the same products and sums."""
-        return (self.obst._value_at([x2, x3]) - 1.0) * self.A + (x2 - self.a) * self.B
+        return (self.obst._jet_at([x2, x3], 0) - 1.0) * self.A + (x2 - self.a) * self.B
 
     def _ray_jet(self, r, u):
         """(k, dk/dr) at radius r along direction u: floats for a float r and
@@ -827,7 +807,7 @@ class _SliceCurve:
         if isinstance(r, float):
             u2, u3 = u
             p2 = self.c2 + r * u2
-            f, (g2, g3) = self.obst._value_grad_at([p2, self.c3 + r * u3])
+            f, (g2, g3) = self.obst._jet_at([p2, self.c3 + r * u3], 1)
         else:
             p = self.center + r[:, None] * u
             f, (g2, g3), (u2, u3) = self.obst.value(p), self.obst.gradient(p).T, u.T

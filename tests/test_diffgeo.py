@@ -238,17 +238,17 @@ def test_jet_equals_value_gradient_and_hessian(obs):
     # The float jet: plain Python floats, each bit for bit the array methods'.
     pts = sample_disk(np.random.default_rng(10), 0.9 * obs.radius, 60)
     for p in np.vstack([np.zeros((1, 2)), pts]):
-        f, g, h = obs._jet_at(p.tolist())
+        f, g, h = obs._jet_at(p.tolist(), 2)
         assert all(type(v) is float for v in [f, *g, *h[0], *h[1]])
         assert f == obs.value(p)
         assert g == obs.gradient(p).tolist()
         assert h == obs.hessian(p).tolist()
-        assert obs._value_at(p.tolist()) == obs.value(p)
-        assert obs._value_grad_at(p.tolist()) == (f, g)  # the jet without its Hessian
+        assert obs._jet_at(p.tolist(), 0) == obs.value(p)
+        assert obs._jet_at(p.tolist(), 1) == (f, g)  # the jet without its Hessian
     outside = [0.0, 1.25 * obs.radius]
-    for check in (obs._jet_at, obs._value_at, obs._value_grad_at):
+    for order in (2, 0, 1):
         with pytest.raises(gm.DomainExceeded, match="exceeds declared radius"):
-            check(outside)
+            obs._jet_at(outside, order)
 
 
 def test_batch_domain_check_names_the_point_outside():
@@ -274,7 +274,7 @@ def test_derivative_cache_is_complete_for_every_thread():
     expected = MultiPoly(3, terms).hessian(x)
     # The same terms less the degree-1 ones, so that they make a surface.
     surface = {**terms, (1, 0, 0): 0.0, (0, 1, 0): 0.0, (0, 0, 1): 0.0}
-    expected_jet = gm.polynomial_obstacle(3, surface)._jet_at(x.tolist())
+    expected_jet = gm.polynomial_obstacle(3, surface)._jet_at(x.tolist(), 2)
 
     def race(first_call, pause):
         # Thread k starts k * pause after the others, so that the later ones
@@ -309,7 +309,7 @@ def test_derivative_cache_is_complete_for_every_thread():
             assert all(np.array_equal(r, expected) for r in race(lambda: poly.hessian(x), pause))
             obs = gm.polynomial_obstacle(3, surface)
             assert obs.surface.poly._jet is None
-            assert all(r == expected_jet for r in race(lambda: obs._jet_at(x.tolist()), pause))
+            assert all(r == expected_jet for r in race(lambda: obs._jet_at(x.tolist(), 2), pause))
     finally:
         sys.setswitchinterval(interval)
 
@@ -386,9 +386,9 @@ def test_jet_kernel_equals_the_batch_term_loop_byte_for_byte(d):
         got = {"value": [[poly.value(p) for p in pts]],
                "gradient": [None, [poly.gradient(p) for p in pts]],
                "hessian": [None, None, [poly.hessian(p) for p in pts]],
-               "_jet_at": list(zip(*(obs._jet_at(p.tolist()) for p in pts))),
-               "_value_grad_at": list(zip(*(obs._value_grad_at(p.tolist()) for p in pts))),
-               "_value_at": [[obs._value_at(p.tolist()) for p in pts]]}
+               "_jet_at": list(zip(*(obs._jet_at(p.tolist(), 2) for p in pts))),
+               "_jet_at order 1": list(zip(*(obs._jet_at(p.tolist(), 1) for p in pts))),
+               "_jet_at order 0": [[obs._jet_at(p.tolist(), 0) for p in pts]]}
         for method, parts in got.items():
             for part, ref, batch in zip(parts, loop, batches):
                 if part is not None:
@@ -414,6 +414,39 @@ def test_multipoly_refuses_a_single_point_of_the_wrong_length(x):
     for method in (p.value, p.gradient, p.hessian):
         with pytest.raises(gm.InvalidArgument, match=r"^point has shape \(\d?,?\), expected \(2,\)$"):
             method(x)
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (3, 1)], ids=["wide", "narrow"])
+def test_multipoly_refuses_a_batch_of_the_wrong_width(shape):
+    # The batch pass indexes columns by variable, so a wide batch read its
+    # first columns and a narrow one raised IndexError.
+    p = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})
+    for method in (p.value, p.gradient, p.hessian):
+        with pytest.raises(gm.InvalidArgument,
+                           match=rf"^batch has shape \(3, {shape[1]}\), expected \(m, 2\)$"):
+            method(np.ones(shape))
+
+
+def test_a_single_point_whose_power_overflows_reads_its_batch_row():
+    # float ** int raises OverflowError where the batch's float_power gives
+    # inf; F overflows at this point, grad F and hess F do not, and the
+    # polynomial kernel computes F first at every order.
+    obstacles = {"polynomial": gm.polynomial_obstacle(2, {(0, 0): 1.0, (4, 0): -1.0, (0, 2): -1.0},
+                                                      radius=1e100),
+                 "symmetric-h": gm.Obstacle(gm.SymmetricH.from_hcoeffs(2, [1.0, 0.5]),
+                                            radius=1e100)}
+    p = [1e80, 0.0]
+    with np.errstate(over="ignore"):
+        for name, obs in obstacles.items():
+            rows = [obs.value([p])[0], obs.gradient([p])[0], obs.hessian([p])[0]]
+            assert rows[0] == -math.inf and np.isfinite(rows[1]).all(), name
+            points = [obs.value(p), obs.gradient(p), obs.hessian(p)]
+            assert type(points[0]) is float, name
+            jets = [obs._jet_at(p, 0), *obs._jet_at(p, 1)[1:], *obs._jet_at(p, 2)[2:]]
+            assert obs._jet_at(p, 2)[:2] == obs._jet_at(p, 1), name
+            for got in (points, jets, [obs.surface.value(p), obs.surface.gradient(p),
+                                       obs.surface.hessian(p)]):
+                assert [np.array(v).tobytes() for v in got] == [r.tobytes() for r in rows], name
 
 
 def test_parsing_and_batch_evaluation_build_no_jet_kernel():

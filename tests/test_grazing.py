@@ -551,15 +551,15 @@ def test_slice_count_solves_each_ray_in_a_few_newton_steps(monkeypatch):
     # bisection makes 7 or 8 float jet evaluations after its march; bisecting
     # the march bracket to 1e-14 would take about 40.
     rounds, jets, log = [0], [0], []
-    real_ray_jet, real_jet = _SliceCurve._ray_jet, gm.Obstacle._value_grad_at
+    real_ray_jet, real_jet = _SliceCurve._ray_jet, gm.Obstacle._jet_at
 
     def ray_jet(self, r, u):
         rounds[0] += bool(np.ndim(r))
         return real_ray_jet(self, r, u)
 
-    def value_grad_at(self, xs):
-        jets[0] += 1
-        return real_jet(self, xs)
+    def jet_at(self, xs, order):
+        jets[0] += order == 1
+        return real_jet(self, xs, order)
 
     def tally(name, real):
         def wrapped(self, phi):
@@ -571,7 +571,7 @@ def test_slice_count_solves_each_ray_in_a_few_newton_steps(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(_SliceCurve, "_ray_jet", ray_jet)
-    monkeypatch.setattr(gm.Obstacle, "_value_grad_at", value_grad_at)
+    monkeypatch.setattr(gm.Obstacle, "_jet_at", jet_at)
     for name in ("point", "points"):
         monkeypatch.setattr(_SliceCurve, name, tally(name, getattr(_SliceCurve, name)))
     sc = gm.slice_grazing_count(quartic_vsq(), [-1.0, 0.0], -0.05)
@@ -633,6 +633,51 @@ def test_trace_checks_the_domain_once_per_corrector_evaluation(monkeypatch):
     assert calls["float_value"] == 2 * halvings
     assert calls["gradient"] == 0
     assert calls["check_domain"] == 2 * calls["value"]
+
+
+def _eager_orientation(gf, obstacle, window):
+    """The seed choice with every root bisected: all the roots on each of the
+    four scan lines, then the axis with the fewest extra roots, then the least
+    sum of its two nearest |root|, axis 1 first on equal sums.  Returns the
+    choice, the scores (extra roots, sum) per axis and the roots per line."""
+    lim = min(window, math.sqrt(obstacle.radius**2 - SEED_OFFSET**2) * 0.999)
+    grid = np.linspace(-lim, lim, LINE_SCAN_N)
+    roots, scored = {}, []
+    for t_axis in (1, 0):
+        for offset in (SEED_OFFSET, -SEED_OFFSET):
+            def f(v, t_axis=t_axis, offset=offset):
+                # The scan's batched value on the grid, its float value in the bisection.
+                p = grazing._on_line(v, 1 - t_axis, offset)
+                return gf.value(obstacle, p) if np.ndim(v) else gf._value_at(obstacle, *p.tolist())
+            roots[t_axis, offset] = grazing._scan_roots(f, grid, LINE_ROOT_TOL)
+        lines = [roots[t_axis, SEED_OFFSET], roots[t_axis, -SEED_OFFSET]]
+        if all(lines):
+            nearest = [min(line, key=abs) for line in lines]
+            scored.append((sum(len(line) - 1 for line in lines), sum(map(abs, nearest)),
+                           t_axis, nearest))
+    _, _, t_axis, nearest = min(scored, key=lambda item: item[:2])
+    return (t_axis, *nearest), [item[:2] for item in scored], roots
+
+
+@pytest.mark.parametrize("make_obs,bbar,rival", [
+    (rounded_quartic, [-0.05, 0.0], "line"),
+    (rounded_quartic, [-0.3, 0.2], "line"),
+    (rounded_quartic, [0.4, -0.7], "axes"),
+    (lambda: gm.Obstacle(gm.SymmetricH.exp_flat(2), radius=0.6), [-1.0, 0.0], "tie"),
+], ids=["rounded-near", "rounded-oblique", "rounded-behind", "flat-tie"])
+def test_seed_choice_equals_the_eager_reference(make_obs, bbar, rival):
+    # The scan bisects a root only when it has a rival to beat; the choice
+    # must be the one made with every root bisected.  Each case has a rival:
+    # a scan line with several roots, two axes with as few extra roots, or
+    # two axes that score alike in full.
+    obs, gf = make_obs(), gm.SphericalGrazing(bbar=bbar)
+    want, scores, roots = _eager_orientation(gf, obs, 0.3)
+    if rival == "line":
+        assert any(len(line) > 1 for line in roots.values())
+    else:
+        assert len(scores) == 2 and scores[0][0] == scores[1][0]
+        assert (scores[0] == scores[1]) == (rival == "tie")
+    assert grazing._detect_orientation(gf, obs, 0.3) == want
 
 
 def test_closed_grazing_loop_is_traced_once_around(tmp_path):

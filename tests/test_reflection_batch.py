@@ -14,13 +14,14 @@ import grazemap.reflection as refl
 from grazemap.reflection import (FD_MARGIN_FLOOR, FD_STEP, BOUND_SLACK, FD_REL_TOL, _draw,
                                  _reflected_field_derivative)
 
-from conftest import quartic_vsq, sample_disk
+from conftest import quartic_vsq, rounded_quartic, sample_disk
 
 USER_CENTER = np.array([1.2, -1.0, 0.3])
 
 OBSTACLES = {
     "sphere": lambda: gm.sphere_obstacle(2, radius=0.5),
     "cusp": quartic_vsq,
+    "rounded": rounded_quartic,  # its Hessian has the mixed term -4 x2 x3
     "symmetric": lambda: gm.Obstacle(gm.SymmetricH.from_hcoeffs(
         2, [1.0, 0.5], lam=np.array([[1.2, 0.3], [0.0, 0.9]])), radius=0.5),
 }
