@@ -482,14 +482,14 @@ class SymmetricH:
         if self.flat:
             if s <= 0.0:
                 return 0.0
-            e = math.exp(-1.0 / s**2)
-            if deriv == 0:
-                return e
-            if deriv == 1:
-                return 2.0 * e / s**3
-            if deriv == 2:
-                return (4.0 / s**6 - 6.0 / s**4) * e
-            raise OrderTooHigh("flat profile derivatives supported up to order 2")
+            if deriv > 2:
+                raise OrderTooHigh("flat profile derivatives supported up to order 2")
+            try:
+                e = math.exp(-1.0 / s**2)
+                return (e if deriv == 0 else 2.0 * e / s**3 if deriv == 1
+                        else (4.0 / s**6 - 6.0 / s**4) * e)
+            except OverflowError:  # a power of a huge s: the limits h -> 1, h' and h'' -> 0
+                return 1.0 if deriv == 0 else 0.0
         return _h_poly_eval(self.hcoeffs, s, deriv)
 
     def h_ratio(self, s):

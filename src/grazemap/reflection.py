@@ -18,11 +18,13 @@ results bit for bit.  A boundary point is assembled once, one
 ``boundary_point``, ``grad_psi`` and ``gradient`` evaluation per point, and
 its record feeds the margin, the label, both covectors, the flow points and
 the Jacobian.  ``verify_rfm``, the ``reflect`` table and the grid seed of
-``invert_flow`` run as array passes; Newton inversion stays single-point.
+``invert_flow`` run as array passes; the Newton loop of ``invert_flow`` runs
+on Python floats, from one ``Obstacle._jet_at`` per iterate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter, index
@@ -31,7 +33,8 @@ import numpy as np
 
 from .diffgeo import (GrazemapError, InvalidArgument, Obstacle, _central_difference,
                       _outer, _per_row, _rowdot)
-from .phases import BoundaryCovector, Phase, _xi_jacobian, xi_incoming
+from .phases import (BoundaryCovector, Phase, PlanePhase, SourceOnBoundary, SphericalPhase,
+                     _xi_jacobian, xi_incoming)
 
 GRAZING_TOL = 1e-10  # |margin| at or below which a boundary point counts as grazing
 FD_STEP = 1e-5
@@ -58,8 +61,9 @@ class NoConvergence(GrazemapError, RuntimeError):
 
     exit_code = 3
 
-    def __init__(self, iterations: int, residual: float):
-        super().__init__(f"no convergence after {iterations} iterations, residual {residual:.3e}")
+    def __init__(self, iterations: int, residual: float, stalled: bool = False):
+        super().__init__(f"no convergence after {iterations} iterations"
+                         f"{' (damping stalled)' if stalled else ''}, residual {residual:.3e}")
         self.iterations = iterations
         self.residual = residual
 
@@ -352,68 +356,171 @@ MAX_ITER = 50         # Newton iterations before the inversion gives up
 GRAZING_FLOOR = 1e-4  # smallest seed margin an inversion starts from
 
 
+def _float_record(obstacle: Obstacle, phase: Phase, xs: list):
+    """The boundary point over xs (d floats) on Python floats: (margin, point,
+    xi, xi_r, grad F, hess F), point = (F, *xs) and covectors (xi1, *xibar)
+    as lists, from one ``Obstacle._jet_at``; a convex phase gives xi from one
+    ``grad_psi``.  It raises what ``classify_boundary_point`` raises."""
+    f, g, hess = obstacle._jet_at(xs, 2)
+    point = [f, *xs]
+    if isinstance(phase, PlanePhase):
+        xi = phase.theta.tolist()
+    elif isinstance(phase, SphericalPhase):
+        rel = [a - b for a, b in zip(point, phase.source.tolist())]
+        rho = math.sqrt(sum(c * c for c in rel))
+        if rho == 0.0:
+            raise SourceOnBoundary("evaluation point coincides with the source")
+        xi = [c / rho for c in rel]
+    else:
+        xi = phase.grad_psi(np.array(point)).tolist()
+    g_xib = sum(a * b for a, b in zip(g, xi[1:]))
+    mu = g_xib - xi[0]
+    if mu != mu:
+        raise _nan_margin(np.array(xs))
+    factor = 2.0 * (xi[0] - g_xib) / (1.0 + sum(a * a for a in g))
+    xr = [xi[0] - factor] + [a + factor * b for a, b in zip(xi[1:], g)]
+    return mu, point, xi, xr, g, hess
+
+
+def _float_block(obstacle: Obstacle, phase: Phase, s: float, rec) -> list:
+    """``_spatial_block`` at a ``_float_record``, as d + 1 rows of floats.  The
+    incoming field's derivative is zero for a plane phase and the closed form
+    of ``_xi_jacobian`` for a spherical one; a convex phase runs ``_xi_jacobian``."""
+    _, point, xi, xr, g, hess = rec
+    dims = range(len(g))
+    if isinstance(phase, PlanePhase):
+        d_xi1, d_xib = [0.0 for _ in dims], [[0.0 for _ in dims] for _ in dims]
+    elif isinstance(phase, SphericalPhase):
+        rho = math.sqrt(sum((a - b) ** 2 for a, b in zip(point, phase.source.tolist())))
+        grad_rho = [xi[0] * gj + aj for gj, aj in zip(g, xi[1:])]
+        d_xi1 = [(gj - xi[0] * rj) / rho for gj, rj in zip(g, grad_rho)]
+        d_xib = [[((i == j) - xi[1 + i] * grad_rho[j]) / rho for j in dims] for i in dims]
+    else:
+        cov = BoundaryCovector(np.array(point[1:]), xi[0], np.array(xi[1:]), np.array(point))
+        d_xi1, d_xib = (a.tolist() for a in _xi_jacobian(phase, obstacle, cov, np.array(g)))
+    # As in _reflected_field_derivative: grad f splits into a field and a curvature part.
+    w = 2.0 / (1.0 + sum(a * a for a in g))
+    df_field = [w * (d_xi1[j] - sum(g[i] * d_xib[i][j] for i in dims)) for j in dims]
+    df_curv = [-w * sum(h * x for h, x in zip(row, xr[1:])) for row in hess]
+    two_s, c = 2.0 * s, xi[0] - xr[0]
+    rows = [[2.0 * xr[0]] + [g[j] + two_s * (d_xi1[j] - df_field[j] - df_curv[j]) for j in dims]]
+    for i in dims:  # K + L = d_xib + g (x) (df_field + df_curv) + c hess F
+        rows.append([2.0 * xr[1 + i]] + [
+            (i == j) + two_s * (d_xib[i][j] + g[i] * (df_field[j] + df_curv[j]) + c * hess[i][j])
+            for j in dims])
+    return rows
+
+
+def _solve(rows: list):
+    """x with a x = b from the augmented rows [a | b] (overwritten), by
+    elimination with partial pivoting; None when a pivot is exactly zero."""
+    n = len(rows)
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        if rows[p][k] == 0.0:
+            return None
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k]
+        for row in rows[:k] + rows[k + 1:]:  # Gauss-Jordan: clear column k in every other row
+            m = row[k] / pivot[k]
+            for j in range(k + 1, n + 1):
+                row[j] -= m * pivot[j]
+    return [row[n] / row[k] for k, row in enumerate(rows)]
+
+
+def _residual(rec, s: float, target: list) -> list:
+    """The image (F, xbar) + 2 s xi_r of a ``_float_record`` minus the target."""
+    return [p + 2.0 * s * x - y for p, x, y in zip(rec[1], rec[3], target)]
+
+
+def _checked_seed(seed, d: int) -> tuple[float, list]:
+    """A seed (s, xbar) as a float and a list of d floats, or ``InvalidArgument``."""
+    try:
+        s, xbar = seed
+        s_ok = -np.inf < s < np.inf
+    except (TypeError, ValueError):  # not a pair, or an s that does not compare
+        s_ok = False
+    if not s_ok:
+        raise InvalidArgument(f"seed must be a pair (s, xbar) with s a finite number, got {seed!r}")
+    try:
+        xs = np.atleast_1d(np.asarray(xbar, dtype=float))
+    except (TypeError, ValueError):
+        xs = np.empty(0)
+    if xs.shape != (d,) or not np.isfinite(xs).all():
+        raise InvalidArgument(f"seed xbar must be {d} finite floats, got {xbar!r}")
+    return float(s), xs.tolist()
+
+
 def invert_flow(obstacle: Obstacle, phase: Phase, y, seed=None) -> tuple[float, np.ndarray, float]:
     """Invert the reflected flow map at a spacetime point y = (y1, ybar, t').
 
     Damped Newton on the spatial part with the closed-form Jacobian of the
     flow map, seeded by a coarse grid search over (s, xbar) when no seed is given.
     Near-grazing seeds are refused: the inverse is merely continuous there
-    and the Newton system degenerates.
+    and the Newton system degenerates.  The loop runs on Python floats, one
+    ``_float_record`` per iterate.  A y that is not d + 2 finite numbers and a
+    seed that is not a finite s and d finite floats raise ``InvalidArgument``.
     """
-    y = np.asarray(y, dtype=float)
     d = obstacle.dim_tangential
+    try:
+        y = np.asarray(y, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidArgument(f"y must be {d + 2} finite numbers, got {y!r}") from None
     if y.size != d + 2:
         raise InvalidArgument(f"y has size {y.size}, expected {d + 2}")
-    y_space, t_prime = y[:-1], float(y[-1])
+    if not np.isfinite(y).all():
+        raise InvalidArgument(f"y must be finite, got {y.tolist()}")
+    if seed is not None:
+        s, xs = _checked_seed(seed, d)
+    target, t_prime = y[:-1].tolist(), float(y[-1])
 
-    ybar = y_space[1:]
-    if np.linalg.norm(ybar) <= obstacle.radius:
-        if y_space[0] < obstacle.value(ybar) - 1e-12:
-            raise OutsideRange("point lies strictly inside the obstacle")
+    if (math.hypot(*target[1:]) <= obstacle.radius
+            and target[0] < obstacle._jet_at(target[1:], 0) - 1e-12):
+        raise OutsideRange("point lies strictly inside the obstacle")
 
     if seed is None:
-        seed = _grid_seed(obstacle, phase, y_space)
+        seed = _grid_seed(obstacle, phase, y[:-1])
         if seed is None:
             raise OutsideRange("grid search found no admissible seed")
-    v = np.concatenate(([float(seed[0])], np.atleast_1d(np.asarray(seed[1], dtype=float))))
+        s, xs = float(seed[0]), seed[1].tolist()
 
-    cls = classify_boundary_point(obstacle, phase, v[1:])
-    if cls.margin < GRAZING_FLOOR:
-        raise GrazingSingular(f"seed margin {cls.margin} below floor {GRAZING_FLOOR}")
+    rec = _float_record(obstacle, phase, xs)
+    if rec[0] < GRAZING_FLOOR:
+        raise GrazingSingular(f"seed margin {rec[0]} below floor {GRAZING_FLOOR}")
 
-    r = cls.image(v[0]) - y_space
-    rn = float(np.linalg.norm(r))
+    r = _residual(rec, s, target)
+    rn = math.hypot(*r)
     for it in range(MAX_ITER):
         if rn <= 1e-14:
             break
-        jac = _spatial_block(obstacle, phase, v[0], cls)
-        try:
-            delta = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
+        block = _float_block(obstacle, phase, s, rec)
+        delta = _solve([row + [-c] for row, c in zip(block, r)])
+        if delta is None:
             raise NoConvergence(it, rn)
         # Damping: halve until the residual decreases.
         lam = 1.0
         for _ in range(40):
-            v_new = v + lam * delta
-            v_new[0] = max(v_new[0], 0.0)
-            if (np.linalg.norm(v_new[1:]) > obstacle.radius
-                    or (trial := classify_boundary_point(obstacle, phase, v_new[1:])).margin < 1e-8):
+            s_new = max(s + lam * delta[0], 0.0)
+            xs_new = [x + lam * dx for x, dx in zip(xs, delta[1:])]
+            if (math.hypot(*xs_new) > obstacle.radius
+                    or (trial := _float_record(obstacle, phase, xs_new))[0] < 1e-8):
                 lam *= 0.5
                 continue
-            r_new = trial.image(v_new[0]) - y_space
-            rn_new = float(np.linalg.norm(r_new))
+            r_new = _residual(trial, s_new, target)
+            rn_new = math.hypot(*r_new)
             if rn_new < rn:
-                v, r, rn, cls = v_new, r_new, rn_new, trial
+                s, xs, r, rn, rec = s_new, xs_new, r_new, rn_new, trial
                 break
             lam *= 0.5
         else:
+            if rn > RESIDUAL_TOL:
+                raise NoConvergence(it + 1, rn, stalled=True)
             break
     if rn > RESIDUAL_TOL:
         raise NoConvergence(MAX_ITER, rn)
-    s = float(v[0])
     if s < -1e-12:
         raise OutsideRange(f"converged to negative ray parameter s = {s}")
-    return max(s, 0.0), v[1:].copy(), t_prime - 2.0 * max(s, 0.0)
+    return max(s, 0.0), np.array(xs), t_prime - 2.0 * max(s, 0.0)
 
 
 def _grid_seed(obstacle: Obstacle, phase: Phase, y_space):

@@ -449,6 +449,23 @@ def test_a_single_point_whose_power_overflows_reads_its_batch_row():
                 assert [np.array(v).tobytes() for v in got] == [r.tobytes() for r in rows], name
 
 
+def test_the_flat_profile_reads_its_limits_where_a_power_overflows():
+    # s**2, s**3 or s**6 of a huge s = |x|^2 overflows a float: h reads 1 and
+    # h', h'' read 0 there, at a point and in a one-row batch alike.  At
+    # [1e30, 0] only h'' overflows.
+    obs = gm.Obstacle(gm.SymmetricH.exp_flat(2), radius=1e100)
+    for p in ([1e80, 0.0], [1e30, 0.0]):
+        rows = [obs.value([p])[0], obs.gradient([p])[0], obs.hessian([p])[0]]
+        points = [obs.value(p), obs.gradient(p), obs.hessian(p)]
+        assert [np.array(v).tobytes() for v in points] == [r.tobytes() for r in rows], p
+        assert [np.array(v).tobytes() for v in obs._jet_at(p, 2)] == [r.tobytes() for r in rows]
+        assert rows[0] == 0.0 and np.allclose(rows[1], [-4.0 * p[0] ** -5, 0.0], rtol=1e-15)
+    assert np.all(obs.hessian([1e80, 0.0]) == 0.0)
+    assert obs.surface.h(1e200) == 1.0 and obs.surface.h(1e200, 1) == obs.surface.h(1e100, 2) == 0.0
+    with pytest.raises(gm.OrderTooHigh):
+        obs.surface.h(1e200, 3)
+
+
 def test_parsing_and_batch_evaluation_build_no_jet_kernel():
     # The kernel is built on the first single-point call, not by parsing
     # (the phase's outside check included) or by the batch paths, which
