@@ -495,7 +495,10 @@ class SymmetricH:
     def h_ratio(self, s):
         """h(s)/h'(s), with the flat case simplified to s^3/2 to avoid underflow."""
         if self.flat:
-            return 0.5 * (np.float_power(s, 3) if isinstance(s, np.ndarray) else s**3)
+            try:
+                return 0.5 * (np.float_power(s, 3) if isinstance(s, np.ndarray) else s**3)
+            except OverflowError:  # pow raises where float_power gives inf
+                return math.copysign(math.inf, s)
         hp = self.h(s, deriv=1)
         if np.any(hp == 0.0):
             raise InvalidArgument("h'(s) = 0 away from the apex")
@@ -503,7 +506,10 @@ class SymmetricH:
 
     def h_ratio_prime(self, s: float) -> float:
         if self.flat:
-            return 1.5 * s**2
+            try:
+                return 1.5 * s**2
+            except OverflowError:  # as in h_ratio: the batch reads inf
+                return math.inf
         hp = self.h(s, deriv=1)
         return (hp * hp - self.h(s) * self.h(s, deriv=2)) / (hp * hp)
 

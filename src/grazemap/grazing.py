@@ -369,24 +369,35 @@ SHRINK_FACTOR = 0.85  # ratio of successive transverse offsets in the shrink
 FLOOR_RATIO = 0.5
 
 
-def _bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
-    """Root of f in [lo, hi], where f(lo) = f_lo and f(hi) differ in sign.
-
-    Halves the bracket, keeping the half across which f changes sign (a zero
-    value counts as positive), until it is narrower than ``tol`` (checked
-    before each evaluation) or f vanishes at the midpoint; at most 200 halvings.
+def _bracket_root(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -> float:
+    """Root of f in [lo, hi], where f(lo) = f_lo and f(hi) = f_hi differ in
+    sign (a zero value counts as positive), by a bracketed secant: Illinois
+    regula falsi (an end kept twice running has its value halved), each trial
+    0.4 tol inside the bracket so that the bracket closes across the root, and
+    a midpoint trial after any trial that does not halve the bracket.  Stops
+    when the bracket is narrower than ``tol`` (checked before each evaluation)
+    and returns its midpoint, or returns a trial point where f vanishes; at
+    most 200 evaluations.
     """
+    kept, midpoint = 0, False  # kept: +1 after lo moved (hi kept), -1 after hi moved
     for _ in range(200):
-        if hi - lo < tol:
+        width = hi - lo
+        if width < tol:
             break
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return float(mid)
-        if (f_mid < 0.0) != (f_lo < 0.0):
-            hi = mid
+        if midpoint:
+            x = 0.5 * (lo + hi)
         else:
-            lo, f_lo = mid, f_mid
+            x = max(lo + 0.4 * tol, min(hi - 0.4 * tol, lo - f_lo * width / (f_hi - f_lo)))
+        f_x = f(x)
+        if f_x == 0.0:
+            return float(x)
+        if (f_x < 0.0) == (f_lo < 0.0):
+            lo, f_lo, f_hi = x, f_x, 0.5 * f_hi if kept == 1 else f_hi
+            kept = 1
+        else:
+            hi, f_hi, f_lo = x, f_x, 0.5 * f_lo if kept == -1 else f_lo
+            kept = -1
+        midpoint = not midpoint and hi - lo > 0.5 * width
     return float(0.5 * (lo + hi))
 
 
@@ -401,16 +412,18 @@ def _sign_events(vals: np.ndarray) -> np.ndarray:
 
 def _refine(f, grid, vals, i, tol: float) -> float:
     """The root of event i of ``_sign_events``: the grid point of an exact
-    zero, or the bisection of the sign change on floats."""
+    zero, or the bracketed secant of the sign change on floats, which starts
+    from the grid values at both ends."""
     if vals[i] == 0.0:
         return float(grid[i])
-    return _bisect(f, float(grid[i]), float(grid[i + 1]), float(vals[i]), tol)
+    return _bracket_root(f, float(grid[i]), float(grid[i + 1]), float(vals[i]),
+                         float(vals[i + 1]), tol)
 
 
 def _scan_roots(f, grid, tol: float) -> list[float]:
     """Roots of f on a grid, one per ``_sign_events`` event.  f takes an
     array of parameters or a single one; the grid is evaluated in one call
-    and the bisection passes one float at a time."""
+    and the bracketed secant passes one float at a time."""
     vals = np.asarray(f(grid), dtype=float)
     return [_refine(f, grid, vals, i, tol) for i in _sign_events(vals)]
 
@@ -430,9 +443,10 @@ def _on_line(v, axis: int, offset: float) -> np.ndarray:
 class _ScanLine:
     """A seed scan line across ``t_axis`` at ``offset``: the grazing function
     on its grid from one batched ``value``, the grid events of its roots
-    (``_sign_events``), and each event's root, bisected to LINE_ROOT_TOL on
-    the Hessian-free float value ``gf._value_at`` when first asked for and
-    kept, so a root that is never compared or seeded is never bisected."""
+    (``_sign_events``), and each event's root, solved to LINE_ROOT_TOL by the
+    bracketed secant on the Hessian-free float value ``gf._value_at`` when
+    first asked for and kept, so a root that is never compared or seeded is
+    never solved."""
 
     def __init__(self, gf, obstacle, t_axis: int, offset: float, lim: float):
         self.grid = np.linspace(-lim, lim, LINE_SCAN_N)
@@ -454,7 +468,7 @@ class _ScanLine:
 
     def nearest(self) -> int:
         """The event whose root lies nearest the apex, the first of equals; a
-        lone event is taken without bisecting its root."""
+        lone event is taken without solving for its root."""
         events = self.events
         return events[0] if len(events) == 1 else min(events, key=lambda i: abs(self.root(i)))
 
@@ -465,9 +479,9 @@ def _detect_orientation(gf, obstacle, window):
 
     The axes are scored on their scan lines' grid events: fewest extra roots
     first, then the least sum of the two nearest roots' distances from the
-    apex, axis 1 first on ties.  A root is bisected only when it has a rival
-    to beat, an event on its line or an axis scored as well as its own, so
-    usually just the two seed roots are.
+    apex, axis 1 first on ties.  A root is solved for only when it has a
+    rival to beat, an event on its line or an axis scored as well as its own,
+    so usually just the two seed roots are.
     """
     lim = min(window, math.sqrt(max(obstacle.radius**2 - SEED_OFFSET**2, 0.0)) * 0.999)
     scored = []
@@ -565,7 +579,7 @@ def trace_grazing_curve(gf: GrazingFunction, obstacle: Obstacle, window: float =
         seed = [0.0, 0.0]
         seed[t_axis] = side * SEED_OFFSET
         seed[g_axis] = root
-        # Polish the bisected root onto the zero set; keep it if that fails.
+        # Polish the bracketed root onto the zero set; keep it if that fails.
         polished = _correct(gf, obstacle, seed, trace_tol, axis=g_axis)
         if polished is None:
             polished = seed, None, gf._value_grad(obstacle, *seed)[1:]
@@ -719,7 +733,7 @@ def grazing_zero_scan_1d(gf: GrazingFunction, obstacle: Obstacle,
                          window: float = 0.3) -> tuple[int, list[float]]:
     """Count zeros of the grazing function on |x2| <= window (2D obstacles).
 
-    Uses an even grid (the apex is not a grid point) with bisection
+    Uses an even grid (the apex is not a grid point) with bracketed-secant
     refinement; runs of exact zeros collapse to one zero.
     """
     if obstacle.dim_tangential != 1:
@@ -781,8 +795,9 @@ class _SliceCurve:
         self.A, self.B = x2_star - a, 1.0 - self.f_star
         # Second intersection of the slice plane with the meridian x3 = 0.
         lim = obst_r.radius * 0.999
-        meridian_roots = _scan_roots(lambda v: self.k(_on_line(v, 0, 0.0)),
-                                     np.linspace(1e-9, lim, 600), SLICE_ROOT_TOL)
+        meridian_roots = _scan_roots(
+            lambda v: self.k(_on_line(v, 0, 0.0)) if np.ndim(v) else self._k_at(v, 0.0),
+            np.linspace(1e-9, lim, 600), SLICE_ROOT_TOL)
         if not meridian_roots:
             raise SliceMiss("slice plane does not re-enter the window on the far side")
         self.center = np.array([0.5 * (x2_star + meridian_roots[0]), 0.0])
@@ -815,13 +830,14 @@ class _SliceCurve:
         return ((f - 1.0) * self.A + (p2 - self.a) * self.B,
                 self.A * (g2 * u2 + g3 * u3) + u2 * self.B)
 
-    def point(self, phi: float) -> np.ndarray:
-        """First crossing of k = 0 along the ray from the center at angle phi."""
+    def point(self, phi: float) -> tuple:
+        """First crossing of k = 0 along the ray at angle phi, a pair of floats."""
         u2, u3 = math.cos(phi), math.sin(phi)
         lo, r = 0.0, self.r_step
         while r <= self.r_bound:
             if self._k_at(self.c2 + r * u2, self.c3 + r * u3) < 0.0:
-                return self.center + self._newton(lo, r, (u2, u3)) * np.array([u2, u3])
+                r = self._newton(lo, r, (u2, u3))
+                return self.c2 + r * u2, self.c3 + r * u3
             lo = r
             r += self.r_step
         raise SliceMiss("slice curve leaves the obstacle domain")
@@ -897,9 +913,9 @@ def slice_grazing_count(obstacle: Obstacle, bbar, x2_star: float) -> SliceCount:
 
     The slice curve is the boundary section cut by the plane through the
     source ray hitting the boundary above (x2*, 0); on it the spherical
-    grazing function is scanned in angle and each sign change is refined by
-    bisection.  No-branching predicts exactly one point on each side x3 > 0
-    and x3 < 0.
+    grazing function is scanned in angle and each sign change is refined to
+    1e-13 by the bracketed secant.  No-branching predicts exactly one point
+    on each side x3 > 0 and x3 < 0.
 
     The curve point at an angle is the root of the slice-plane function on
     the ray from the curve's center: a radial march brackets it and a
@@ -907,10 +923,11 @@ def slice_grazing_count(obstacle: Obstacle, bbar, x2_star: float) -> SliceCount:
     rounding floor (see ``_SliceCurve``), in 6 to 8 evaluations per ray on
     the sample quartics.  The points at the SLICE_N_PHI + 1 grid angles are
     solved in one lockstep pass (``_SliceCurve.points``) and the grazing
-    function is evaluated on all of them in one call; the bisection of a sign
-    change in angle, to 1e-13, goes one angle at a time
-    (``_SliceCurve.point``).  Both give the same point at an angle, so the
-    counts and points do not depend on it.
+    function is evaluated on all of them in one call; the bracketed secant of
+    a sign change in angle goes one angle at a time, through the float point
+    of ``_SliceCurve.point`` and the float value ``gf._value_at``, in 6 to 11
+    evaluations on the sample quartics.  Both give the same point at an
+    angle, so the counts and points do not depend on it.
     """
     if obstacle.dim_tangential != 2:
         raise UnsupportedSurface("slice counts require a 3D obstacle")
@@ -932,7 +949,9 @@ def slice_grazing_count(obstacle: Obstacle, bbar, x2_star: float) -> SliceCount:
 
     def h_of(phi):
         """The grazing function at the slice point of one angle or of each of many."""
-        return gf.value(obst_r, curve.points(phi) if np.ndim(phi) else curve.point(phi))
+        if np.ndim(phi):
+            return gf.value(obst_r, curve.points(phi))
+        return gf._value_at(obst_r, *curve.point(phi))
 
     # Closed angular grid: angle 0 repeats at 2 pi, so a crossing across the
     # wrap-around is seen once.

@@ -466,6 +466,19 @@ def test_the_flat_profile_reads_its_limits_where_a_power_overflows():
         obs.surface.h(1e200, 3)
 
 
+def test_the_flat_profile_ratios_read_inf_where_a_power_overflows():
+    # h/h' = s^3/2 and its derivative 3 s^2/2 at a float s whose power
+    # overflows read the inf of their one-row batch, and an ordinary s keeps
+    # its batch bytes.
+    surf = gm.SymmetricH.exp_flat(2)
+    for method in (surf.h_ratio, surf.h_ratio_prime):
+        for s in (1e200, 0.3):
+            with np.errstate(over="ignore"):
+                row = method(np.array([s]))
+            assert np.array(method(s)).tobytes() == row.tobytes(), (method.__name__, s)
+    assert surf.h_ratio(1e200) == surf.h_ratio_prime(1e200) == math.inf
+
+
 def test_parsing_and_batch_evaluation_build_no_jet_kernel():
     # The kernel is built on the first single-point call, not by parsing
     # (the phase's outside check included) or by the batch paths, which

@@ -140,8 +140,8 @@ def test_trace_cusp_curve():
 def test_trace_top_source_curve_to_rounding():
     # Source straight above the x3 axis: the grazing curve is the graph
     # x3 = 1 - sqrt(1 - 3 x2^4), written cancellation-free.  The seed vertex
-    # is polished like every other vertex, so none is left at bisection
-    # accuracy.
+    # is polished like every other vertex, so none is left at the seed
+    # root's bracket accuracy.
     gf = gm.SphericalGrazing(bbar=[0.0, 1.0])
     curve = gm.trace_grazing_curve(gf, quartic_vsq(), window=0.3)
     t, u = curve.all_vertices().T
@@ -505,7 +505,7 @@ def test_value_and_gradient_equals_value_and_gradient(name, gf):
 @pytest.mark.parametrize("name,gf", _ZOO_GRAZING,
                          ids=[f"{name}-{type(gf).__name__}" for name, gf in _ZOO_GRAZING])
 def test_float_value_equals_the_float_jet_value(name, gf):
-    # The seed bisection's Hessian-free float value is the corrector's, bit for bit.
+    # The seed roots' Hessian-free float value is the corrector's, bit for bit.
     obs = surface_zoo()[name]
     for p in np.vstack([np.zeros((1, 2)), sample_disk(np.random.default_rng(13), 0.4, 40)]):
         value = gf._value_at(obs, *p.tolist())
@@ -547,9 +547,10 @@ def test_slice_newton_is_one_float_path_on_every_surface(name):
 def test_slice_count_solves_each_ray_in_a_few_newton_steps(monkeypatch):
     # Cusp/side: the lockstep solve of the 1441 grid angles takes 10 rounds
     # (the jet at every bracket's outer end, then one per Newton step), and
-    # the two crossings take 7.  Each single-angle ``point`` of the angular
-    # bisection makes 7 or 8 float jet evaluations after its march; bisecting
-    # the march bracket to 1e-14 would take about 40.
+    # the two crossings take 7.  The bracketed secant of each angular
+    # crossing takes 11 single-angle ``point`` calls (36 halvings bisected
+    # it to 1e-13), and each makes 7 or 8 float jet evaluations after its
+    # march; bisecting the march bracket to 1e-14 would take about 40.
     rounds, jets, log = [0], [0], []
     real_ray_jet, real_jet = _SliceCurve._ray_jet, gm.Obstacle._jet_at
 
@@ -580,16 +581,17 @@ def test_slice_count_solves_each_ray_in_a_few_newton_steps(monkeypatch):
                                                                 ("points", 2, 7, 0)]
     singles = [entry for entry in log if entry[0] == "point"]
     assert all(entry[2] == 0 for entry in singles)
-    assert sorted(Counter(entry[3] for entry in singles).items()) == [(7, 64), (8, 8)]
+    assert sorted(Counter(entry[3] for entry in singles).items()) == [(7, 18), (8, 4)]
 
 
 def test_trace_checks_the_domain_once_per_corrector_evaluation(monkeypatch):
-    # A float evaluation (a corrector iterate or a seed bisection step) makes
-    # one float radius check, ``_check_at``, and never the array check
+    # A float evaluation (a corrector iterate or a seed root trial) makes one
+    # float radius check, ``_check_at``, and never the array check
     # ``_check_domain``.  Each of the four seed scan lines is one batched
     # ``value``, which checks twice, for F and grad F, and makes no float
-    # evaluation.  Only the two seed roots are bisected, on the Hessian-free
-    # ``_value_at``: a grid step of 0.6 / 1023 halves 33 times below 1e-13.
+    # evaluation.  Only the two seed roots are solved for, on the
+    # Hessian-free ``_value_at``: the bracketed secant takes 13 trials on
+    # each, where halving a grid step of 0.6 / 1023 below 1e-13 took 33.
     calls = dict.fromkeys(("check_at", "check_domain", "value", "gradient", "float",
                            "float_value"), 0)
 
@@ -608,7 +610,7 @@ def test_trace_checks_the_domain_once_per_corrector_evaluation(monkeypatch):
             return out
         return wrapped
 
-    corrections, scans, bisections = [], [], []
+    corrections, scans, roots = [], [], []
     monkeypatch.setattr(gm.Obstacle, "_check_at", counting("check_at", gm.Obstacle._check_at))
     monkeypatch.setattr(gm.Obstacle, "_check_domain",
                         counting("check_domain", gm.Obstacle._check_domain))
@@ -619,24 +621,22 @@ def test_trace_checks_the_domain_once_per_corrector_evaluation(monkeypatch):
     monkeypatch.setattr(grazing, "_correct", delta(grazing._correct, corrections))
     monkeypatch.setattr(grazing._ScanLine, "__init__",
                         delta(grazing._ScanLine.__init__, scans))
-    monkeypatch.setattr(grazing, "_bisect", delta(grazing._bisect, bisections))
+    monkeypatch.setattr(grazing, "_bracket_root", delta(grazing._bracket_root, roots))
     gm.trace_grazing_curve(gm.SphericalGrazing(bbar=[-1.0, 0.0]), quartic_vsq(), window=0.3)
     assert sum(c["float"] for c in corrections) > 1000
     assert all(c["check_at"] == c["float"] and c["check_domain"] == 0 for c in corrections)
     assert len(scans) == 4
     assert all(c["value"] == 1 and c["check_domain"] == 2 and c["check_at"] == 0 for c in scans)
-    halvings = math.ceil(math.log2(0.6 / (LINE_SCAN_N - 1) / LINE_ROOT_TOL))
-    assert halvings == 33
-    assert [c["float_value"] for c in bisections] == [halvings] * 2
+    assert [c["float_value"] for c in roots] == [13] * 2
     assert all(c["check_at"] == c["float_value"] and c["float"] == c["check_domain"] == 0
-               for c in bisections)
-    assert calls["float_value"] == 2 * halvings
+               for c in roots)
+    assert calls["float_value"] == 2 * 13
     assert calls["gradient"] == 0
     assert calls["check_domain"] == 2 * calls["value"]
 
 
 def _eager_orientation(gf, obstacle, window):
-    """The seed choice with every root bisected: all the roots on each of the
+    """The seed choice with every root solved for: all the roots on each of the
     four scan lines, then the axis with the fewest extra roots, then the least
     sum of its two nearest |root|, axis 1 first on equal sums.  Returns the
     choice, the scores (extra roots, sum) per axis and the roots per line."""
@@ -646,7 +646,7 @@ def _eager_orientation(gf, obstacle, window):
     for t_axis in (1, 0):
         for offset in (SEED_OFFSET, -SEED_OFFSET):
             def f(v, t_axis=t_axis, offset=offset):
-                # The scan's batched value on the grid, its float value in the bisection.
+                # The scan's batched value on the grid, its float value in the root solve.
                 p = grazing._on_line(v, 1 - t_axis, offset)
                 return gf.value(obstacle, p) if np.ndim(v) else gf._value_at(obstacle, *p.tolist())
             roots[t_axis, offset] = grazing._scan_roots(f, grid, LINE_ROOT_TOL)
@@ -666,8 +666,8 @@ def _eager_orientation(gf, obstacle, window):
     (lambda: gm.Obstacle(gm.SymmetricH.exp_flat(2), radius=0.6), [-1.0, 0.0], "tie"),
 ], ids=["rounded-near", "rounded-oblique", "rounded-behind", "flat-tie"])
 def test_seed_choice_equals_the_eager_reference(make_obs, bbar, rival):
-    # The scan bisects a root only when it has a rival to beat; the choice
-    # must be the one made with every root bisected.  Each case has a rival:
+    # The scan solves for a root only when it has a rival to beat; the choice
+    # must be the one made with every root solved for.  Each case has a rival:
     # a scan line with several roots, two axes with as few extra roots, or
     # two axes that score alike in full.
     obs, gf = make_obs(), gm.SphericalGrazing(bbar=bbar)
@@ -753,6 +753,96 @@ def test_slice_count_matches_per_angle_reference(make_obs):
     assert (sc.count_pos, sc.count_neg) == (int(np.sum(ref[:, 1] > 0)), int(np.sum(ref[:, 1] < 0)))
     assert sc.points.shape == ref.shape
     assert np.max(np.abs(sc.points - ref)) <= 1e-13
+
+
+# (f, lo, hi, root, tol): simple roots of a strongly convex function and of
+# a sigmoid, a triple root, roots 0.3 tol from either end, a root where the
+# first secant trial is exact, and a pure sign step.
+_BRACKET_CASES = {
+    "convex": (lambda x: math.exp(100.0 * x) - 2.0, 0.0, 1.0, math.log(2.0) / 100.0, 1e-13),
+    "sigmoid": (lambda x: math.atan(8.0 * (x - 0.2)), 0.0, 1.0, 0.2, 1e-13),
+    "triple": (lambda x: (x - 0.3) ** 3, 0.0, 1.0, 0.3, 1e-13),
+    "near-lo": (lambda x: (x - 3e-14) * (2.0 + x), 0.0, 1.0, 3e-14, 1e-13),
+    "near-hi": (lambda x: (x - (1.0 - 3e-14)) * (2.0 + x), 0.0, 1.0, 1.0 - 3e-14, 1e-13),
+    "exact-zero": (lambda x: x - 0.5, 0.0, 1.0, 0.5, 1e-13),
+    "step": (lambda x: -1.0 if x < 1.0 / 3.0 else 1.0, 0.0, 1.0, 1.0 / 3.0, 1e-13),
+}
+
+
+def _bracketer_failures(solve, case):
+    """The checks a root bracketer fails on one case: 'root' when its result
+    is farther than tol from the root, 'inside' when a trial point does not
+    lie strictly inside the bracket the trials so far leave (a zero counts
+    as positive), 'count' when it makes more than 2 ceil(log2(w / tol)) + 2
+    evaluations, about twice a bisection's."""
+    f, lo, hi, root, tol = _BRACKET_CASES[case]
+    bracket, trials = [lo, hi], []
+
+    def traced(x):
+        trials.append(bracket[0] < x < bracket[1])
+        y = f(x)
+        bracket[(y < 0.0) != (f(lo) < 0.0)] = x
+        return y
+
+    got = solve(traced, lo, hi, f(lo), f(hi), tol)
+    return ({"root"} if not abs(got - root) <= tol else set()) | \
+        ({"inside"} if not all(trials) else set()) | \
+        ({"count"} if len(trials) > 2 * math.ceil(math.log2((hi - lo) / tol)) + 2 else set())
+
+
+@pytest.mark.parametrize("case", list(_BRACKET_CASES))
+def test_bracketed_secant_closes_inside_its_bracket_within_twice_the_halvings(case):
+    assert _bracketer_failures(grazing._bracket_root, case) == set()
+
+
+def _secant(f, lo, hi, f_lo, f_hi, tol):
+    """The raw secant through the last two iterates, which keeps no bracket."""
+    a, f_a, b, f_b = lo, f_lo, hi, f_hi
+    for _ in range(200):
+        if abs(b - a) < tol or f_b == f_a:
+            break
+        a, f_a, b = b, f_b, b - f_b * (b - a) / (f_b - f_a)
+        f_b = f(b)
+    return b
+
+
+def _regula_falsi(f, lo, hi, f_lo, f_hi, tol):
+    """``_bracket_root`` without the Illinois halving and the midpoint trial."""
+    for _ in range(200):
+        if hi - lo < tol:
+            break
+        x = max(lo + 0.4 * tol, min(hi - 0.4 * tol, lo - f_lo * (hi - lo) / (f_hi - f_lo)))
+        f_x = f(x)
+        if f_x == 0.0:
+            return x
+        if (f_x < 0.0) == (f_lo < 0.0):
+            lo, f_lo = x, f_x
+        else:
+            hi, f_hi = x, f_x
+    return 0.5 * (lo + hi)
+
+
+def _residual_stop(f, lo, hi, f_lo, f_hi, tol):
+    """Bisection that stops on a small residual |f| < 1e-12, not on the bracket."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if abs(f_mid) < 1e-12:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return mid
+
+
+@pytest.mark.parametrize("solve,case,check", [
+    (_secant, "sigmoid", "inside"),
+    (_regula_falsi, "convex", "count"),
+    (_residual_stop, "triple", "root"),
+], ids=["secant-leaves-the-bracket", "regula-falsi-stalls", "residual-stop-misses-the-root"])
+def test_each_bracketer_check_fails_on_a_variant_built_to_fail_it(solve, case, check):
+    assert check in _bracketer_failures(solve, case)
 
 
 @pytest.mark.parametrize("terms", [
