@@ -19,7 +19,9 @@ results bit for bit.  A boundary point is assembled once, one
 its record feeds the margin, the label, both covectors, the flow points and
 the Jacobian.  ``verify_rfm``, the ``reflect`` table and the grid seed of
 ``invert_flow`` run as array passes; the Newton loop of ``invert_flow`` runs
-on Python floats, from one ``Obstacle._jet_at`` per iterate.
+on Python floats, from one ``Obstacle._jet_at`` per iterate, after its
+argument checks on the float lists it builds.  ``reflected_phase_at`` reads
+its value and gradient from the float record of the converged point.
 """
 
 from __future__ import annotations
@@ -413,18 +415,24 @@ def _float_block(obstacle: Obstacle, phase: Phase, s: float, rec) -> list:
 
 def _solve(rows: list):
     """x with a x = b from the augmented rows [a | b] (overwritten), by
-    elimination with partial pivoting; None when a pivot is exactly zero."""
+    elimination with partial pivoting; None when a pivot is exactly zero.
+    The pivot is the first row of largest abs (a NaN is never larger)."""
     n = len(rows)
     for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
-        if rows[p][k] == 0.0:
+        p, big = k, abs(rows[k][k])
+        for i in range(k + 1, n):
+            if abs(rows[i][k]) > big:
+                p, big = i, abs(rows[i][k])
+        if big == 0.0:
             return None
         rows[k], rows[p] = rows[p], rows[k]
         pivot = rows[k]
-        for row in rows[:k] + rows[k + 1:]:  # Gauss-Jordan: clear column k in every other row
-            m = row[k] / pivot[k]
-            for j in range(k + 1, n + 1):
-                row[j] -= m * pivot[j]
+        for i in range(n):  # Gauss-Jordan: clear column k in every other row
+            if i != k:
+                row = rows[i]
+                m = row[k] / pivot[k]
+                for j in range(k + 1, n + 1):
+                    row[j] -= m * pivot[j]
     return [row[n] / row[k] for k, row in enumerate(rows)]
 
 
@@ -433,22 +441,63 @@ def _residual(rec, s: float, target: list) -> list:
     return [p + 2.0 * s * x - y for p, x, y in zip(rec[1], rec[3], target)]
 
 
+def _real(v):
+    """v as a Python float, or None: ``float`` of a real number, a numeric
+    string or a 0-d real array.  A complex number and an array with an axis
+    give None, where ``float`` would drop the imaginary part or refuse."""
+    if isinstance(v, (complex, np.complexfloating)) or (
+            isinstance(v, np.ndarray) and (v.ndim or v.dtype.kind == "c")):
+        return None
+    try:
+        return float(v)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _reals(values):
+    """values as a list of Python floats, one per entry as ``np.atleast_1d``
+    reads them (one number or string is one entry), or None unless they are
+    real numbers along at most one axis."""
+    try:
+        a = values if isinstance(values, np.ndarray) else np.asarray(values)
+    except (TypeError, ValueError):  # a ragged nesting
+        return None
+    if a.ndim > 1 or a.dtype.kind == "c":
+        return None
+    xs = [v if type(v) is float else _real(v) for v in (a.tolist() if a.ndim else [a.item()])]
+    return None if None in xs else xs
+
+
+def _checked_y(y, d: int) -> list:
+    """y as a list of d + 2 finite floats, or ``InvalidArgument`` naming its shape."""
+    ys = _reals(y)
+    if ys is None or len(ys) != d + 2:
+        try:
+            shape = np.shape(y)
+        except ValueError:  # a ragged nesting has no shape
+            shape = None
+        if shape is not None and shape != (d + 2,):
+            raise InvalidArgument(f"y has shape {shape}, expected ({d + 2},)")
+        raise InvalidArgument(f"y must be {d + 2} finite real numbers, got {y!r}")
+    if not all(map(math.isfinite, ys)):
+        raise InvalidArgument(f"y must be finite, got {ys}")
+    return ys
+
+
 def _checked_seed(seed, d: int) -> tuple[float, list]:
-    """A seed (s, xbar) as a float and a list of d floats, or ``InvalidArgument``."""
+    """A seed (s, xbar) as a float and a list of d floats, or ``InvalidArgument``:
+    s one finite real number (not a string), xbar d of them."""
     try:
         s, xbar = seed
-        s_ok = -np.inf < s < np.inf
-    except (TypeError, ValueError):  # not a pair, or an s that does not compare
-        s_ok = False
-    if not s_ok:
+    except (TypeError, ValueError):  # not a pair
+        s = xbar = None
+    s = None if isinstance(s, (str, bytes)) else _real(s)
+    if s is None or not -math.inf < s < math.inf:
         raise InvalidArgument(f"seed must be a pair (s, xbar) with s a finite number, got {seed!r}")
-    try:
-        xs = np.atleast_1d(np.asarray(xbar, dtype=float))
-    except (TypeError, ValueError):
-        xs = np.empty(0)
-    if xs.shape != (d,) or not np.isfinite(xs).all():
+    xs = _reals(xbar)
+    if xs is None or len(xs) != d or not all(map(math.isfinite, xs)):
         raise InvalidArgument(f"seed xbar must be {d} finite floats, got {xbar!r}")
-    return float(s), xs.tolist()
+    return s, xs
 
 
 def invert_flow(obstacle: Obstacle, phase: Phase, y, seed=None) -> tuple[float, np.ndarray, float]:
@@ -458,28 +507,30 @@ def invert_flow(obstacle: Obstacle, phase: Phase, y, seed=None) -> tuple[float, 
     flow map, seeded by a coarse grid search over (s, xbar) when no seed is given.
     Near-grazing seeds are refused: the inverse is merely continuous there
     and the Newton system degenerates.  The loop runs on Python floats, one
-    ``_float_record`` per iterate.  A y that is not d + 2 finite numbers and a
-    seed that is not a finite s and d finite floats raise ``InvalidArgument``.
+    ``_float_record`` per iterate.  A y that is not d + 2 finite real numbers
+    of shape (d + 2,), and a seed that is not a finite real s with d finite
+    real numbers for xbar, raise ``InvalidArgument`` before anything is
+    evaluated.
     """
+    s, xs, t, _ = _invert(obstacle, phase, y, seed)
+    return s, np.array(xs), t
+
+
+def _invert(obstacle: Obstacle, phase: Phase, y, seed):
+    """``invert_flow`` as (s, xbar, t, rec): xbar a list of floats and rec the
+    ``_float_record`` of the converged point."""
     d = obstacle.dim_tangential
-    try:
-        y = np.asarray(y, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidArgument(f"y must be {d + 2} finite numbers, got {y!r}") from None
-    if y.size != d + 2:
-        raise InvalidArgument(f"y has size {y.size}, expected {d + 2}")
-    if not np.isfinite(y).all():
-        raise InvalidArgument(f"y must be finite, got {y.tolist()}")
+    ys = _checked_y(y, d)
     if seed is not None:
         s, xs = _checked_seed(seed, d)
-    target, t_prime = y[:-1].tolist(), float(y[-1])
+    target, t_prime = ys[:-1], ys[-1]
 
     if (math.hypot(*target[1:]) <= obstacle.radius
             and target[0] < obstacle._jet_at(target[1:], 0) - 1e-12):
         raise OutsideRange("point lies strictly inside the obstacle")
 
     if seed is None:
-        seed = _grid_seed(obstacle, phase, y[:-1])
+        seed = _grid_seed(obstacle, phase, np.array(target))
         if seed is None:
             raise OutsideRange("grid search found no admissible seed")
         s, xs = float(seed[0]), seed[1].tolist()
@@ -520,7 +571,7 @@ def invert_flow(obstacle: Obstacle, phase: Phase, y, seed=None) -> tuple[float, 
         raise NoConvergence(MAX_ITER, rn)
     if s < -1e-12:
         raise OutsideRange(f"converged to negative ray parameter s = {s}")
-    return max(s, 0.0), np.array(xs), t_prime - 2.0 * max(s, 0.0)
+    return max(s, 0.0), xs, t_prime - 2.0 * max(s, 0.0), rec
 
 
 def _grid_seed(obstacle: Obstacle, phase: Phase, y_space):
@@ -552,13 +603,12 @@ def reflected_phase_at(obstacle: Obstacle, phase: Phase, y, seed=None):
 
     The phase carries the boundary value of the incoming phase along the
     reflected ray; its gradient is the constant (xi_r, -1) of that ray.
-    Both come from one assembly of the converged boundary point.
+    Both are read from the float record of the point the inversion
+    converged to: the boundary point (F, xbar) feeds ``phase.psi`` and the
+    reflected covector the gradient, with no second assembly.
     """
-    s, xbar, t = invert_flow(obstacle, phase, y, seed=seed)
-    cls = classify_boundary_point(obstacle, phase, xbar)
-    value = -t + phase.psi(cls.incoming.point)
-    gradient = np.concatenate((cls.reflected.vector, [-1.0]))
-    return value, gradient
+    _, _, t, (_, point, _, xr, _, _) = _invert(obstacle, phase, y, seed)
+    return -t + phase.psi(point), np.array([*xr, -1.0])
 
 
 # ---------------------------------------------------------------------------

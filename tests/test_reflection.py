@@ -573,4 +573,5 @@ def test_reflected_phase_assembles_the_converged_point_once(sphere, side_source,
     inversion = list(evaluations)
     evaluations[:] = [0, 0, 0]
     gm.reflected_phase_at(sphere, side_source, y, seed=seed)
-    assert all(n <= m + 1 for n, m in zip(evaluations, inversion))
+    # The converged point is read from the inversion's float record, not assembled again.
+    assert evaluations == inversion
