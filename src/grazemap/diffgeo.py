@@ -44,6 +44,58 @@ class InvalidArgument(GrazemapError, ValueError):
     """Argument outside what the operation accepts (shape, sign or size)."""
 
 
+def _real(v):
+    """v as a Python float, or None: ``float`` of a real number or a 0-d real
+    array, the scalar rule of every argument check.  A string, a complex
+    number or an array with an axis gives None, which ``float`` would not."""
+    if isinstance(v, (str, bytes, complex, np.complexfloating)) or (
+            isinstance(v, np.ndarray) and (v.ndim or v.dtype.kind not in "biuf")):
+        return None
+    try:
+        return float(v)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _reals(values):
+    """values as a list of Python floats, one per entry as ``np.atleast_1d``
+    reads them (one number is one entry), or None unless they are real
+    numbers (``_real``) along at most one axis."""
+    try:
+        a = values if isinstance(values, np.ndarray) else np.asarray(values)
+    except (TypeError, ValueError):  # a ragged nesting
+        return None
+    if a.ndim > 1 or a.dtype.kind == "c":
+        return None
+    xs = [v if type(v) is float else _real(v) for v in (a.tolist() if a.ndim else [a.item()])]
+    return None if None in xs else xs
+
+
+def _finite(v, low: float = -math.inf):
+    """``_real`` of v if it is finite and at least low, else None."""
+    x = _real(v)
+    return x if x is not None and math.isfinite(x) and x >= low else None
+
+
+def _vector(values, name: str, n: int | None = None) -> np.ndarray:
+    """values as a float array of finite real numbers along one axis
+    (``_reals``), n of them if n is given, or ``InvalidArgument`` naming them."""
+    xs = _reals(values)
+    if xs is None or not all(map(math.isfinite, xs)) or n not in (None, len(xs)):
+        count = "" if n is None else f"{n} "
+        raise InvalidArgument(f"{name} must be {count}finite real numbers, got {values!r}")
+    return np.array(xs)
+
+
+def _as_points(x) -> np.ndarray:
+    """x as a float array with at least one axis; complex and string entries,
+    which the cast would change or parse, raise ``InvalidArgument``."""
+    a = np.asarray(x)
+    if a.dtype.kind in "cSU":
+        raise InvalidArgument(f"point must be real numbers, got dtype {a.dtype}")
+    return np.atleast_1d(np.asarray(a, dtype=float))
+
+
 class DomainExceeded(GrazemapError, ValueError):
     """Query point lies outside the obstacle's declared tangential radius."""
 
@@ -604,9 +656,9 @@ class Obstacle:
             raise DomainExceeded(f"|xbar| = {r} exceeds declared radius {self.radius}")
 
     def _check_domain(self, x) -> np.ndarray:
-        """x as a float array, one point (d,) or a batch (m, d), after one
-        radius check that names the largest |xbar| when it fails."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        """x as a float array (``_as_points``), one point (d,) or a batch (m, d),
+        after one radius check that names the largest |xbar| when it fails."""
+        x = _as_points(x)
         d = self.surface.dim
         if x.shape == (d,):
             r = _norm(x)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .diffgeo import (J_MAX_DEFAULT, GrazemapError, InvalidArgument, MultiPoly, NotNormalized,
                       Obstacle, PolynomialSurface, SymmetricH, UnsupportedSurface, ZeroVector,
-                      _matvec, _rowdot, rotate_coordinates)
+                      _as_points, _finite, _matvec, _rowdot, _vector, rotate_coordinates)
 from .phases import BoundaryCovector, Phase, PlanePhase, SphericalPhase, xi_incoming
 from .reflection import classify_boundary_point
 
@@ -75,15 +75,13 @@ class SphericalGrazing:
     bbar: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "bbar", np.atleast_1d(np.asarray(self.bbar, dtype=float)))
+        object.__setattr__(self, "bbar", _vector(self.bbar, "bbar"))
 
     def value(self, obstacle: Obstacle, x):
         """H at one point (d,) -> float, or per row of a batch (m, d) -> (m,)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
         return obstacle.value(x) - 1.0 - _rowdot(obstacle.gradient(x), x - self.bbar)
 
     def gradient(self, obstacle: Obstacle, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
         return -obstacle.hessian(x) @ (x - self.bbar)
 
     def _value_grad(self, obstacle: Obstacle, x0: float, x1: float) -> tuple:
@@ -92,13 +90,6 @@ class SphericalGrazing:
         b0, b1 = self.bbar.tolist()
         d0, d1 = x0 - b0, x1 - b1
         return f - 1.0 - (g0 * d0 + g1 * d1), -(h00 * d0 + h01 * d1), -(h10 * d0 + h11 * d1)
-
-    def _value_at(self, obstacle: Obstacle, x0: float, x1: float) -> float:
-        """H at one plane point, on floats from the Hessian-free surface jet:
-        the value of ``_value_grad`` there, bit for bit."""
-        f, (g0, g1) = obstacle._jet_at([x0, x1], 1)
-        b0, b1 = self.bbar.tolist()
-        return f - 1.0 - (g0 * (x0 - b0) + g1 * (x1 - b1))
 
 
 @dataclass(frozen=True)
@@ -112,15 +103,13 @@ class PlanarGrazing:
     thetabar: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "thetabar", np.atleast_1d(np.asarray(self.thetabar, dtype=float)))
+        object.__setattr__(self, "thetabar", _vector(self.thetabar, "thetabar"))
 
     def value(self, obstacle: Obstacle, x):
         """g at one point (d,) -> float, or per row of a batch (m, d) -> (m,)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
         return _rowdot(-obstacle.gradient(x), self.thetabar)
 
     def gradient(self, obstacle: Obstacle, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
         return -obstacle.hessian(x) @ self.thetabar
 
     def _value_grad(self, obstacle: Obstacle, x0: float, x1: float) -> tuple:
@@ -128,13 +117,6 @@ class PlanarGrazing:
         _, (g0, g1), ((h00, h01), (h10, h11)) = obstacle._jet_at([x0, x1], 2)
         t0, t1 = self.thetabar.tolist()
         return -(g0 * t0 + g1 * t1), -(h00 * t0 + h01 * t1), -(h10 * t0 + h11 * t1)
-
-    def _value_at(self, obstacle: Obstacle, x0: float, x1: float) -> float:
-        """g at one plane point, on floats from the Hessian-free surface jet:
-        the value of ``_value_grad`` there, bit for bit."""
-        _, (g0, g1) = obstacle._jet_at([x0, x1], 1)
-        t0, t1 = self.thetabar.tolist()
-        return -(g0 * t0 + g1 * t1)
 
 
 @dataclass(frozen=True)
@@ -148,13 +130,13 @@ class SymmetricZeta:
     bbar: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "bbar", np.atleast_1d(np.asarray(self.bbar, dtype=float)))
+        object.__setattr__(self, "bbar", _vector(self.bbar, "bbar"))
 
     def value(self, obstacle: Obstacle, x):
         """zeta at one point (d,) -> float, or per row of a batch (m, d) -> (m,),
         each row bit for bit the point's; a batch names its first row whose
         |L xbar|^2 leaves the profile's domain."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = _as_points(x)
         surf = _symmetric_surface(obstacle)
         y = _matvec(surf.lam, np.atleast_2d(x))
         s = _rowdot(y, y)
@@ -170,7 +152,7 @@ class SymmetricZeta:
 
     def gradient(self, obstacle: Obstacle, x) -> np.ndarray:
         surf = _symmetric_surface(obstacle)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = _as_points(x)
         ltl = surf.lam.T @ surf.lam
         s = float((surf.lam @ x) @ (surf.lam @ x))
         if s > surf.sdomain:
@@ -180,29 +162,10 @@ class SymmetricZeta:
         return (2.0 - surf.h_ratio_prime(s)) * 2.0 * (ltl @ x) - 2.0 * ltl @ self.bbar
 
     def _value_grad(self, obstacle: Obstacle, x0: float, x1: float) -> tuple:
-        """(zeta, dzeta/dx0, dzeta/dx1) at one plane point, on floats.  Like
-        ``value``, it reads the profile, not the surface jet, and checks only
-        the profile's domain.  The gradient is L^T (c L xbar - 2 L bbar) with
-        c = 2 (2 - (h/h')'(s)), and c = 0 at the apex."""
-        surf = _symmetric_surface(obstacle)
-        (l00, l01), (l10, l11) = surf.lam.tolist()
-        b0, b1 = self.bbar.tolist()
-        y0, y1 = l00 * x0 + l01 * x1, l10 * x0 + l11 * x1
-        z0, z1 = l00 * b0 + l01 * b1, l10 * b0 + l11 * b1
-        s = y0 * y0 + y1 * y1
-        if s > surf.sdomain:
-            raise HDomainExceeded(f"|L xbar|^2 = {s} exceeds domain {surf.sdomain}")
-        f = c = 0.0
-        if s != 0.0:
-            f = -surf.h_ratio(s) + 2.0 * s - 2.0 * (y0 * z0 + y1 * z1)
-            c = 2.0 * (2.0 - surf.h_ratio_prime(s))
-        v0, v1 = c * y0 - 2.0 * z0, c * y1 - 2.0 * z1
-        return f, l00 * v0 + l10 * v1, l01 * v0 + l11 * v1
-
-    def _value_at(self, obstacle: Obstacle, x0: float, x1: float) -> float:
-        """zeta at one plane point, on floats: ``_value_grad``'s value, which
-        reads the profile and no surface Hessian."""
-        return self._value_grad(obstacle, x0, x1)[0]
+        """(zeta, dzeta/dx0, dzeta/dx1) at one plane point: ``value`` and
+        ``gradient`` there, as floats."""
+        x = np.array([x0, x1])
+        return self.value(obstacle, x), *self.gradient(obstacle, x).tolist()
 
 
 GrazingFunction = SphericalGrazing | PlanarGrazing | SymmetricZeta
@@ -444,9 +407,9 @@ class _ScanLine:
     """A seed scan line across ``t_axis`` at ``offset``: the grazing function
     on its grid from one batched ``value``, the grid events of its roots
     (``_sign_events``), and each event's root, solved to LINE_ROOT_TOL by the
-    bracketed secant on the Hessian-free float value ``gf._value_at`` when
-    first asked for and kept, so a root that is never compared or seeded is
-    never solved."""
+    bracketed secant on the float value of ``gf._value_grad`` when first
+    asked for and kept, so a root that is never compared or seeded is never
+    solved."""
 
     def __init__(self, gf, obstacle, t_axis: int, offset: float, lim: float):
         self.grid = np.linspace(-lim, lim, LINE_SCAN_N)
@@ -457,7 +420,7 @@ class _ScanLine:
 
         def f(v):
             p[1 - t_axis] = v
-            return gf._value_at(obstacle, *p)
+            return gf._value_grad(obstacle, *p)[0]
 
         self._f = f
 
@@ -517,7 +480,7 @@ def _correct(gf, obstacle, point, tol, axis=None):
     derivative ends the iteration.  At most 40 gradient steps or 80 axis steps.
 
     Each iterate is evaluated once, value and gradient together, on floats
-    (``gf._value_grad``).  The point is a pair of floats.  Returns
+    (``gf._value_grad``, the one float door).  The point is a pair of floats.  Returns
     (point, |residual|, gradient there) as a list, a float and a list, or
     None when the residual stays above ``tol``.
     """
@@ -549,6 +512,15 @@ def _correct(gf, obstacle, point, tol, axis=None):
     return None
 
 
+def _checked_trace_args(window, trace_tol) -> tuple[float, float]:
+    """window >= 0 (0 finds no seed) and trace_tol > 0 as finite floats, or ``InvalidArgument``."""
+    if (w := _finite(window, 0.0)) is None:
+        raise InvalidArgument(f"window must be finite and nonnegative, got {window!r}")
+    if (tol := _finite(trace_tol)) is None or tol <= 0.0:
+        raise InvalidArgument(f"trace_tol must be finite and positive, got {trace_tol!r}")
+    return w, tol
+
+
 def trace_grazing_curve(gf: GrazingFunction, obstacle: Obstacle, window: float = 0.3,
                         trace_tol: float = 1e-10) -> GrazingCurve:
     """Trace both branches of the grazing curve through the apex.
@@ -560,12 +532,14 @@ def trace_grazing_curve(gf: GrazingFunction, obstacle: Obstacle, window: float =
     continuation away from it (steps between H_MIN and H_MAX), out to the
     window boundary.  A branch that comes back within one step of its own
     seed has closed a loop, and its continuation stops there.  The tracing
-    runs on floats; each branch's residuals are |f| at its stored vertices,
-    from one batched ``value``.
+    runs on floats, the apex check included; each branch's residuals are |f|
+    at its stored vertices, from one batched ``value``.  Bad arguments raise
+    ``InvalidArgument`` first (``_checked_trace_args``).
     """
+    window, trace_tol = _checked_trace_args(window, trace_tol)
     if obstacle.dim_tangential != 2:
         raise UnsupportedSurface("curve tracing requires a 3D obstacle (two tangential variables)")
-    apex = gf.value(obstacle, np.zeros(2))
+    apex = gf._value_grad(obstacle, 0.0, 0.0)[0]
     if abs(apex) > 1e-9:
         raise SeedNotFound(f"apex residual {apex} is nonzero: apex is not a grazing point")
     window = min(window, obstacle.radius / math.sqrt(2.0) * 0.999)
@@ -685,7 +659,7 @@ def estimate_regularity(curve: GrazingCurve, fit_window=(1e-4, 1e-2)) -> Regular
     low-degree polynomial fit of the graph coordinate.  The coefficient is
     signed by the graph values in the window.
     """
-    lo, hi = fit_window
+    lo, hi = _vector(fit_window, "fit_window", 2).tolist()
     ts, us = [], []
     for branch in curve.branches:
         t = branch.vertices[:, curve.transverse_axis]
@@ -781,61 +755,57 @@ class _SliceCurve:
     quartic's flat direction F - 1 cancels near F = 1, the root is defined
     only to about 2e-13, and the steps never fall below 1e-14.
 
-    ``point`` runs on Python floats through the surface jet to order 1,
-    ``Obstacle._jet_at(xs, 1)``; ``points`` runs the same march and Newton in
-    lockstep over many angles on (m, 2) batches.  Each angle's arithmetic is
-    the same in both, bit for bit.
+    ``k`` alone forms k, on one point through ``Obstacle._jet_at`` or on a
+    batch.  ``point`` runs on Python floats; ``points`` runs the same march
+    and Newton in lockstep over many angles on (m, 2) batches.  Each angle's
+    arithmetic is the same in both, bit for bit.
     """
 
     def __init__(self, obst_r: Obstacle, a: float, x2_star: float):
         if abs(x2_star) > obst_r.radius * 0.999:
             raise SliceMiss("slice parameter outside the obstacle domain")
-        self.obst, self.a, self.x2_star = obst_r, a, x2_star
-        self.f_star = obst_r.value(np.array([x2_star, 0.0]))
-        self.A, self.B = x2_star - a, 1.0 - self.f_star
+        self.obst, self.a = obst_r, a
+        self.A, self.B = x2_star - a, 1.0 - obst_r._jet_at([x2_star, 0.0], 0)
         # Second intersection of the slice plane with the meridian x3 = 0.
         lim = obst_r.radius * 0.999
         meridian_roots = _scan_roots(
-            lambda v: self.k(_on_line(v, 0, 0.0)) if np.ndim(v) else self._k_at(v, 0.0),
+            lambda v: self.k(_on_line(v, 0, 0.0) if np.ndim(v) else (v, 0.0)),
             np.linspace(1e-9, lim, 600), SLICE_ROOT_TOL)
         if not meridian_roots:
             raise SliceMiss("slice plane does not re-enter the window on the far side")
         self.center = np.array([0.5 * (x2_star + meridian_roots[0]), 0.0])
         self.c2, self.c3 = self.center.tolist()  # the center as floats
-        if float(self.k(self.center)) <= 0.0:
+        if self.k((self.c2, self.c3)) <= 0.0:
             raise SliceMiss("slice curve is degenerate at this parameter")
         self.r_bound = lim - float(np.linalg.norm(self.center))
         self.r_step = self.r_bound / 50.0
 
-    def k(self, p):
-        """Slice-plane function at one point (2,) or per row of a batch (m, 2)."""
-        return (self.obst.value(p) - 1.0) * self.A + (p[..., 0] - self.a) * self.B
-
-    def _k_at(self, x2: float, x3: float) -> float:
-        """``k`` at one point given as floats: the same products and sums."""
-        return (self.obst._jet_at([x2, x3], 0) - 1.0) * self.A + (x2 - self.a) * self.B
+    def k(self, p, u=None):
+        """The slice-plane function at one point, a pair of floats, or per row
+        of a batch (m, 2); given unit directions u, a pair or (m, 2), the pair
+        (k, dk/dr) along them.  Both take the same products and sums."""
+        batch = isinstance(p, np.ndarray)
+        if u is None:
+            f = self.obst.value(p) if batch else self.obst._jet_at(p, 0)
+        elif batch:
+            f, (g2, g3), (u2, u3) = self.obst.value(p), self.obst.gradient(p).T, u.T
+        else:
+            (f, (g2, g3)), (u2, u3) = self.obst._jet_at(p, 1), u
+        k = (f - 1.0) * self.A + ((p[:, 0] if batch else p[0]) - self.a) * self.B
+        return k if u is None else (k, self.A * (g2 * u2 + g3 * u3) + u2 * self.B)
 
     def _ray_jet(self, r, u):
-        """(k, dk/dr) at radius r along direction u: floats for a float r and
-        a pair u, or arrays (m,) for radii (m,) and directions (m, 2), with
-        the same products and sums."""
+        """``k`` and dk/dr at radius r (a float, or an array) along u."""
         if isinstance(r, float):
-            u2, u3 = u
-            p2 = self.c2 + r * u2
-            f, (g2, g3) = self.obst._jet_at([p2, self.c3 + r * u3], 1)
-        else:
-            p = self.center + r[:, None] * u
-            f, (g2, g3), (u2, u3) = self.obst.value(p), self.obst.gradient(p).T, u.T
-            p2 = p[:, 0]
-        return ((f - 1.0) * self.A + (p2 - self.a) * self.B,
-                self.A * (g2 * u2 + g3 * u3) + u2 * self.B)
+            return self.k((self.c2 + r * u[0], self.c3 + r * u[1]), u)
+        return self.k(self.center + r[:, None] * u, u)
 
     def point(self, phi: float) -> tuple:
         """First crossing of k = 0 along the ray at angle phi, a pair of floats."""
         u2, u3 = math.cos(phi), math.sin(phi)
         lo, r = 0.0, self.r_step
         while r <= self.r_bound:
-            if self._k_at(self.c2 + r * u2, self.c3 + r * u3) < 0.0:
+            if self.k((self.c2 + r * u2, self.c3 + r * u3)) < 0.0:
                 r = self._newton(lo, r, (u2, u3))
                 return self.c2 + r * u2, self.c3 + r * u3
             lo = r
@@ -925,15 +895,18 @@ def slice_grazing_count(obstacle: Obstacle, bbar, x2_star: float) -> SliceCount:
     solved in one lockstep pass (``_SliceCurve.points``) and the grazing
     function is evaluated on all of them in one call; the bracketed secant of
     a sign change in angle goes one angle at a time, through the float point
-    of ``_SliceCurve.point`` and the float value ``gf._value_at``, in 6 to 11
-    evaluations on the sample quartics.  Both give the same point at an
-    angle, so the counts and points do not depend on it.
+    of ``_SliceCurve.point`` and the float value of ``gf._value_grad``, in 6
+    to 11 evaluations on the sample quartics.  Both give the same point at
+    an angle, so the counts and points do not depend on it.  Bad arguments
+    raise ``InvalidArgument`` before anything is evaluated.
     """
     if obstacle.dim_tangential != 2:
         raise UnsupportedSurface("slice counts require a 3D obstacle")
-    if x2_star >= 0.0:
+    if (x2 := _finite(x2_star)) is None:
+        raise InvalidArgument(f"x2_star must be a finite real number, got {x2_star!r}")
+    b = _vector(bbar, "bbar", 2)
+    if x2 >= 0.0:
         raise SliceMiss("slice parameter must be negative (illuminated side)")
-    b = np.atleast_1d(np.asarray(bbar, dtype=float))
     if np.linalg.norm(b) == 0.0:
         raise ZeroVector("bbar must be nonzero")
 
@@ -945,13 +918,13 @@ def slice_grazing_count(obstacle: Obstacle, bbar, x2_star: float) -> SliceCount:
         obst_r, q = obstacle, np.eye(2)
         b_r = b.copy()
     gf = SphericalGrazing(bbar=b_r)
-    curve = _SliceCurve(obst_r, float(b_r[0]), x2_star)
+    curve = _SliceCurve(obst_r, float(b_r[0]), x2)
 
     def h_of(phi):
         """The grazing function at the slice point of one angle or of each of many."""
         if np.ndim(phi):
             return gf.value(obst_r, curve.points(phi))
-        return gf._value_at(obst_r, *curve.point(phi))
+        return gf._value_grad(obst_r, *curve.point(phi))[0]
 
     # Closed angular grid: angle 0 repeats at 2 pi, so a crossing across the
     # wrap-around is seen once.
@@ -959,7 +932,7 @@ def slice_grazing_count(obstacle: Obstacle, bbar, x2_star: float) -> SliceCount:
     crossings = curve.points(phis) if phis else np.zeros((0, 2))
     return SliceCount(count_pos=int(np.sum(crossings[:, 1] > 0.0)),
                       count_neg=int(np.sum(crossings[:, 1] < 0.0)),
-                      points=_matvec(q.T, crossings), x2_star=x2_star)
+                      points=_matvec(q.T, crossings), x2_star=x2)
 
 
 # ---------------------------------------------------------------------------
@@ -1033,8 +1006,9 @@ def gs_assumption_report(obstacle: Obstacle, phase: Phase, window: float = 0.3,
     verdict backed by an exact hypothesis check is the smooth case, certified
     by positivity of the leading homogeneous Hessian (or by membership in the
     symmetric-profile class).  The diffractive-neighborhood condition is
-    sampled, not exhaustive.
+    sampled, not exhaustive.  Bad arguments raise ``InvalidArgument`` first.
     """
+    window, trace_tol = _checked_trace_args(window, trace_tol)
     notes = ["curve verdicts are numerical evidence, not proofs",
              "diffractive type of nearby grazing points is sampled, not exhaustive"]
     order = classify_order(obstacle, phase)

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffgeo import (DomainExceeded, GrazemapError, InvalidArgument, Obstacle, _outer, _per_row,
-                      _richardson, _rowdot)
+from .diffgeo import (DomainExceeded, GrazemapError, InvalidArgument, Obstacle, _as_points,
+                      _outer, _per_row, _richardson, _rowdot)
 
 
 class SourceOnBoundary(GrazemapError, ValueError):
@@ -150,7 +150,7 @@ Phase = PlanePhase | SphericalPhase | ConvexPhase
 def xi_incoming(phase: Phase, obstacle: Obstacle, xbar) -> BoundaryCovector:
     """Incoming unit covector at the boundary point over xbar (d,), or over
     each row of a batch (m, d)."""
-    xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
+    xbar = _as_points(xbar)
     point = obstacle.boundary_point(xbar)
     g = phase.grad_psi(point)
     return BoundaryCovector(xbar, g[..., 0], g[..., 1:], point)
@@ -208,7 +208,7 @@ def _xi_jacobian(phase: Phase, obstacle: Obstacle, xi: BoundaryCovector, grad_f)
 
 def boundary_trace(phase: Phase, obstacle: Obstacle, xbar) -> float:
     """psi restricted to the boundary, Psi(xbar) = psi(F(xbar), xbar), at one point (d,)."""
-    xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
+    xbar = _as_points(xbar)
     if xbar.shape != (obstacle.dim_tangential,):
         raise InvalidArgument(f"boundary_trace takes one point of shape "
                               f"({obstacle.dim_tangential},), got {xbar.shape}")
@@ -224,7 +224,7 @@ def boundary_trace_gradient(phase: Phase, obstacle: Obstacle, xbar) -> np.ndarra
 def boundary_trace_hessian(phase: Phase, obstacle: Obstacle, xbar) -> np.ndarray:
     """hess Psi by Richardson-extrapolated differences of the exact gradient,
     at one point (d,) or per row of a batch (m, d)."""
-    xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
+    xbar = _as_points(xbar)
     h = _richardson_step(obstacle, xbar)
 
     def grad(x):

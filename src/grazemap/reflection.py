@@ -33,8 +33,8 @@ from operator import attrgetter, index
 
 import numpy as np
 
-from .diffgeo import (GrazemapError, InvalidArgument, Obstacle, _central_difference,
-                      _outer, _per_row, _rowdot)
+from .diffgeo import (GrazemapError, InvalidArgument, Obstacle, _as_points, _central_difference,
+                      _finite, _outer, _per_row, _reals, _rowdot, _vector)
 from .phases import (BoundaryCovector, Phase, PlanePhase, SourceOnBoundary, SphericalPhase,
                      _xi_jacobian, xi_incoming)
 
@@ -96,7 +96,7 @@ def reflect_direction(obstacle: Obstacle, xbar, xi: BoundaryCovector) -> Boundar
     conormal (1, -grad F) and has unit length, which pins it down uniquely.
     One point, or a batch of points and covectors.
     """
-    xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
+    xbar = _as_points(xbar)
     return _reflect(xbar, obstacle.gradient(xbar), xi)
 
 
@@ -201,19 +201,19 @@ class FlowSample:
 def flow_map(obstacle: Obstacle, phase: Phase, s: float, xbar, t: float = 0.0) -> FlowSample:
     """Point at parameter s on the reflected ray from the boundary point over xbar.
 
-    Defined on grazing and illuminated points only, for a finite s >= 0 and a
-    finite t; the time coordinate is carried along unchanged apart from the
-    t + 2s advance.
+    Defined on grazing and illuminated points only, for one real s >= 0 and
+    one real t, both finite and checked first; the time coordinate is carried
+    along unchanged apart from the t + 2s advance.
     """
+    if (s := _finite(s, 0.0)) is None:
+        raise InvalidArgument("ray parameter s must be finite and nonnegative")
+    if (t := _finite(t)) is None:
+        raise InvalidArgument("time t must be finite")
     cls = classify_boundary_point(obstacle, phase, xbar)
     if cls.label == "shadow":
         raise ShadowPoint(f"margin {cls.margin} < -{GRAZING_TOL} at xbar={xbar}")
-    if not 0.0 <= s < np.inf:
-        raise InvalidArgument("ray parameter s must be finite and nonnegative")
-    if not -np.inf < t < np.inf:
-        raise InvalidArgument("time t must be finite")
     y = np.concatenate((cls.image(s), [t + 2.0 * s]))
-    return FlowSample(s=float(s), xbar=cls.xbar, t=float(t), y=y)
+    return FlowSample(s=s, xbar=cls.xbar, t=t, y=y)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +299,10 @@ def jacobian_analytic(obstacle: Obstacle, phase: Phase, s, xbar) -> JacobianRepo
     j = 2 xi1_r det(B + 2s C (K + L)) degenerates.  At s = 0 the determinant
     reduces to 2*margin exactly.  Requires illuminated points.  A batch xbar
     (m, d), with s scalar or (m,), gives a report of (m,) arrays and one
-    stacked determinant; the first grazing or shadow point raises.
+    stacked determinant; the first grazing or shadow point raises.  An s
+    that is not finite real numbers raises ``InvalidArgument`` first.
     """
+    _vector(s, "ray parameter s")
     cls = classify_boundary_point(obstacle, phase, xbar)
     unlit = cls.label != "illuminated"
     if np.any(unlit):
@@ -332,8 +334,11 @@ def jacobian_fd(obstacle: Obstacle, phase: Phase, s, xbar, t: float = 0.0):
     This is the validation oracle for ``jacobian_analytic``; it never uses
     the factorization.  Defined where ``flow_map`` is: on grazing and
     illuminated points.  A batch xbar (m, d), with s and t scalars or (m,),
-    gives (m,) determinants; the first shadow point raises.
+    gives (m,) determinants; the first shadow point raises.  An s or t that
+    is not finite real numbers raises ``InvalidArgument`` first.
     """
+    _vector(s, "ray parameter s")
+    _vector(t, "time t")
     cls = classify_boundary_point(obstacle, phase, xbar)
     shadow = cls.label == "shadow"
     if np.any(shadow):
@@ -441,33 +446,6 @@ def _residual(rec, s: float, target: list) -> list:
     return [p + 2.0 * s * x - y for p, x, y in zip(rec[1], rec[3], target)]
 
 
-def _real(v):
-    """v as a Python float, or None: ``float`` of a real number, a numeric
-    string or a 0-d real array.  A complex number and an array with an axis
-    give None, where ``float`` would drop the imaginary part or refuse."""
-    if isinstance(v, (complex, np.complexfloating)) or (
-            isinstance(v, np.ndarray) and (v.ndim or v.dtype.kind == "c")):
-        return None
-    try:
-        return float(v)
-    except (TypeError, ValueError, OverflowError):
-        return None
-
-
-def _reals(values):
-    """values as a list of Python floats, one per entry as ``np.atleast_1d``
-    reads them (one number or string is one entry), or None unless they are
-    real numbers along at most one axis."""
-    try:
-        a = values if isinstance(values, np.ndarray) else np.asarray(values)
-    except (TypeError, ValueError):  # a ragged nesting
-        return None
-    if a.ndim > 1 or a.dtype.kind == "c":
-        return None
-    xs = [v if type(v) is float else _real(v) for v in (a.tolist() if a.ndim else [a.item()])]
-    return None if None in xs else xs
-
-
 def _checked_y(y, d: int) -> list:
     """y as a list of d + 2 finite floats, or ``InvalidArgument`` naming its shape."""
     ys = _reals(y)
@@ -486,13 +464,12 @@ def _checked_y(y, d: int) -> list:
 
 def _checked_seed(seed, d: int) -> tuple[float, list]:
     """A seed (s, xbar) as a float and a list of d floats, or ``InvalidArgument``:
-    s one finite real number (not a string), xbar d of them."""
+    s one finite real number, xbar d of them."""
     try:
         s, xbar = seed
     except (TypeError, ValueError):  # not a pair
         s = xbar = None
-    s = None if isinstance(s, (str, bytes)) else _real(s)
-    if s is None or not -math.inf < s < math.inf:
+    if (s := _finite(s)) is None:
         raise InvalidArgument(f"seed must be a pair (s, xbar) with s a finite number, got {seed!r}")
     xs = _reals(xbar)
     if xs is None or len(xs) != d or not all(map(math.isfinite, xs)):
@@ -726,11 +703,7 @@ def verify_rfm(obstacle: Obstacle, phase: Phase, s0: float = 1.0,
         raise InvalidArgument(f"budget {budget} exceeds MAX_BUDGET = {MAX_BUDGET}")
     if seed < 0:
         raise InvalidArgument(f"seed must be nonnegative, got {seed}")
-    try:
-        s0_ok = 0.0 <= s0 < np.inf  # the range rng.uniform(0, s0) accepts
-    except TypeError:
-        s0_ok = False
-    if not s0_ok:
+    if (s0 := _finite(s0, 0.0)) is None:  # outside the ranges rng.uniform(0, s0) takes
         raise InvalidArgument("s0 must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     # Samples stay a difference step inside the domain, where jacobian_fd steps.

@@ -493,23 +493,34 @@ def test_value_and_gradient_equals_value_and_gradient(name, gf):
     # The float (value, gradient) of the corrector against the array paths:
     # the batched ``value`` and the single-point ``gradient``, within four
     # ulps of the term scale (the float sums need not round as numpy's dots).
+    # Zeta's float door reads its array ``value`` and ``gradient``: bit for bit.
     obs = surface_zoo()[name]
     pts = np.vstack([np.zeros((1, 2)), sample_disk(np.random.default_rng(12), 0.4, 60)])
     values = gf.value(obs, pts)
     for p, value in zip(pts, values):
-        got = np.array(gf._value_grad(obs, *p.tolist()))
+        got = gf._value_grad(obs, *p.tolist())
+        assert all(type(v) is float for v in got)
         want = np.concatenate(([value], gf.gradient(obs, p)))
-        assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * _term_scales(gf, obs, p))
+        if isinstance(gf, gm.SymmetricZeta):
+            assert np.array(got).tobytes() == want.tobytes()
+        else:
+            bound = 4.0 * np.finfo(float).eps * _term_scales(gf, obs, p)
+            assert np.all(np.abs(np.array(got) - want) <= bound)
 
 
 @pytest.mark.parametrize("name,gf", _ZOO_GRAZING,
                          ids=[f"{name}-{type(gf).__name__}" for name, gf in _ZOO_GRAZING])
 def test_float_value_equals_the_float_jet_value(name, gf):
-    # The seed roots' Hessian-free float value is the corrector's, bit for bit.
+    # The seed roots' float value is the corrector's, bit for bit: the root
+    # solve of a seed scan line reads the value of ``_value_grad``.
     obs = surface_zoo()[name]
-    for p in np.vstack([np.zeros((1, 2)), sample_disk(np.random.default_rng(13), 0.4, 40)]):
-        value = gf._value_at(obs, *p.tolist())
-        assert type(value) is float and value == gf._value_grad(obs, *p.tolist())[0]
+    for t_axis in (1, 0):
+        line = grazing._ScanLine(gf, obs, t_axis, SEED_OFFSET, 0.3)
+        for v in np.random.default_rng(13).uniform(-0.3, 0.3, 20).tolist():
+            p = [SEED_OFFSET, SEED_OFFSET]
+            p[1 - t_axis] = v
+            value = line._f(v)
+            assert type(value) is float and value == gf._value_grad(obs, *p)[0]
 
 
 def test_float_zeta_names_the_point_past_the_profile_domain():
@@ -589,11 +600,11 @@ def test_trace_checks_the_domain_once_per_corrector_evaluation(monkeypatch):
     # float radius check, ``_check_at``, and never the array check
     # ``_check_domain``.  Each of the four seed scan lines is one batched
     # ``value``, which checks twice, for F and grad F, and makes no float
-    # evaluation.  Only the two seed roots are solved for, on the
-    # Hessian-free ``_value_at``: the bracketed secant takes 13 trials on
-    # each, where halving a grid step of 0.6 / 1023 below 1e-13 took 33.
-    calls = dict.fromkeys(("check_at", "check_domain", "value", "gradient", "float",
-                           "float_value"), 0)
+    # evaluation.  Only the two seed roots are solved for, on the value of
+    # ``_value_grad``: the bracketed secant takes 13 trials on each, where
+    # halving a grid step of 0.6 / 1023 below 1e-13 took 33.  The apex check
+    # is one more float evaluation, outside all of these.
+    calls = dict.fromkeys(("check_at", "check_domain", "value", "gradient", "float"), 0)
 
     def counting(key, real):
         def counted(*args, **kwargs):
@@ -614,8 +625,7 @@ def test_trace_checks_the_domain_once_per_corrector_evaluation(monkeypatch):
     monkeypatch.setattr(gm.Obstacle, "_check_at", counting("check_at", gm.Obstacle._check_at))
     monkeypatch.setattr(gm.Obstacle, "_check_domain",
                         counting("check_domain", gm.Obstacle._check_domain))
-    for key, name in (("value", "value"), ("gradient", "gradient"), ("float", "_value_grad"),
-                      ("float_value", "_value_at")):
+    for key, name in (("value", "value"), ("gradient", "gradient"), ("float", "_value_grad")):
         monkeypatch.setattr(gm.SphericalGrazing, name,
                             counting(key, getattr(gm.SphericalGrazing, name)))
     monkeypatch.setattr(grazing, "_correct", delta(grazing._correct, corrections))
@@ -627,12 +637,102 @@ def test_trace_checks_the_domain_once_per_corrector_evaluation(monkeypatch):
     assert all(c["check_at"] == c["float"] and c["check_domain"] == 0 for c in corrections)
     assert len(scans) == 4
     assert all(c["value"] == 1 and c["check_domain"] == 2 and c["check_at"] == 0 for c in scans)
-    assert [c["float_value"] for c in roots] == [13] * 2
-    assert all(c["check_at"] == c["float_value"] and c["float"] == c["check_domain"] == 0
-               for c in roots)
-    assert calls["float_value"] == 2 * 13
+    assert [c["float"] for c in roots] == [13] * 2
+    assert all(c["check_at"] == c["float"] and c["check_domain"] == 0 for c in roots)
+    assert calls["float"] == sum(c["float"] for c in corrections) + 2 * 13 + 1
+    assert calls["check_at"] == calls["float"]
     assert calls["gradient"] == 0
     assert calls["check_domain"] == 2 * calls["value"]
+
+
+@pytest.mark.parametrize("make_obs", [quartic_vsq, rounded_quartic], ids=["cusp", "rounded"])
+@pytest.mark.parametrize("gf", [gm.SphericalGrazing(bbar=[-1.0, 0.0]),
+                                gm.PlanarGrazing(thetabar=[1.0, 0.0])], ids=["spherical", "plane"])
+def test_single_points_take_the_float_door(monkeypatch, make_obs, gf):
+    # One point is evaluated through the float door (``_value_grad``,
+    # ``Obstacle._jet_at``): the apex check, the slice curve's F(x2*, 0) and
+    # its center check included.  The array check sees batches only.
+    ndims = []
+    real = gm.Obstacle._check_domain
+
+    def check_domain(self, x):
+        out = real(self, x)
+        ndims.append(out.ndim)
+        return out
+
+    monkeypatch.setattr(gm.Obstacle, "_check_domain", check_domain)
+    obs = make_obs()
+    gm.trace_grazing_curve(gf, obs, window=0.3)
+    sc = gm.slice_grazing_count(obs, [-1.0, 0.0], -0.05)
+    assert (sc.count_pos, sc.count_neg) == (1, 1)
+    assert ndims and set(ndims) == {2}
+
+
+_NO_CURVE = gm.GrazingCurve(branches=(), transverse_axis=1, graph_axis=0, window=0.3,
+                            trace_tol=1e-10)
+_BAD_GRAZING_ARGUMENTS = {
+    "trace-window-nan": (lambda obs, gf: gm.trace_grazing_curve(gf, obs, window=np.nan),
+                         r"^window must be finite and nonnegative, got nan$"),
+    "trace-window-negative": (lambda obs, gf: gm.trace_grazing_curve(gf, obs, window=-0.1),
+                              r"^window must be finite and nonnegative, got -0\.1$"),
+    "trace-tol-nan": (lambda obs, gf: gm.trace_grazing_curve(gf, obs, trace_tol=np.nan),
+                      r"^trace_tol must be finite and positive, got nan$"),
+    "trace-tol-zero": (lambda obs, gf: gm.trace_grazing_curve(gf, obs, trace_tol=0.0),
+                       r"^trace_tol must be finite and positive, got 0\.0$"),
+    "report-window-nan": (lambda obs, gf: gm.gs_assumption_report(
+        obs, gm.SphericalPhase(source=[1.0, -1.0, 0.0]), window=np.nan),
+        r"^window must be finite and nonnegative, got nan$"),
+    "report-tol-str": (lambda obs, gf: gm.gs_assumption_report(
+        obs, gm.SphericalPhase(source=[1.0, -1.0, 0.0]), trace_tol="1e-10"),
+        r"^trace_tol must be finite and positive, got '1e-10'$"),
+    "slice-str": (lambda obs, gf: gm.slice_grazing_count(obs, [-1.0, 0.0], "-0.05"),
+                  r"^x2_star must be a finite real number, got '-0\.05'$"),
+    "slice-nan": (lambda obs, gf: gm.slice_grazing_count(obs, [-1.0, 0.0], np.nan),
+                  r"^x2_star must be a finite real number, got nan$"),
+    "slice-bbar-str": (lambda obs, gf: gm.slice_grazing_count(obs, ["-1", "0"], -0.05),
+                       r"^bbar must be 2 finite real numbers, got \['-1', '0'\]$"),
+    "fit-window-str": (lambda obs, gf: gm.estimate_regularity(_NO_CURVE, fit_window=("a", 1)),
+                       r"^fit_window must be 2 finite real numbers, got \('a', 1\)$"),
+    "fit-window-nan": (lambda obs, gf: gm.estimate_regularity(_NO_CURVE,
+                                                              fit_window=(1e-4, np.nan)),
+                       r"^fit_window must be 2 finite real numbers, got "),
+    "fit-window-one": (lambda obs, gf: gm.estimate_regularity(_NO_CURVE, fit_window=(1e-4,)),
+                       r"^fit_window must be 2 finite real numbers, got "),
+    "bbar-complex": (lambda obs, gf: gm.SphericalGrazing(bbar=[-1 + 1j, 0]),
+                     r"^bbar must be finite real numbers, got \[\(-1\+1j\), 0\]$"),
+    "bbar-nan": (lambda obs, gf: gm.SphericalGrazing(bbar=[np.nan, 0.0]),
+                 r"^bbar must be finite real numbers, got "),
+    "thetabar-str": (lambda obs, gf: gm.PlanarGrazing(thetabar="1 0"),
+                     r"^thetabar must be finite real numbers, got '1 0'$"),
+    "zeta-bbar-matrix": (lambda obs, gf: gm.SymmetricZeta(bbar=[[-1.0, 0.0]]),
+                         r"^bbar must be finite real numbers, got "),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_GRAZING_ARGUMENTS))
+def test_bad_grazing_arguments_are_refused_before_any_evaluation(monkeypatch, case):
+    # Each of these raised a builtin exception, found no seed, failed a step
+    # or returned INCONCLUSIVE; window = 0 stays accepted (it finds no seed).
+    obs, gf = quartic_vsq(), gm.SphericalGrazing(bbar=[-1.0, 0.0])
+    call, match = _BAD_GRAZING_ARGUMENTS[case]
+
+    def refuse(*args):
+        raise AssertionError("evaluated before the arguments were checked")
+
+    for name in ("_check_domain", "_jet_at", "directional_taylor"):
+        monkeypatch.setattr(gm.Obstacle, name, refuse)
+    with pytest.raises(gm.InvalidArgument, match=match):
+        call(obs, gf)
+
+
+def test_a_zero_window_still_finds_no_seed(tmp_path, capsys):
+    with pytest.raises(gm.grazing.SeedNotFound, match=r"in window 0\.0$"):
+        gm.trace_grazing_curve(gm.SphericalGrazing(bbar=[-1.0, 0.0]), quartic_vsq(), window=0.0)
+    spec = Path(__file__).resolve().parents[1] / "specs"
+    assert main(["classify", "--obstacle", str(spec / "cusp_quartic.obstacle"), "--phase",
+                 str(spec / "side_source.phase"), "--window", "0", "--out", str(tmp_path)]) == 2
+    assert ("note = tracing failed: no sign change at transverse offset 0.001 in window 0.0\n"
+            in capsys.readouterr().out)
 
 
 def _eager_orientation(gf, obstacle, window):
@@ -648,7 +748,9 @@ def _eager_orientation(gf, obstacle, window):
             def f(v, t_axis=t_axis, offset=offset):
                 # The scan's batched value on the grid, its float value in the root solve.
                 p = grazing._on_line(v, 1 - t_axis, offset)
-                return gf.value(obstacle, p) if np.ndim(v) else gf._value_at(obstacle, *p.tolist())
+                if np.ndim(v):
+                    return gf.value(obstacle, p)
+                return gf._value_grad(obstacle, *p.tolist())[0]
             roots[t_axis, offset] = grazing._scan_roots(f, grid, LINE_ROOT_TOL)
         lines = [roots[t_axis, SEED_OFFSET], roots[t_axis, -SEED_OFFSET]]
         if all(lines):

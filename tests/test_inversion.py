@@ -229,9 +229,12 @@ SEED_S = r"^seed must be a pair \(s, xbar\) with s a finite number"
     (None, (np.complex128(0.3), [-0.2, 0.1]), SEED_S),
     (None, (10**400, [-0.2, 0.1]), SEED_S),
     (None, (0.3, np.array([-0.2, 0.1]) + 0j), r"^seed xbar must be 2 finite floats"),
+    (["1.2", "-0.2", "0.1", "0.0"], None, r"^y must be 4 finite real numbers, got "),
+    (None, (0.3, ["-0.2", "0.1"]), r"^seed xbar must be 2 finite floats"),
 ], ids=["y-nan", "y-inf", "s-nan", "s-inf", "s-str", "xbar-short", "xbar-long", "xbar-nan",
         "xbar-str", "not-a-pair", "y-matrix", "y-column", "y-short", "y-complex", "y-huge-int",
-        "s-array", "s-complex", "s-huge-int", "xbar-complex"])
+        "s-array", "s-complex", "s-huge-int", "xbar-complex", "y-numeric-str",
+        "xbar-numeric-str"])
 def test_bad_arguments_are_refused_before_any_evaluation(sphere, side_source, monkeypatch,
                                                          y, seed, match):
     if y is None:

@@ -436,6 +436,49 @@ def test_jacobian_fd_accepts_the_grazing_points_flow_map_accepts(sphere, side_so
         gm.jacobian_fd(sphere, side_source, 0.3, [0.3, 0.0])
 
 
+_LIT = [-0.2, 0.1]  # an illuminated sphere/side point
+_S_RANGE = r"^ray parameter s must be finite and nonnegative$"
+_S_REALS = r"^ray parameter s must be finite real numbers, got "
+_COMPLEX = r"^point must be real numbers, got "
+_BAD_FLOW_ARGUMENTS = {
+    "flow-s-array": (lambda o, p: gm.flow_map(o, p, np.array([0.3]), _LIT), _S_RANGE),
+    "flow-s-huge-int": (lambda o, p: gm.flow_map(o, p, 10**400, _LIT), _S_RANGE),
+    "flow-s-str": (lambda o, p: gm.flow_map(o, p, "0.3", _LIT), _S_RANGE),
+    "flow-t-str": (lambda o, p: gm.flow_map(o, p, 0.3, _LIT, t="1"), r"^time t must be finite$"),
+    "flow-xbar-complex": (lambda o, p: gm.flow_map(o, p, 0.3, np.array(_LIT) + 0j), _COMPLEX),
+    "classify-xbar-complex": (lambda o, p: gm.classify_boundary_point(o, p, [-0.2 + 1j, 0.1]),
+                              _COMPLEX),
+    "classify-xbar-str": (lambda o, p: gm.classify_boundary_point(o, p, ["-0.2", "0.1"]),
+                          _COMPLEX),
+    "analytic-s-str": (lambda o, p: gm.jacobian_analytic(o, p, "0.3", _LIT), _S_REALS + "'0.3'$"),
+    "analytic-s-nan": (lambda o, p: gm.jacobian_analytic(o, p, np.nan, _LIT), _S_REALS + "nan$"),
+    "analytic-s-batch-inf": (lambda o, p: gm.jacobian_analytic(o, p, [0.3, np.inf], [_LIT] * 2),
+                             _S_REALS),
+    "analytic-xbar-complex": (lambda o, p: gm.jacobian_analytic(o, p, 0.3, [np.array(_LIT) + 1j]),
+                              _COMPLEX),
+    "fd-s-str": (lambda o, p: gm.jacobian_fd(o, p, "0.3", _LIT), _S_REALS + "'0.3'$"),
+    "fd-t-str": (lambda o, p: gm.jacobian_fd(o, p, 0.3, _LIT, t="0"),
+                 r"^time t must be finite real numbers, got '0'$"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_FLOW_ARGUMENTS))
+def test_bad_flow_arguments_are_refused_before_any_evaluation(sphere, side_source, monkeypatch,
+                                                              case):
+    # These raised numpy's ValueError or UFuncTypeError or a builtin
+    # OverflowError or TypeError, returned NaN after a RuntimeWarning, read
+    # "0.3" as 0.3, or dropped an imaginary part after a ComplexWarning.
+    call, match = _BAD_FLOW_ARGUMENTS[case]
+
+    def refuse(*args):
+        raise AssertionError("evaluated before the arguments were checked")
+
+    for name in ("_check_domain", "_jet_at"):
+        monkeypatch.setattr(gm.Obstacle, name, refuse)
+    with pytest.raises(gm.InvalidArgument, match=match):
+        call(sphere, side_source)
+
+
 def reference_grid_seed(obstacle, phase, y_space):
     """The grid seed as a double loop over mesh points and ray parameters,
     keeping the first strict minimum of |flow point - y_space|."""
