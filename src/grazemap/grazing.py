@@ -14,7 +14,7 @@ All curve verdicts are numerical evidence, never proofs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -79,10 +79,14 @@ class SphericalGrazing:
 
     def value(self, obstacle: Obstacle, x):
         """H at one point (d,) -> float, or per row of a batch (m, d) -> (m,)."""
+        _check_vector(self, obstacle)
         return obstacle.value(x) - 1.0 - _rowdot(obstacle.gradient(x), x - self.bbar)
 
     def gradient(self, obstacle: Obstacle, x) -> np.ndarray:
-        return -obstacle.hessian(x) @ (x - self.bbar)
+        """grad H at one point (d,) -> (d,), or per row of a batch (m, d) -> (m, d)."""
+        _check_vector(self, obstacle)
+        x = _as_points(x)
+        return _matvec(-obstacle.hessian(x), x - self.bbar)
 
     def _value_grad(self, obstacle: Obstacle, x0: float, x1: float) -> tuple:
         """(H, dH/dx0, dH/dx1) at one plane point, on floats from one surface jet."""
@@ -107,9 +111,11 @@ class PlanarGrazing:
 
     def value(self, obstacle: Obstacle, x):
         """g at one point (d,) -> float, or per row of a batch (m, d) -> (m,)."""
+        _check_vector(self, obstacle)
         return _rowdot(-obstacle.gradient(x), self.thetabar)
 
     def gradient(self, obstacle: Obstacle, x) -> np.ndarray:
+        _check_vector(self, obstacle)
         return -obstacle.hessian(x) @ self.thetabar
 
     def _value_grad(self, obstacle: Obstacle, x0: float, x1: float) -> tuple:
@@ -136,6 +142,7 @@ class SymmetricZeta:
         """zeta at one point (d,) -> float, or per row of a batch (m, d) -> (m,),
         each row bit for bit the point's; a batch names its first row whose
         |L xbar|^2 leaves the profile's domain."""
+        _check_vector(self, obstacle)
         x = _as_points(x)
         surf = _symmetric_surface(obstacle)
         y = _matvec(surf.lam, np.atleast_2d(x))
@@ -151,6 +158,7 @@ class SymmetricZeta:
         return float(out[0]) if x.ndim == 1 else out
 
     def gradient(self, obstacle: Obstacle, x) -> np.ndarray:
+        _check_vector(self, obstacle)
         surf = _symmetric_surface(obstacle)
         x = _as_points(x)
         ltl = surf.lam.T @ surf.lam
@@ -169,6 +177,15 @@ class SymmetricZeta:
 
 
 GrazingFunction = SphericalGrazing | PlanarGrazing | SymmetricZeta
+
+
+def _check_vector(gf: GrazingFunction, obstacle: Obstacle) -> None:
+    """``InvalidArgument`` unless the vector of gf (bbar or thetabar) has one
+    entry per tangential variable of the obstacle."""
+    name = fields(gf)[0].name
+    n = len(getattr(gf, name))
+    if n != obstacle.dim_tangential:
+        raise InvalidArgument(f"{name} has {n} entries, expected {obstacle.dim_tangential}")
 
 
 def _symmetric_surface(obstacle: Obstacle) -> SymmetricH:
@@ -534,11 +551,13 @@ def trace_grazing_curve(gf: GrazingFunction, obstacle: Obstacle, window: float =
     seed has closed a loop, and its continuation stops there.  The tracing
     runs on floats, the apex check included; each branch's residuals are |f|
     at its stored vertices, from one batched ``value``.  Bad arguments raise
-    ``InvalidArgument`` first (``_checked_trace_args``).
+    ``InvalidArgument`` first (``_checked_trace_args``), as does a gf
+    whose vector does not have one entry per tangential variable.
     """
     window, trace_tol = _checked_trace_args(window, trace_tol)
     if obstacle.dim_tangential != 2:
         raise UnsupportedSurface("curve tracing requires a 3D obstacle (two tangential variables)")
+    _check_vector(gf, obstacle)
     apex = gf._value_grad(obstacle, 0.0, 0.0)[0]
     if abs(apex) > 1e-9:
         raise SeedNotFound(f"apex residual {apex} is nonzero: apex is not a grazing point")

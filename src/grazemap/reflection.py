@@ -19,22 +19,22 @@ results bit for bit.  A boundary point is assembled once, one
 its record feeds the margin, the label, both covectors, the flow points and
 the Jacobian.  ``verify_rfm``, the ``reflect`` table and the grid seed of
 ``invert_flow`` run as array passes; the Newton loop of ``invert_flow`` runs
-on Python floats, from one ``Obstacle._jet_at`` per iterate, after its
-argument checks on the float lists it builds.  ``reflected_phase_at`` reads
-its value and gradient from the float record of the converged point.
+generated straight-line float code, one ``Obstacle._jet_at`` per iterate,
+after its argument checks on the float lists it builds.  ``reflected_phase_at``
+reads its value and gradient from the record of the converged point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from operator import attrgetter, index
 
 import numpy as np
 
 from .diffgeo import (GrazemapError, InvalidArgument, Obstacle, _as_points, _central_difference,
-                      _finite, _outer, _per_row, _reals, _rowdot, _vector)
+                      _finite, _generate, _outer, _per_row, _reals, _rowdot, _vector)
 from .phases import (BoundaryCovector, Phase, PlanePhase, SourceOnBoundary, SphericalPhase,
                      _xi_jacobian, xi_incoming)
 
@@ -289,6 +289,15 @@ def _first_flagged(cls: BoundaryClassification, flagged) -> tuple[float, str]:
     return float(np.reshape(cls.margin, -1)[k]), str(np.reshape(cls.label, -1)[k])
 
 
+def _check_per_point(values, name: str, xbar) -> None:
+    """A Jacobian's s or t: finite real numbers (``_vector``), one for all the
+    points of xbar (d,) or (m, d) or one per point, else ``InvalidArgument``."""
+    given = _vector(values, name)
+    m = len(xbar) if np.ndim(xbar) == 2 else 1
+    if np.ndim(values) and len(given) != m:
+        raise InvalidArgument(f"{name} has {len(given)} entries for {m} points")
+
+
 def jacobian_analytic(obstacle: Obstacle, phase: Phase, s, xbar) -> JacobianReport:
     """Flow-map Jacobian from the closed-form spatial block determinant.
 
@@ -300,9 +309,10 @@ def jacobian_analytic(obstacle: Obstacle, phase: Phase, s, xbar) -> JacobianRepo
     reduces to 2*margin exactly.  Requires illuminated points.  A batch xbar
     (m, d), with s scalar or (m,), gives a report of (m,) arrays and one
     stacked determinant; the first grazing or shadow point raises.  An s
-    that is not finite real numbers raises ``InvalidArgument`` first.
+    that is not finite real numbers, one or one per point, raises
+    ``InvalidArgument`` first.
     """
-    _vector(s, "ray parameter s")
+    _check_per_point(s, "ray parameter s", xbar)
     cls = classify_boundary_point(obstacle, phase, xbar)
     unlit = cls.label != "illuminated"
     if np.any(unlit):
@@ -335,10 +345,11 @@ def jacobian_fd(obstacle: Obstacle, phase: Phase, s, xbar, t: float = 0.0):
     the factorization.  Defined where ``flow_map`` is: on grazing and
     illuminated points.  A batch xbar (m, d), with s and t scalars or (m,),
     gives (m,) determinants; the first shadow point raises.  An s or t that
-    is not finite real numbers raises ``InvalidArgument`` first.
+    is not finite real numbers, one or one per point, raises
+    ``InvalidArgument`` first.
     """
-    _vector(s, "ray parameter s")
-    _vector(t, "time t")
+    _check_per_point(s, "ray parameter s", xbar)
+    _check_per_point(t, "time t", xbar)
     cls = classify_boundary_point(obstacle, phase, xbar)
     shadow = cls.label == "shadow"
     if np.any(shadow):
@@ -363,59 +374,92 @@ MAX_ITER = 50         # Newton iterations before the inversion gives up
 GRAZING_FLOOR = 1e-4  # smallest seed margin an inversion starts from
 
 
-def _float_record(obstacle: Obstacle, phase: Phase, xs: list):
-    """The boundary point over xs (d floats) on Python floats: (margin, point,
-    xi, xi_r, grad F, hess F), point = (F, *xs) and covectors (xi1, *xibar)
-    as lists, from one ``Obstacle._jet_at``; a convex phase gives xi from one
-    ``grad_psi``.  It raises what ``classify_boundary_point`` raises."""
-    f, g, hess = obstacle._jet_at(xs, 2)
-    point = [f, *xs]
-    if isinstance(phase, PlanePhase):
-        xi = phase.theta.tolist()
-    elif isinstance(phase, SphericalPhase):
-        rel = [a - b for a, b in zip(point, phase.source.tolist())]
-        rho = math.sqrt(sum(c * c for c in rel))
-        if rho == 0.0:
-            raise SourceOnBoundary("evaluation point coincides with the source")
-        xi = [c / rho for c in rel]
+@lru_cache(maxsize=32)
+def _newton_source(d: int, kind: str) -> str:
+    """Straight-line float source of ``_invert``'s Newton kernel for d
+    tangential variables and a phase kind ('plane', 'spherical', 'convex').
+    ``record(xs)``: the boundary point over xs from one ``jet_at(xs, 2)`` as
+    the tuple (margin, F, xs, xi_r, xi, grad F, hess F, 1 + |grad F|^2, and
+    point - source if spherical); it raises what ``classify_boundary_point``
+    raises.  ``residual(s, rec, target)``: (F, xbar) + 2 s xi_r - target.
+    ``augmented(s, rec, r)``: the rows [A | -r] of ``_spatial_block``'s A.
+    Sums are 0 + a0 * b0 + ... left to right, as ``sum`` adds, so each entry
+    keeps its bits.  Constants are ints; phase constants are names."""
+    seq, dims, n = ", ".join, range(d), range(d + 1)
+    x, g, e = [f"x{i}" for i in dims], [f"g{i}" for i in dims], [f"e{k}" for k in n]
+    p, xi, xr = ["f", *x], [f"xi{k}" for k in n], [f"xr{k}" for k in n]
+    h = [[f"h{i}_{j}" for j in dims] for i in dims]
+    rec = seq(["mu", *p, *xr, *xi, *g, *sum(h, []), "q"] + (e if kind == "spherical" else []))
+
+    def dot(a, b):  # sum(u * v for u, v in zip(a, b))
+        return "(0" + "".join(f" + {u} * {v}" for u, v in zip(a, b)) + ")"
+
+    def rows(m):
+        return "[" + seq(f"[{seq(row)}]" for row in m) + "]"
+
+    lines = ["def record(xs):", f"    [{seq(x)}] = xs", f"    f, [{seq(g)}], {rows(h)} = jet_at(xs, 2)"]
+    if kind == "plane":
+        lines.append(f"    [{seq(xi)}] = theta")
+    elif kind == "spherical":
+        lines += [*(f"    e{k} = {a} - source[{k}]" for k, a in enumerate(p)),
+                  f"    rho = sqrt{dot(e, e)}", "    if rho == 0:\n        raise at_source()",
+                  *(f"    xi{k} = e{k} / rho" for k in n)]
     else:
-        xi = phase.grad_psi(np.array(point)).tolist()
-    g_xib = sum(a * b for a, b in zip(g, xi[1:]))
-    mu = g_xib - xi[0]
-    if mu != mu:
-        raise _nan_margin(np.array(xs))
-    factor = 2.0 * (xi[0] - g_xib) / (1.0 + sum(a * a for a in g))
-    xr = [xi[0] - factor] + [a + factor * b for a, b in zip(xi[1:], g)]
-    return mu, point, xi, xr, g, hess
+        lines.append(f"    [{seq(xi)}] = grad_psi(array([{seq(p)}])).tolist()")
+    lines += [f"    g_xib = {dot(g, xi[1:])}", "    mu = g_xib - xi0",
+              "    if mu != mu:\n        raise nan_margin(array(xs))",
+              f"    q = 1 + {dot(g, g)}", "    factor = 2 * (xi0 - g_xib) / q",
+              "    xr0 = xi0 - factor", *(f"    xr{1 + i} = xi{1 + i} + factor * g{i}" for i in dims),
+              f"    return {rec}",
+              "def residual(s, rec, target):",
+              "    return [" + seq(f"rec[{1 + k}] + 2 * s * rec[{d + 2 + k}] - target[{k}]"
+                                  for k in n) + "]",
+              "def augmented(s, rec, r):", f"    {rec} = rec"]
+    # a[j] = d xi1 / d x_j and b[i][j] = d xibar_i / d x_j of the incoming field.
+    a, b = [f"a{j}" for j in dims], [[f"b{i}_{j}" for j in dims] for i in dims]
+    if kind == "plane":
+        a, b = ["0"] * d, [["0"] * d] * d
+    elif kind == "spherical":
+        lines += [f"    rho = sqrt(0{''.join(f' + {v} ** 2' for v in e)})",
+                  *(f"    gr{j} = xi0 * g{j} + xi{1 + j}" for j in dims),
+                  *(f"    a{j} = (g{j} - xi0 * gr{j}) / rho" for j in dims),
+                  *(f"    b{i}_{j} = ({int(i == j)} - xi{1 + i} * gr{j}) / rho"
+                    for i in dims for j in dims)]
+    else:
+        lines += [f"    da, db = xi_jacobian(phase, obstacle, covector(array([{seq(x)}]), xi0, "
+                  f"array([{seq(xi[1:])}]), array([{seq(p)}])), array([{seq(g)}]))",
+                  f"    [{seq(a)}], {rows(b)} = da.tolist(), db.tolist()"]
+    # As in _reflected_field_derivative: grad f splits into a field and a curvature part,
+    # and K + L = d_xib + g (x) (df_field + df_curv) + c hess F.
+    lines += ["    w = 2 / q",
+              *(f"    ff{j} = w * ({a[j]} - {dot(g, [row[j] for row in b])})" for j in dims),
+              *(f"    fc{i} = -w * {dot(h[i], xr[1:])}" for i in dims),
+              "    two_s, c = 2 * s, xi0 - xr0",
+              "    return [[2 * xr0, " + "".join(f"g{j} + two_s * ({a[j]} - ff{j} - fc{j}), "
+                                               for j in dims) + "-r[0]],",
+              *(f"            [2 * xr{1 + i}, " + "".join(
+                  f"{int(i == j)} + two_s * ({b[i][j]} + g{i} * (ff{j} + fc{j}) + c * h{i}_{j}), "
+                  for j in dims) + f"-r[{1 + i}]]," for i in dims), "    ]"]
+    return "\n".join(lines)
 
 
-def _float_block(obstacle: Obstacle, phase: Phase, s: float, rec) -> list:
-    """``_spatial_block`` at a ``_float_record``, as d + 1 rows of floats.  The
-    incoming field's derivative is zero for a plane phase and the closed form
-    of ``_xi_jacobian`` for a spherical one; a convex phase runs ``_xi_jacobian``."""
-    _, point, xi, xr, g, hess = rec
-    dims = range(len(g))
+def _newton_kernel(obstacle: Obstacle, phase: Phase):
+    """(record, residual, augmented) of ``_newton_source``, run by ``_generate``
+    with the obstacle's jet and the phase's theta, source, or ``grad_psi`` and
+    ``_xi_jacobian`` bound as names."""
+    names = {"jet_at": obstacle._jet_at, "array": np.array, "nan_margin": _nan_margin}
     if isinstance(phase, PlanePhase):
-        d_xi1, d_xib = [0.0 for _ in dims], [[0.0 for _ in dims] for _ in dims]
+        kind, names["theta"] = "plane", phase.theta.tolist()
     elif isinstance(phase, SphericalPhase):
-        rho = math.sqrt(sum((a - b) ** 2 for a, b in zip(point, phase.source.tolist())))
-        grad_rho = [xi[0] * gj + aj for gj, aj in zip(g, xi[1:])]
-        d_xi1 = [(gj - xi[0] * rj) / rho for gj, rj in zip(g, grad_rho)]
-        d_xib = [[((i == j) - xi[1 + i] * grad_rho[j]) / rho for j in dims] for i in dims]
+        kind = "spherical"
+        names.update(source=phase.source.tolist(), sqrt=math.sqrt, at_source=partial(
+            SourceOnBoundary, "evaluation point coincides with the source"))
     else:
-        cov = BoundaryCovector(np.array(point[1:]), xi[0], np.array(xi[1:]), np.array(point))
-        d_xi1, d_xib = (a.tolist() for a in _xi_jacobian(phase, obstacle, cov, np.array(g)))
-    # As in _reflected_field_derivative: grad f splits into a field and a curvature part.
-    w = 2.0 / (1.0 + sum(a * a for a in g))
-    df_field = [w * (d_xi1[j] - sum(g[i] * d_xib[i][j] for i in dims)) for j in dims]
-    df_curv = [-w * sum(h * x for h, x in zip(row, xr[1:])) for row in hess]
-    two_s, c = 2.0 * s, xi[0] - xr[0]
-    rows = [[2.0 * xr[0]] + [g[j] + two_s * (d_xi1[j] - df_field[j] - df_curv[j]) for j in dims]]
-    for i in dims:  # K + L = d_xib + g (x) (df_field + df_curv) + c hess F
-        rows.append([2.0 * xr[1 + i]] + [
-            (i == j) + two_s * (d_xib[i][j] + g[i] * (df_field[j] + df_curv[j]) + c * hess[i][j])
-            for j in dims])
-    return rows
+        kind = "convex"
+        names.update(grad_psi=phase.grad_psi, xi_jacobian=_xi_jacobian, phase=phase,
+                     obstacle=obstacle, covector=BoundaryCovector)
+    ns = _generate(_newton_source(obstacle.dim_tangential, kind), names)
+    return ns["record"], ns["residual"], ns["augmented"]
 
 
 def _solve(rows: list):
@@ -439,11 +483,6 @@ def _solve(rows: list):
                 for j in range(k + 1, n + 1):
                     row[j] -= m * pivot[j]
     return [row[n] / row[k] for k, row in enumerate(rows)]
-
-
-def _residual(rec, s: float, target: list) -> list:
-    """The image (F, xbar) + 2 s xi_r of a ``_float_record`` minus the target."""
-    return [p + 2.0 * s * x - y for p, x, y in zip(rec[1], rec[3], target)]
 
 
 def _checked_y(y, d: int) -> list:
@@ -483,8 +522,8 @@ def invert_flow(obstacle: Obstacle, phase: Phase, y, seed=None) -> tuple[float, 
     Damped Newton on the spatial part with the closed-form Jacobian of the
     flow map, seeded by a coarse grid search over (s, xbar) when no seed is given.
     Near-grazing seeds are refused: the inverse is merely continuous there
-    and the Newton system degenerates.  The loop runs on Python floats, one
-    ``_float_record`` per iterate.  A y that is not d + 2 finite real numbers
+    and the Newton system degenerates.  The loop runs the generated float
+    code of ``_newton_source``, one ``record`` per iterate.  A y that is not d + 2 finite real numbers
     of shape (d + 2,), and a seed that is not a finite real s with d finite
     real numbers for xbar, raise ``InvalidArgument`` before anything is
     evaluated.
@@ -495,7 +534,7 @@ def invert_flow(obstacle: Obstacle, phase: Phase, y, seed=None) -> tuple[float, 
 
 def _invert(obstacle: Obstacle, phase: Phase, y, seed):
     """``invert_flow`` as (s, xbar, t, rec): xbar a list of floats and rec the
-    ``_float_record`` of the converged point."""
+    Newton kernel's record of the converged point."""
     d = obstacle.dim_tangential
     ys = _checked_y(y, d)
     if seed is not None:
@@ -512,17 +551,17 @@ def _invert(obstacle: Obstacle, phase: Phase, y, seed):
             raise OutsideRange("grid search found no admissible seed")
         s, xs = float(seed[0]), seed[1].tolist()
 
-    rec = _float_record(obstacle, phase, xs)
+    record, residual, augmented = _newton_kernel(obstacle, phase)
+    rec = record(xs)
     if rec[0] < GRAZING_FLOOR:
         raise GrazingSingular(f"seed margin {rec[0]} below floor {GRAZING_FLOOR}")
 
-    r = _residual(rec, s, target)
+    r = residual(s, rec, target)
     rn = math.hypot(*r)
     for it in range(MAX_ITER):
         if rn <= 1e-14:
             break
-        block = _float_block(obstacle, phase, s, rec)
-        delta = _solve([row + [-c] for row, c in zip(block, r)])
+        delta = _solve(augmented(s, rec, r))
         if delta is None:
             raise NoConvergence(it, rn)
         # Damping: halve until the residual decreases.
@@ -531,10 +570,10 @@ def _invert(obstacle: Obstacle, phase: Phase, y, seed):
             s_new = max(s + lam * delta[0], 0.0)
             xs_new = [x + lam * dx for x, dx in zip(xs, delta[1:])]
             if (math.hypot(*xs_new) > obstacle.radius
-                    or (trial := _float_record(obstacle, phase, xs_new))[0] < 1e-8):
+                    or (trial := record(xs_new))[0] < 1e-8):
                 lam *= 0.5
                 continue
-            r_new = _residual(trial, s_new, target)
+            r_new = residual(s_new, trial, target)
             rn_new = math.hypot(*r_new)
             if rn_new < rn:
                 s, xs, r, rn, rec = s_new, xs_new, r_new, rn_new, trial
@@ -584,8 +623,9 @@ def reflected_phase_at(obstacle: Obstacle, phase: Phase, y, seed=None):
     converged to: the boundary point (F, xbar) feeds ``phase.psi`` and the
     reflected covector the gradient, with no second assembly.
     """
-    _, _, t, (_, point, _, xr, _, _) = _invert(obstacle, phase, y, seed)
-    return -t + phase.psi(point), np.array([*xr, -1.0])
+    _, _, t, rec = _invert(obstacle, phase, y, seed)
+    d = obstacle.dim_tangential  # rec holds the point (F, xbar) and then xi_r
+    return -t + phase.psi(list(rec[1:d + 2])), np.array([*rec[d + 2:2 * d + 3], -1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -706,6 +706,21 @@ _BAD_GRAZING_ARGUMENTS = {
                      r"^thetabar must be finite real numbers, got '1 0'$"),
     "zeta-bbar-matrix": (lambda obs, gf: gm.SymmetricZeta(bbar=[[-1.0, 0.0]]),
                          r"^bbar must be finite real numbers, got "),
+    # A vector whose length is not the obstacle's tangential dimension.
+    "trace-bbar-long": (lambda obs, gf: gm.trace_grazing_curve(
+        gm.SphericalGrazing(bbar=[-1.0, 0.0, 0.0]), obs), r"^bbar has 3 entries, expected 2$"),
+    "trace-bbar-short": (lambda obs, gf: gm.trace_grazing_curve(
+        gm.SphericalGrazing(bbar=[-1.0]), obs), r"^bbar has 1 entries, expected 2$"),
+    "trace-thetabar-long": (lambda obs, gf: gm.trace_grazing_curve(
+        gm.PlanarGrazing(thetabar=[0.0, 1.0, 0.0]), obs), r"^thetabar has 3 entries, expected 2$"),
+    "value-bbar-long": (lambda obs, gf: gm.SphericalGrazing(bbar=[-1.0, 0.0, 0.0]).value(
+        obs, [0.1, 0.2]), r"^bbar has 3 entries, expected 2$"),
+    "gradient-bbar-short": (lambda obs, gf: gm.SphericalGrazing(bbar=[-1.0]).gradient(
+        obs, [[0.1, 0.2]]), r"^bbar has 1 entries, expected 2$"),
+    "gradient-thetabar-short": (lambda obs, gf: gm.PlanarGrazing(thetabar=[1.0]).gradient(
+        obs, [0.1, 0.2]), r"^thetabar has 1 entries, expected 2$"),
+    "zeta-value-bbar-long": (lambda obs, gf: gm.SymmetricZeta(bbar=[-1.0, 0.0, 0.0]).value(
+        obs, [0.1, 0.2]), r"^bbar has 3 entries, expected 2$"),
 }
 
 
@@ -723,6 +738,17 @@ def test_bad_grazing_arguments_are_refused_before_any_evaluation(monkeypatch, ca
         monkeypatch.setattr(gm.Obstacle, name, refuse)
     with pytest.raises(gm.InvalidArgument, match=match):
         call(obs, gf)
+
+
+@pytest.mark.parametrize("gf", [gm.SphericalGrazing(bbar=[-1.0, 0.2]),
+                                gm.PlanarGrazing(thetabar=[0.6, 0.8])], ids=["spherical", "planar"])
+def test_batch_gradient_rows_equal_single_points(gf):
+    # SphericalGrazing.gradient of a batch raised numpy's matmul ValueError.
+    obs = quartic_vsq()
+    pts = np.random.default_rng(8).uniform(-0.4, 0.4, (5, 2))
+    batch = gf.gradient(obs, pts)
+    assert batch.shape == (5, 2)
+    assert batch.tobytes() == np.array([gf.gradient(obs, p) for p in pts]).tobytes()
 
 
 def test_a_zero_window_still_finds_no_seed(tmp_path, capsys):

@@ -459,6 +459,15 @@ _BAD_FLOW_ARGUMENTS = {
     "fd-s-str": (lambda o, p: gm.jacobian_fd(o, p, "0.3", _LIT), _S_REALS + "'0.3'$"),
     "fd-t-str": (lambda o, p: gm.jacobian_fd(o, p, 0.3, _LIT, t="0"),
                  r"^time t must be finite real numbers, got '0'$"),
+    # An s or t with an axis has one entry per point.
+    "analytic-s-length": (lambda o, p: gm.jacobian_analytic(o, p, [0.3, 0.4, 0.5], [_LIT] * 2),
+                          r"^ray parameter s has 3 entries for 2 points$"),
+    "analytic-s-length-one-point": (lambda o, p: gm.jacobian_analytic(o, p, [0.3, 0.4], _LIT),
+                                    r"^ray parameter s has 2 entries for 1 points$"),
+    "fd-s-length": (lambda o, p: gm.jacobian_fd(o, p, [0.3, 0.4, 0.5], [_LIT] * 2),
+                    r"^ray parameter s has 3 entries for 2 points$"),
+    "fd-t-length": (lambda o, p: gm.jacobian_fd(o, p, 0.3, [_LIT] * 2, t=[0.0, 0.1, 0.2]),
+                    r"^time t has 3 entries for 2 points$"),
 }
 
 

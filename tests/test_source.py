@@ -1,10 +1,19 @@
-"""Static checks on the library source and on the names the benchmark reads."""
+"""Static checks on the library source, on the source it generates, and on
+the names the benchmark reads."""
 
 import ast
 import builtins
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+import grazemap as gm
+from grazemap import diffgeo
+from grazemap.reflection import _newton_source
+
+from conftest import quartic_vsq, rounded_quartic, surface_zoo
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "grazemap"
@@ -92,9 +101,9 @@ def test_every_private_helper_has_a_caller():
 
 
 def test_only_the_jet_kernel_generator_turns_text_into_code():
-    # The one generated code is MultiPoly's jet kernel, whose source holds
-    # names and int exponents only: no other function may exec, compile or
-    # eval, under any name.
+    # The one place text becomes code is diffgeo._generate, which the jet
+    # kernel and the Newton kernel both call: no other function may exec,
+    # compile or eval, under any name.
     found = []
 
     def visit(node, path, where):
@@ -110,5 +119,61 @@ def test_only_the_jet_kernel_generator_turns_text_into_code():
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path, "")
-    assert sorted(found) == [("diffgeo.py", "MultiPoly._kernel", "compile"),
-                             ("diffgeo.py", "MultiPoly._kernel", "exec")]
+    assert sorted(found) == [("diffgeo.py", "_generate", "compile"),
+                             ("diffgeo.py", "_generate", "exec")]
+
+
+def _non_int_constants(source):
+    return [node.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and type(node.value) is not int]
+
+
+def test_generated_sources_hold_only_int_constants(monkeypatch):
+    # Values are names bound in the namespace, never text: the jet kernels of
+    # the test zoo, of polynomials with -0.0, nan and inf coefficients, of the
+    # zero polynomial and of a sum split into statements, and the Newton
+    # kernel of every dimension 1..4 and phase kind.
+    sources, real = [], diffgeo._generate
+
+    def spy(source, names):
+        sources.append(source)
+        return real(source, names)
+
+    monkeypatch.setattr(diffgeo, "_generate", spy)
+    rng = np.random.default_rng(3)
+    polys = [o.surface.poly for o in (*surface_zoo().values(), quartic_vsq(), rounded_quartic())
+             if isinstance(o.surface, gm.PolynomialSurface)]
+    polys += [gm.MultiPoly(2, {(1, 0): -0.0, (2, 1): np.nan, (0, 3): np.inf, (1, 1): 1e-300}),
+              gm.MultiPoly(3, {}),
+              gm.MultiPoly(2, {e: float(rng.normal()) for e in np.ndindex(25, 25)})]
+    for poly in polys:
+        poly._jet = None
+        poly._kernel()
+    assert len(sources) == len(polys)
+    sources += [_newton_source(d, kind) for d in range(1, 5)
+                for kind in ("plane", "spherical", "convex")]
+    assert [_non_int_constants(source) for source in sources] == [[]] * len(sources)
+
+
+def test_each_generated_source_compiles_once(monkeypatch):
+    # Twenty fresh parses of one spec compile its jet kernel once, and
+    # inversions over them one Newton kernel per phase kind.
+    compiled = []
+
+    def counting(source, *args):
+        compiled.append(source)
+        return builtins.compile(source, *args)
+
+    monkeypatch.setattr(diffgeo, "_generated", {})
+    monkeypatch.setattr(diffgeo, "compile", counting, raising=False)
+    specs = ROOT / "specs"
+    for _ in range(20):
+        obstacle = gm.parse_obstacle(str(specs / "rounded_quartic.obstacle"))
+        for name in ("side_source.phase", "plane.phase"):
+            phase = gm.parse_phase(str(specs / name), obstacle=obstacle)
+            y = gm.flow_map(obstacle, phase, 0.5, [-0.2, 0.1], 0.3).y
+            s, _, _ = gm.invert_flow(obstacle, phase, y, seed=(0.45, [-0.19, 0.11]))
+            assert abs(s - 0.5) < 1e-10
+    assert [source.split("(")[0] for source in compiled] == ["def kernel", "def record",
+                                                            "def record"]
+    assert compiled[1:] == [_newton_source(2, "spherical"), _newton_source(2, "plane")]
