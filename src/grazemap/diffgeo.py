@@ -89,8 +89,12 @@ def _vector(values, name: str, n: int | None = None) -> np.ndarray:
 
 def _as_points(x) -> np.ndarray:
     """x as a float array with at least one axis; complex and string entries,
-    which the cast would change or parse, raise ``InvalidArgument``."""
-    a = np.asarray(x)
+    which the cast would change or parse, and ragged nesting raise
+    ``InvalidArgument``."""
+    try:
+        a = np.asarray(x)
+    except ValueError:
+        raise InvalidArgument("point must be a regular array, got a ragged sequence") from None
     if a.dtype.kind in "cSU":
         raise InvalidArgument(f"point must be real numbers, got dtype {a.dtype}")
     return np.atleast_1d(np.asarray(a, dtype=float))
@@ -673,7 +677,9 @@ class Obstacle:
 
     def _check_domain(self, x) -> np.ndarray:
         """x as a float array (``_as_points``), one point (d,) or a batch (m, d),
-        after one radius check that names the largest |xbar| when it fails."""
+        after one radius check that names the largest |xbar| when it fails;
+        a NaN entry (a None casts to one) makes that |xbar| NaN and raises
+        ``InvalidArgument``."""
         x = _as_points(x)
         d = self.surface.dim
         if x.shape == (d,):
@@ -682,6 +688,8 @@ class Obstacle:
             r = float(np.sqrt(_rowdot(x, x)).max(initial=0.0))
         else:
             raise InvalidArgument(f"point has shape {x.shape}, expected ({d},) or (m, {d})")
+        if r != r:
+            raise InvalidArgument("point has a NaN or None entry")
         self._check_radius(r)
         return x
 

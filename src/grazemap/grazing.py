@@ -14,7 +14,9 @@ All curve verdicts are numerical evidence, never proofs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -743,10 +745,18 @@ def grazing_zero_scan_1d(gf: GrazingFunction, obstacle: Obstacle,
 
 @dataclass(frozen=True)
 class SliceCount:
+    """Grazing points on a slice curve, counted on each side x3 > 0 and x3 < 0
+    from the angular grid alone; ``points`` are solved on first read."""
+
     count_pos: int
     count_neg: int
-    points: np.ndarray   # grazing points on the slice curve, original coordinates
     x2_star: float
+    _crossings: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """The grazing points (n, 2) in original coordinates, solved once."""
+        return self._crossings()
 
 
 SLICE_N_PHI = 1440      # angular grid intervals of each slice curve
@@ -761,23 +771,11 @@ class _SliceCurve:
 
     With A = x2* - a and B = 1 - F(x2*, 0), k = (F - 1) A + (x2 - a) B, and
     along the ray from the center in the unit direction u its derivative is
-    dk/dr = A (grad F . u) + u2 B.  ``point`` finds the curve point at one
-    angle by a radial march in steps of ``r_step``, which brackets the first
-    crossing, and Newton on k from the bracket's outer end (``_newton``).  F
-    is concave and the other term linear, so k is concave along the ray and
-    Newton from its k < 0 side moves monotonically inward.  Each step is
-    still guarded by the bracket, falling back to its midpoint, and the solve
-    stops at the rounding floor of k: when a step does not shrink |k| by
-    FLOOR_RATIO, the better of the two iterates is kept.  It also stops when
-    the bracket is narrower than SLICE_ROOT_TOL or k vanishes, and after
-    SLICE_NEWTON_MAX steps.  A step-size rule would not do: along the
-    quartic's flat direction F - 1 cancels near F = 1, the root is defined
-    only to about 2e-13, and the steps never fall below 1e-14.
-
-    ``k`` alone forms k, on one point through ``Obstacle._jet_at`` or on a
-    batch.  ``point`` runs on Python floats; ``points`` runs the same march
-    and Newton in lockstep over many angles on (m, 2) batches.  Each angle's
-    arithmetic is the same in both, bit for bit.
+    dk/dr = A (grad F . u) + u2 B.  ``points`` solves the curve points at
+    many angles in lockstep: a radial march in steps of ``r_step`` brackets
+    each ray's first crossing and ``_newton_lanes`` finds it.  No lane's
+    arithmetic depends on another's, so an angle gets the same bits alone or
+    among many.
     """
 
     def __init__(self, obst_r: Obstacle, a: float, x2_star: float):
@@ -793,70 +791,25 @@ class _SliceCurve:
         if not meridian_roots:
             raise SliceMiss("slice plane does not re-enter the window on the far side")
         self.center = np.array([0.5 * (x2_star + meridian_roots[0]), 0.0])
-        self.c2, self.c3 = self.center.tolist()  # the center as floats
-        if self.k((self.c2, self.c3)) <= 0.0:
+        if self.k(self.center.tolist()) <= 0.0:
             raise SliceMiss("slice curve is degenerate at this parameter")
         self.r_bound = lim - float(np.linalg.norm(self.center))
         self.r_step = self.r_bound / 50.0
 
     def k(self, p, u=None):
-        """The slice-plane function at one point, a pair of floats, or per row
-        of a batch (m, 2); given unit directions u, a pair or (m, 2), the pair
-        (k, dk/dr) along them.  Both take the same products and sums."""
+        """k at a pair of floats (through ``Obstacle._jet_at``) or per row of a
+        batch (m, 2); given unit directions u (m, 2), (k, dk/dr) on the batch."""
         batch = isinstance(p, np.ndarray)
         if u is None:
             f = self.obst.value(p) if batch else self.obst._jet_at(p, 0)
-        elif batch:
-            f, (g2, g3), (u2, u3) = self.obst.value(p), self.obst.gradient(p).T, u.T
         else:
-            (f, (g2, g3)), (u2, u3) = self.obst._jet_at(p, 1), u
+            f, (g2, g3), (u2, u3) = self.obst.value(p), self.obst.gradient(p).T, u.T
         k = (f - 1.0) * self.A + ((p[:, 0] if batch else p[0]) - self.a) * self.B
         return k if u is None else (k, self.A * (g2 * u2 + g3 * u3) + u2 * self.B)
 
-    def _ray_jet(self, r, u):
-        """``k`` and dk/dr at radius r (a float, or an array) along u."""
-        if isinstance(r, float):
-            return self.k((self.c2 + r * u[0], self.c3 + r * u[1]), u)
-        return self.k(self.center + r[:, None] * u, u)
-
-    def point(self, phi: float) -> tuple:
-        """First crossing of k = 0 along the ray at angle phi, a pair of floats."""
-        u2, u3 = math.cos(phi), math.sin(phi)
-        lo, r = 0.0, self.r_step
-        while r <= self.r_bound:
-            if self.k((self.c2 + r * u2, self.c3 + r * u3)) < 0.0:
-                r = self._newton(lo, r, (u2, u3))
-                return self.c2 + r * u2, self.c3 + r * u3
-            lo = r
-            r += self.r_step
-        raise SliceMiss("slice curve leaves the obstacle domain")
-
-    def _newton(self, lo: float, hi: float, u: tuple) -> float:
-        """The root of k in the ray bracket [lo, hi] with k(hi) < 0 (see the
-        class docstring), on floats."""
-        r = hi
-        k, dk = self._ray_jet(r, u)
-        for _ in range(SLICE_NEWTON_MAX):
-            if k == 0.0 or hi - lo < SLICE_ROOT_TOL:
-                break
-            r_new = r - k / dk if dk != 0.0 else math.nan
-            if not lo < r_new < hi:
-                r_new = 0.5 * (lo + hi)
-            k_new, dk_new = self._ray_jet(r_new, u)
-            if k_new < 0.0:
-                hi = r_new
-            else:
-                lo = r_new
-            if abs(k_new) > FLOOR_RATIO * abs(k):
-                if abs(k_new) < abs(k):
-                    r = r_new
-                break
-            r, k, dk = r_new, k_new, dk_new
-        return r
-
     def points(self, phis) -> np.ndarray:
-        """``point`` at every angle, as one lockstep march and Newton solve."""
-        phis = np.asarray(phis, dtype=float).tolist()  # math.cos and sin, as in point
+        """The first crossing of k = 0 along the ray at each angle, (m, 2)."""
+        phis = np.asarray(phis, dtype=float).tolist()
         u = np.column_stack((list(map(math.cos, phis)), list(map(math.sin, phis))))
         lo = np.zeros(len(u))
         hi = np.empty(len(u))
@@ -873,10 +826,20 @@ class _SliceCurve:
         return self.center + self._newton_lanes(lo, hi, u)[:, None] * u
 
     def _newton_lanes(self, lo, hi, u) -> np.ndarray:
-        """``_newton`` on every ray bracket [lo[j], hi[j]] along u[j] at once,
-        lane j with the same steps and arithmetic as ``_newton`` alone."""
+        """The root of k on each ray bracket [lo[j], hi[j]] along u[j], where
+        k(hi[j]) < 0, by Newton from the outer end, all lanes at once.  k is
+        concave along a ray (F is concave, the rest linear), so Newton from
+        its k < 0 side moves monotonically inward; each step is still guarded
+        by the bracket, falling back to its midpoint.  A lane stops when its
+        bracket is narrower than SLICE_ROOT_TOL, k vanishes, SLICE_NEWTON_MAX
+        steps are done, or at the rounding floor: a step that does not shrink
+        |k| by FLOOR_RATIO ends it, keeping the better iterate.  A step-size
+        rule would not do: along the quartic's flat direction F - 1 cancels
+        near F = 1, the root is defined only to about 2e-13, and the steps
+        never fall below 1e-14.
+        """
         r = hi.copy()
-        k, dk = self._ray_jet(r, u)
+        k, dk = self.k(self.center + r[:, None] * u, u)
         todo = np.arange(len(r))
         for _ in range(SLICE_NEWTON_MAX):
             todo = todo[(k[todo] != 0.0) & (hi[todo] - lo[todo] >= SLICE_ROOT_TOL)]
@@ -886,7 +849,7 @@ class _SliceCurve:
                 r_new = r[todo] - k[todo] / dk[todo]
             mid = ~((lo[todo] < r_new) & (r_new < hi[todo]))
             r_new[mid] = 0.5 * (lo[todo[mid]] + hi[todo[mid]])
-            k_new, dk_new = self._ray_jet(r_new, u[todo])
+            k_new, dk_new = self.k(self.center + r_new[:, None] * u[todo], u[todo])
             neg = k_new < 0.0
             hi[todo[neg]], lo[todo[~neg]] = r_new[neg], r_new[~neg]
             floor = np.abs(k_new) > FLOOR_RATIO * np.abs(k[todo])
@@ -897,27 +860,39 @@ class _SliceCurve:
         return r
 
 
+def _event_sides(grid, vals, events) -> np.ndarray:
+    """Per angular event of ``_sign_events``, a sine whose sign is the side
+    of its slice crossing: x3 > 0, x3 < 0, or neither for 0.
+
+    A crossing is center + r (cos phi, sin phi) with r > 0 and the center on
+    x3 = 0, so its side is the sign of sin at its refined angle.  ``_refine``
+    returns the grid angle of an exact zero, and otherwise an angle at least
+    2e-14 inside the grid bracket (each secant trial is 0.4 tol inside, and
+    a closing bracket's midpoint half that).  sin changes sign only within a
+    few ulps of the grid angles 0, pi and 2 pi, so it has one sign inside a
+    bracket, read at its midpoint.  The bracket's first angle would not do:
+    the one nearest pi has sin > 0 and opens a bracket where sin < 0.
+    """
+    inside = 0.5 * (grid[events] + grid[events + 1])
+    return np.sin(np.where(vals[events] == 0.0, grid[events], inside))
+
+
 def slice_grazing_count(obstacle: Obstacle, bbar, x2_star: float) -> SliceCount:
     """Count grazing points on the closed slice curve through (x2*, 0).
 
     The slice curve is the boundary section cut by the plane through the
     source ray hitting the boundary above (x2*, 0); on it the spherical
-    grazing function is scanned in angle and each sign change is refined to
-    1e-13 by the bracketed secant.  No-branching predicts exactly one point
-    on each side x3 > 0 and x3 < 0.
+    grazing function is scanned in angle.  No-branching predicts exactly one
+    point on each side x3 > 0 and x3 < 0.
 
-    The curve point at an angle is the root of the slice-plane function on
-    the ray from the curve's center: a radial march brackets it and a
-    bracket-guarded Newton solve from the outer end finds it, stopping at the
-    rounding floor (see ``_SliceCurve``), in 6 to 8 evaluations per ray on
-    the sample quartics.  The points at the SLICE_N_PHI + 1 grid angles are
-    solved in one lockstep pass (``_SliceCurve.points``) and the grazing
-    function is evaluated on all of them in one call; the bracketed secant of
-    a sign change in angle goes one angle at a time, through the float point
-    of ``_SliceCurve.point`` and the float value of ``gf._value_grad``, in 6
-    to 11 evaluations on the sample quartics.  Both give the same point at
-    an angle, so the counts and points do not depend on it.  Bad arguments
-    raise ``InvalidArgument`` before anything is evaluated.
+    The curve points at the SLICE_N_PHI + 1 grid angles are one lockstep
+    solve (``_SliceCurve.points``, 6 to 8 evaluations per ray on the sample
+    quartics) and the grazing function one call on them.  Each sign change
+    is one crossing, counted on the side its grid bracket gives
+    (``_event_sides``), so the counts solve no crossing.  ``points``, when
+    first read, refines each crossing angle to 1e-13 by the bracketed
+    secant, each trial angle one lane of ``_SliceCurve.points`` valued by
+    ``gf._value_grad``.  Bad arguments raise ``InvalidArgument`` first.
     """
     if obstacle.dim_tangential != 2:
         raise UnsupportedSurface("slice counts require a 3D obstacle")
@@ -930,28 +905,27 @@ def slice_grazing_count(obstacle: Obstacle, bbar, x2_star: float) -> SliceCount:
         raise ZeroVector("bbar must be nonzero")
 
     # Work in coordinates where the source sits at (1, -|bbar|, 0).
-    if abs(b[1]) > 1e-14 or b[0] > 0.0:
-        obst_r, q = rotate_coordinates(obstacle, b)
-        b_r = q @ b
-    else:
-        obst_r, q = obstacle, np.eye(2)
-        b_r = b.copy()
+    rotate = abs(b[1]) > 1e-14 or b[0] > 0.0
+    obst_r, q = rotate_coordinates(obstacle, b) if rotate else (obstacle, np.eye(2))
+    b_r = q @ b if rotate else b
     gf = SphericalGrazing(bbar=b_r)
     curve = _SliceCurve(obst_r, float(b_r[0]), x2)
-
-    def h_of(phi):
-        """The grazing function at the slice point of one angle or of each of many."""
-        if np.ndim(phi):
-            return gf.value(obst_r, curve.points(phi))
-        return gf._value_grad(obst_r, *curve.point(phi))[0]
-
     # Closed angular grid: angle 0 repeats at 2 pi, so a crossing across the
     # wrap-around is seen once.
-    phis = _scan_roots(h_of, np.linspace(0.0, 2.0 * np.pi, SLICE_N_PHI + 1), 1e-13)
-    crossings = curve.points(phis) if phis else np.zeros((0, 2))
-    return SliceCount(count_pos=int(np.sum(crossings[:, 1] > 0.0)),
-                      count_neg=int(np.sum(crossings[:, 1] < 0.0)),
-                      points=_matvec(q.T, crossings), x2_star=x2)
+    grid = np.linspace(0.0, 2.0 * np.pi, SLICE_N_PHI + 1)
+    vals = gf.value(obst_r, curve.points(grid))
+    events = _sign_events(vals)
+    sides = _event_sides(grid, vals, events)
+
+    def crossings() -> np.ndarray:
+        def h(phi):
+            return gf._value_grad(obst_r, *curve.points([phi])[0].tolist())[0]
+
+        phis = [_refine(h, grid, vals, i, 1e-13) for i in events]
+        return _matvec(q.T, curve.points(phis) if phis else np.zeros((0, 2)))
+
+    return SliceCount(count_pos=int(np.sum(sides > 0.0)), count_neg=int(np.sum(sides < 0.0)),
+                      x2_star=x2, _crossings=crossings)
 
 
 # ---------------------------------------------------------------------------

@@ -291,9 +291,10 @@ def _first_flagged(cls: BoundaryClassification, flagged) -> tuple[float, str]:
 
 def _check_per_point(values, name: str, xbar) -> None:
     """A Jacobian's s or t: finite real numbers (``_vector``), one for all the
-    points of xbar (d,) or (m, d) or one per point, else ``InvalidArgument``."""
+    points of xbar (d,) or (m, d) or one per point, else ``InvalidArgument``,
+    as for an xbar that ``_as_points`` refuses."""
     given = _vector(values, name)
-    m = len(xbar) if np.ndim(xbar) == 2 else 1
+    m = len(xbar) if _as_points(xbar).ndim == 2 else 1
     if np.ndim(values) and len(given) != m:
         raise InvalidArgument(f"{name} has {len(given)} entries for {m} points")
 

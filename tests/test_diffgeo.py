@@ -261,6 +261,23 @@ def test_batch_domain_check_names_the_point_outside():
         obs.value(np.zeros((4, 3)))
 
 
+@pytest.mark.parametrize("x", [[np.nan, 0.0], [None, 0.1], [[0.1, 0.2], [np.nan, 0.0]],
+                               [[0.1, 0.2], [None, 0.0]]],
+                         ids=["point-nan", "point-none", "batch-nan-row", "batch-none-row"])
+def test_a_nan_or_none_entry_is_refused_before_any_evaluation(monkeypatch, sphere,
+                                                              side_source, x):
+    # NaN fails every comparison of the radius check, so these returned nan.
+    def refuse(*args):
+        raise AssertionError("evaluated before the point was checked")
+
+    monkeypatch.setattr(gm.Obstacle, "_on_surface", refuse)
+    for method in ("value", "gradient", "hessian", "boundary_point"):
+        with pytest.raises(gm.InvalidArgument, match=r"^point has a NaN or None entry$"):
+            getattr(sphere, method)(x)
+    with pytest.raises(gm.InvalidArgument, match=r"^point has a NaN or None entry$"):
+        gm.classify_boundary_point(sphere, side_source, x)
+
+
 def test_derivative_cache_is_complete_for_every_thread():
     # Threads that share a fresh MultiPoly race to fill its derivative cache
     # and to build its jet kernel; each must see either no cache or a

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 from collections import Counter
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 import grazemap as gm
-from grazemap.diffgeo import MultiPoly
+from grazemap.diffgeo import MultiPoly, rotation_to_negative_axis
 from grazemap.cli import main
+from grazemap.specio import parse_obstacle
 from grazemap import grazing
 from grazemap.grazing import (LINE_ROOT_TOL, LINE_SCAN_N, SEED_OFFSET, SLICE_N_PHI, _correct,
                               _SliceCurve, leading_homogeneous_part)
@@ -383,8 +385,8 @@ def _sextic():
 
 
 def _miscounted_slices(monkeypatch):
-    monkeypatch.setattr(grazing, "slice_grazing_count",
-                        lambda obstacle, bbar, x2s: gm.SliceCount(2, 1, np.zeros((3, 2)), x2s))
+    monkeypatch.setattr(grazing, "slice_grazing_count", lambda obstacle, bbar, x2s:
+                        gm.SliceCount(2, 1, x2s, lambda: np.zeros((3, 2))))
     return quartic_vsq()
 
 
@@ -537,62 +539,139 @@ def test_float_zeta_names_the_point_past_the_profile_domain():
     assert str(grad.value) == str(ref.value)
 
 
-@pytest.mark.parametrize("obs", [quartic_vsq(), gm.sphere_obstacle(2, radius=0.5)],
-                         ids=["cusp", "sphere"])
-def test_slice_point_equals_lockstep_points_at_every_grid_angle(obs):
-    curve = _SliceCurve(obs, -1.0, -0.05)
-    phis = np.linspace(0.0, 2.0 * np.pi, SLICE_N_PHI + 1)
-    assert np.array_equal(curve.points(phis), np.array([curve.point(phi) for phi in phis]))
-
-
 @pytest.mark.parametrize("name", [name for name in surface_zoo() if name != "exp-flat"])
 def test_slice_newton_is_one_float_path_on_every_surface(name):
-    # The float Newton of ``point`` and the lockstep one of ``points`` on the
-    # surfaces without compiled polynomials too (array jets, differenced
-    # gradients); the flat profile has no slice curve at this parameter.
+    # One angle solved alone, as each trial of the angular refinement is,
+    # gives its row of the lockstep solve bit for bit, on the surfaces
+    # without compiled polynomials too (array jets, differenced gradients);
+    # the flat profile has no slice curve at this parameter.
     curve = _SliceCurve(surface_zoo()[name], -1.0, -0.05)
     phis = np.linspace(0.0, 2.0 * np.pi, 97)
-    assert np.array_equal(curve.points(phis), np.array([curve.point(phi) for phi in phis]))
+    rows = curve.points(phis)
+    assert np.array_equal(rows, np.vstack([curve.points([phi]) for phi in phis]))
 
 
 def test_slice_count_solves_each_ray_in_a_few_newton_steps(monkeypatch):
     # Cusp/side: the lockstep solve of the 1441 grid angles takes 10 rounds
-    # (the jet at every bracket's outer end, then one per Newton step), and
-    # the two crossings take 7.  The bracketed secant of each angular
-    # crossing takes 11 single-angle ``point`` calls (36 halvings bisected
-    # it to 1e-13), and each makes 7 or 8 float jet evaluations after its
-    # march; bisecting the march bracket to 1e-14 would take about 40.
-    rounds, jets, log = [0], [0], []
-    real_ray_jet, real_jet = _SliceCurve._ray_jet, gm.Obstacle._jet_at
+    # of ``k`` with directions (the jet at every bracket's outer end, then
+    # one per Newton step).  Reading the points refines the two angular
+    # crossings by the bracketed secant, 11 trials each, every trial one
+    # angle solved alone in 7 or 8 rounds after its march; bisecting the
+    # march bracket to 1e-14 would take about 40.  The two crossings are
+    # then solved together in 7, and a second read solves nothing.
+    rounds, log = [0], []
+    real_k, real_points = _SliceCurve.k, _SliceCurve.points
 
-    def ray_jet(self, r, u):
-        rounds[0] += bool(np.ndim(r))
-        return real_ray_jet(self, r, u)
+    def k(self, p, u=None):
+        rounds[0] += u is not None
+        return real_k(self, p, u)
 
-    def jet_at(self, xs, order):
-        jets[0] += order == 1
-        return real_jet(self, xs, order)
+    def points(self, phis):
+        before = rounds[0]
+        out = real_points(self, phis)
+        log.append((len(phis), rounds[0] - before))
+        return out
 
-    def tally(name, real):
-        def wrapped(self, phi):
-            before = rounds[0], jets[0]
-            out = real(self, phi)
-            log.append((name, len(phi) if name == "points" else 1,
-                        rounds[0] - before[0], jets[0] - before[1]))
-            return out
-        return wrapped
-
-    monkeypatch.setattr(_SliceCurve, "_ray_jet", ray_jet)
-    monkeypatch.setattr(gm.Obstacle, "_jet_at", jet_at)
-    for name in ("point", "points"):
-        monkeypatch.setattr(_SliceCurve, name, tally(name, getattr(_SliceCurve, name)))
+    monkeypatch.setattr(_SliceCurve, "k", k)
+    monkeypatch.setattr(_SliceCurve, "points", points)
     sc = gm.slice_grazing_count(quartic_vsq(), [-1.0, 0.0], -0.05)
     assert (sc.count_pos, sc.count_neg) == (1, 1)
-    assert [entry for entry in log if entry[0] == "points"] == [("points", SLICE_N_PHI + 1, 10, 0),
-                                                                ("points", 2, 7, 0)]
-    singles = [entry for entry in log if entry[0] == "point"]
-    assert all(entry[2] == 0 for entry in singles)
-    assert sorted(Counter(entry[3] for entry in singles).items()) == [(7, 18), (8, 4)]
+    assert log == [(SLICE_N_PHI + 1, 10)]
+    assert len(sc.points) == 2
+    singles = [n_rounds for n_angles, n_rounds in log[1:-1] if n_angles == 1]
+    assert len(singles) == len(log) - 2 == 22
+    assert sorted(Counter(singles).items()) == [(7, 18), (8, 4)]
+    assert log[-1] == (2, 7)
+    n_calls, first = len(log), sc.points
+    assert sc.points is first and len(log) == n_calls
+
+
+# The zoo surfaces with a slice curve at x2* = -0.05, and the spec obstacles.
+_SLICE_OBSTACLES = ([name for name in surface_zoo() if name != "exp-flat"]
+                    + ["sphere", "cusp_quartic", "rounded_quartic"])
+
+
+def _slice_obstacle(name):
+    zoo = surface_zoo()
+    return zoo[name] if name in zoo else parse_obstacle(str(SPECS / f"{name}.obstacle"))
+
+
+@pytest.mark.parametrize("name", _SLICE_OBSTACLES)
+def test_slice_counts_are_the_sides_of_the_solved_crossings(name):
+    # The counts come from the angular grid alone; the crossings solved on
+    # reading ``points``, taken back to the frame where the slice curve's
+    # center lies on x3 = 0, must lie on the sides they count.
+    obs = _slice_obstacle(name)
+    checked = 0
+    for b in ([-1.0, 0.0], [0.0, -1.0], [0.3, -1.0], [-0.7, 0.5]):
+        q = rotation_to_negative_axis(b)
+        for x2s in (-0.02, -0.05, -0.1, -0.2):
+            try:
+                sc = gm.slice_grazing_count(obs, b, x2s)
+            except (gm.grazing.SliceMiss, gm.UnsupportedSurface):
+                continue  # no slice curve there, or no rotation of a callable surface
+            x3 = sc.points @ q.T[:, 1]
+            assert (sc.count_pos, sc.count_neg) == (int(np.sum(x3 > 0.0)), int(np.sum(x3 < 0.0)))
+            checked += 1
+    assert checked >= 4
+
+
+def test_event_sides_read_the_bracket_not_its_ends():
+    # Synthetic angular values with one root each: just past the grid angle
+    # nearest pi, where sin is still > 0 but every angle of the bracket has
+    # sin < 0; just past 0, where sin is 0; just before 2 pi; exactly at the
+    # grid angle nearest pi; and, on a grid whose angle nearest pi is moved
+    # one ulp above pi, just before that angle.  The side read from the
+    # bracket must be the side of the refined angle.  A rule that reads the
+    # bracket's first grid angle miscounts the first three, and one that
+    # reads its last grid angle miscounts the last.
+    grid = np.linspace(0.0, 2.0 * np.pi, SLICE_N_PHI + 1)
+    i_pi = SLICE_N_PHI // 2
+    grid_up = grid.copy()
+    grid_up[i_pi] = math.nextafter(math.pi, 4.0)
+    cases = [(grid, grid[i_pi] + 5e-14, -1.0), (grid, grid[i_pi] + 1e-3, -1.0),
+             (grid, 3e-14, 1.0), (grid, grid[-1] - 5e-14, -1.0), (grid, grid[i_pi], 1.0),
+             (grid_up, grid_up[i_pi] - 5e-14, 1.0)]
+    first_misses, last_misses = [], []
+    for k, (angles, root, side) in enumerate(cases):
+        def h(phi):
+            return phi - root
+
+        vals = h(angles)
+        events = grazing._sign_events(vals)
+        assert len(events) == 1
+        refined = grazing._refine(h, angles, vals, events[0], 1e-13)
+        assert np.sign(math.sin(refined)) == side
+        assert np.sign(grazing._event_sides(angles, vals, events)).tolist() == [side]
+        if np.sign(np.sin(angles[events[0]])) != side:
+            first_misses.append(k)
+        if vals[events[0]] != 0.0 and np.sign(np.sin(angles[events[0] + 1])) != side:
+            last_misses.append(k)
+    assert first_misses == [0, 1, 2] and last_misses == [5]
+
+
+# sha256 of the counts and the crossing bytes of each slice count at
+# x2* = -0.05, recorded from the two-solver slice count this one replaced.
+PINNED_SLICES = {
+    "sphere/side": "a1e93cb3b3b1bcf6135aa2b2da3692e3cfc8f15d59d653e0f51773e6c58dff47",
+    "cusp_quartic/side": "7d0808a716097c081148b9e333e2ebfacce82ca1c7ded53849d4b1736c43e73b",
+    "rounded_quartic/side": "2b9a9571ec78fecfb491ec8dc23b5fd9a379524055cb588ff617316dd0d27a48",
+    "cusp_quartic/top": "8e1bb74ea53ad790ec258bd17652c1516c4aaa1d5e73f23c75ab05833b87f728",
+    "rotated/side": "b5421202a2f3b6fd87d2c1585a67659c7cbdacce2bdf398bb8e1c95328d3923e",
+    "symmetric-h/side": "ab3923260429ecf9c6d99995d321a4fed679148d300e500e7fef33228c7de4bb",
+    "generic/side": "fb337d1b25cb737192dd70cb6b0a21ad3ed7da9f6d8a94aecdd062100056e000",
+    "generic-grad/side": "a6466876c40442a1fc7a2a470bc255e695de5083efc388eb4c5681be33879d01",
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_SLICES))
+def test_slice_crossing_bits_are_pinned(key):
+    name, source = key.split("/")
+    bbar = {"side": [-1.0, 0.0], "top": [0.0, 1.0]}[source]
+    sc = gm.slice_grazing_count(_slice_obstacle(name), bbar, -0.05)
+    digest = hashlib.sha256(f"{sc.count_pos} {sc.count_neg}".encode())
+    digest.update(sc.points.tobytes())
+    assert digest.hexdigest() == PINNED_SLICES[key]
 
 
 def test_trace_checks_the_domain_once_per_corrector_evaluation(monkeypatch):

@@ -440,6 +440,8 @@ _LIT = [-0.2, 0.1]  # an illuminated sphere/side point
 _S_RANGE = r"^ray parameter s must be finite and nonnegative$"
 _S_REALS = r"^ray parameter s must be finite real numbers, got "
 _COMPLEX = r"^point must be real numbers, got "
+_RAGGED = [[0.1, 0.2], [0.3]]
+_RAGGED_MSG = r"^point must be a regular array, got a ragged sequence$"
 _BAD_FLOW_ARGUMENTS = {
     "flow-s-array": (lambda o, p: gm.flow_map(o, p, np.array([0.3]), _LIT), _S_RANGE),
     "flow-s-huge-int": (lambda o, p: gm.flow_map(o, p, 10**400, _LIT), _S_RANGE),
@@ -468,6 +470,11 @@ _BAD_FLOW_ARGUMENTS = {
                     r"^ray parameter s has 3 entries for 2 points$"),
     "fd-t-length": (lambda o, p: gm.jacobian_fd(o, p, 0.3, [_LIT] * 2, t=[0.0, 0.1, 0.2]),
                     r"^time t has 3 entries for 2 points$"),
+    # A ragged xbar, which numpy refuses with its own ValueError.
+    "classify-xbar-ragged": (lambda o, p: gm.classify_boundary_point(o, p, _RAGGED), _RAGGED_MSG),
+    "margin-xbar-ragged": (lambda o, p: gm.tangency_margin(o, p, _RAGGED), _RAGGED_MSG),
+    "analytic-xbar-ragged": (lambda o, p: gm.jacobian_analytic(o, p, 0.3, _RAGGED), _RAGGED_MSG),
+    "fd-xbar-ragged": (lambda o, p: gm.jacobian_fd(o, p, 0.3, _RAGGED), _RAGGED_MSG),
 }
 
 
