@@ -515,20 +515,18 @@ class SymmetricH:
     lam: np.ndarray = field(compare=False)
     hcoeffs: tuple[float, ...] | None = None
     flat: bool = False
-    sdomain: float = math.inf
 
     @classmethod
-    def from_hcoeffs(cls, dim: int, hcoeffs, lam=None, sdomain=math.inf) -> "SymmetricH":
+    def from_hcoeffs(cls, dim: int, hcoeffs, lam=None) -> "SymmetricH":
         lam = np.eye(dim) if lam is None else np.asarray(lam, dtype=float)
-        surf = cls(dim=dim, lam=lam, hcoeffs=tuple(float(c) for c in hcoeffs),
-                   flat=False, sdomain=sdomain)
+        surf = cls(dim=dim, lam=lam, hcoeffs=tuple(float(c) for c in hcoeffs), flat=False)
         surf._validate()
         return surf
 
     @classmethod
-    def exp_flat(cls, dim: int, lam=None, sdomain=math.inf) -> "SymmetricH":
+    def exp_flat(cls, dim: int, lam=None) -> "SymmetricH":
         lam = np.eye(dim) if lam is None else np.asarray(lam, dtype=float)
-        surf = cls(dim=dim, lam=lam, hcoeffs=None, flat=True, sdomain=sdomain)
+        surf = cls(dim=dim, lam=lam, hcoeffs=None, flat=True)
         surf._validate()
         return surf
 
@@ -541,9 +539,8 @@ class SymmetricH:
             nonzero = [c for c in self.hcoeffs if c != 0.0]
             if nonzero and nonzero[0] <= 0.0:
                 raise NotNormalized("first nonzero Taylor coefficient of h must be positive")
-            # h' > 0 is a sampled certificate on (0, s_max).
-            s_max = self.sdomain if math.isfinite(self.sdomain) else 1.0
-            for s in np.linspace(s_max / 64.0, s_max, 64):
+            # h' > 0 is a sampled certificate on (0, 1].
+            for s in np.linspace(1.0 / 64.0, 1.0, 64):
                 if self.h(s, deriv=1) <= 0.0:
                     raise NotNormalized(f"h'({s}) <= 0: profile not increasing")
 
@@ -887,6 +884,6 @@ def rotate_coordinates(obstacle: Obstacle, bbar) -> tuple[Obstacle, np.ndarray]:
         return Obstacle(new_surf, radius=obstacle.radius), q
     if isinstance(surf, SymmetricH):
         new_surf = SymmetricH(dim=surf.dim, lam=surf.lam @ q.T, hcoeffs=surf.hcoeffs,
-                              flat=surf.flat, sdomain=surf.sdomain)
+                              flat=surf.flat)
         return Obstacle(new_surf, radius=obstacle.radius), q
     raise UnsupportedSurface("rotation requires a polynomial or symmetric surface")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .diffgeo import (J_MAX_DEFAULT, GrazemapError, InvalidArgument, MultiPoly, NotNormalized,
                       Obstacle, PolynomialSurface, SymmetricH, UnsupportedSurface, ZeroVector,
-                      _as_points, _finite, _matvec, _rowdot, _vector, rotate_coordinates)
+                      _as_points, _finite, _matvec, _per_row, _rowdot, _vector, rotate_coordinates)
 from .phases import BoundaryCovector, Phase, PlanePhase, SphericalPhase, xi_incoming
 from .reflection import classify_boundary_point
 
@@ -57,10 +57,6 @@ class SliceMiss(GrazemapError, ValueError):
 
 class NotHomogeneous(GrazemapError, ValueError):
     """check_u1ww input must be a homogeneous polynomial of even degree."""
-
-
-class HDomainExceeded(GrazemapError, ValueError):
-    """|L xbar|^2 left the declared domain of the radial profile."""
 
 
 # ---------------------------------------------------------------------------
@@ -142,17 +138,12 @@ class SymmetricZeta:
 
     def value(self, obstacle: Obstacle, x):
         """zeta at one point (d,) -> float, or per row of a batch (m, d) -> (m,),
-        each row bit for bit the point's; a batch names its first row whose
-        |L xbar|^2 leaves the profile's domain."""
+        each row bit for bit the point's."""
         _check_vector(self, obstacle)
-        x = _as_points(x)
         surf = _symmetric_surface(obstacle)
+        x = obstacle._check_domain(x)
         y = _matvec(surf.lam, np.atleast_2d(x))
         s = _rowdot(y, y)
-        over = np.flatnonzero(s > surf.sdomain)
-        if over.size:
-            raise HDomainExceeded(f"|L xbar|^2 = {float(s[over[0]])} exceeds domain "
-                                  f"{surf.sdomain}")
         live = s != 0.0  # zeta is 0 at the apex
         out = np.zeros(len(s))
         out[live] = (-surf.h_ratio(s[live]) + 2.0 * s[live]
@@ -160,16 +151,22 @@ class SymmetricZeta:
         return float(out[0]) if x.ndim == 1 else out
 
     def gradient(self, obstacle: Obstacle, x) -> np.ndarray:
+        """grad zeta at one point (d,) -> (d,), or per row of a batch (m, d) -> (m, d),
+        each row bit for bit the point's."""
         _check_vector(self, obstacle)
         surf = _symmetric_surface(obstacle)
-        x = _as_points(x)
+        x = obstacle._check_domain(x)
+        rows = np.atleast_2d(x)
         ltl = surf.lam.T @ surf.lam
-        s = float((surf.lam @ x) @ (surf.lam @ x))
-        if s > surf.sdomain:
-            raise HDomainExceeded(f"|L xbar|^2 = {s} exceeds domain {surf.sdomain}")
-        if s == 0.0:
-            return -2.0 * ltl @ self.bbar
-        return (2.0 - surf.h_ratio_prime(s)) * 2.0 * (ltl @ x) - 2.0 * ltl @ self.bbar
+        y = _matvec(surf.lam, rows)
+        s = _rowdot(y, y)
+        live = s != 0.0
+        out = np.empty(rows.shape)
+        out[~live] = -2.0 * ltl @ self.bbar  # the apex, without h/h'
+        # h_ratio_prime takes one float s at a time.
+        scale = [(2.0 - surf.h_ratio_prime(v)) * 2.0 for v in s[live].tolist()]
+        out[live] = _per_row(np.array(scale)) * _matvec(ltl, rows[live]) - 2.0 * ltl @ self.bbar
+        return out[0] if x.ndim == 1 else out
 
     def _value_grad(self, obstacle: Obstacle, x0: float, x1: float) -> tuple:
         """(zeta, dzeta/dx0, dzeta/dx1) at one plane point: ``value`` and
@@ -422,65 +419,36 @@ def _on_line(v, axis: int, offset: float) -> np.ndarray:
     return p
 
 
-class _ScanLine:
-    """A seed scan line across ``t_axis`` at ``offset``: the grazing function
-    on its grid from one batched ``value``, the grid events of its roots
-    (``_sign_events``), and each event's root, solved to LINE_ROOT_TOL by the
-    bracketed secant on the float value of ``gf._value_grad`` when first
-    asked for and kept, so a root that is never compared or seeded is never
-    solved."""
-
-    def __init__(self, gf, obstacle, t_axis: int, offset: float, lim: float):
-        self.grid = np.linspace(-lim, lim, LINE_SCAN_N)
-        self.vals = gf.value(obstacle, _on_line(self.grid, 1 - t_axis, offset))
-        self.events = _sign_events(self.vals).tolist()
-        self._roots = {}
-        p = [offset, offset]
-
-        def f(v):
-            p[1 - t_axis] = v
-            return gf._value_grad(obstacle, *p)[0]
-
-        self._f = f
-
-    def root(self, i: int) -> float:
-        if i not in self._roots:
-            self._roots[i] = _refine(self._f, self.grid, self.vals, i, LINE_ROOT_TOL)
-        return self._roots[i]
-
-    def nearest(self) -> int:
-        """The event whose root lies nearest the apex, the first of equals; a
-        lone event is taken without solving for its root."""
-        events = self.events
-        return events[0] if len(events) == 1 else min(events, key=lambda i: abs(self.root(i)))
-
-
 def _detect_orientation(gf, obstacle, window):
     """Pick the transverse axis, the one whose both offset lines see one
     root, and return it with the root nearest the apex on each of its lines.
 
-    The axes are scored on their scan lines' grid events: fewest extra roots
-    first, then the least sum of the two nearest roots' distances from the
-    apex, axis 1 first on ties.  A root is solved for only when it has a
-    rival to beat, an event on its line or an axis scored as well as its own,
-    so usually just the two seed roots are.
+    Each of the four scan lines, across an axis at +-SEED_OFFSET, is one
+    ``_scan_roots`` call: one batched ``value`` on its grid, and each root
+    solved to LINE_ROOT_TOL by the bracketed secant on the float value of
+    ``gf._value_grad``.  The axes are scored by their extra roots, then by
+    the sum of the two nearest roots' distances from the apex; the least
+    score wins, axis 1 first on ties.
     """
     lim = min(window, math.sqrt(max(obstacle.radius**2 - SEED_OFFSET**2, 0.0)) * 0.999)
+    grid = np.linspace(-lim, lim, LINE_SCAN_N)
     scored = []
     for t_axis in (1, 0) if lim > 0.0 else ():
-        lines = [_ScanLine(gf, obstacle, t_axis, offset, lim)
-                 for offset in (SEED_OFFSET, -SEED_OFFSET)]
-        if all(line.events for line in lines):
-            # Prefer single roots and roots close to the apex.
-            penalty = sum(len(line.events) - 1 for line in lines)
-            scored.append((penalty, t_axis, [(line, line.nearest()) for line in lines]))
+        lines = []
+        for offset in (SEED_OFFSET, -SEED_OFFSET):
+            def f(v, t_axis=t_axis, offset=offset):
+                if np.ndim(v):
+                    return gf.value(obstacle, _on_line(v, 1 - t_axis, offset))
+                return gf._value_grad(obstacle, *((v, offset) if t_axis else (offset, v)))[0]
+            lines.append(_scan_roots(f, grid, LINE_ROOT_TOL))
+        if all(lines):
+            nearest = [min(roots, key=abs) for roots in lines]
+            penalty = sum(len(roots) - 1 for roots in lines)
+            scored.append((penalty, sum(map(abs, nearest)), t_axis, nearest))
     if not scored:
         raise SeedNotFound(f"no sign change at transverse offset {SEED_OFFSET} in window {window}")
-    fewest = min(penalty for penalty, _, _ in scored)
-    best = [item for item in scored if item[0] == fewest]
-    _, t_axis, seeds = best[0] if len(best) == 1 else min(
-        best, key=lambda item: sum(abs(line.root(i)) for line, i in item[2]))
-    return t_axis, *(line.root(i) for line, i in seeds)
+    _, _, t_axis, nearest = min(scored, key=lambda item: item[:2])
+    return t_axis, *nearest
 
 
 def _correct(gf, obstacle, point, tol, axis=None):

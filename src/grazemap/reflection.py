@@ -671,14 +671,14 @@ def _draw(obstacle: Obstacle, phase: Phase, rng, r: float, s0: float, budget: in
     rng.random((k, d + 2)) is k successive rng.random(d + 2) calls, so a
     chunk is k tries of the per-try loop: its in-disk rows are classified in
     one batch, and it keeps the first non-shadow rows it needs.  The
-    generator then stands right after the last row tried, as after that loop.
+    generator then stands after the last chunk drawn, rows past the last
+    sample included.
 
     Returns the samples' record (rows of the chunk batches), their domain
     rows (s, xbar, t) and the number of tries.
     """
     d = obstacle.dim_tangential
     cap = 200 * budget
-    state = rng.bit_generator.state
     kept, doms = [], []
     n = tries = 0
     while n < budget and tries < cap:
@@ -697,8 +697,6 @@ def _draw(obstacle: Obstacle, phase: Phase, rng, r: float, s0: float, budget: in
         tries += int(rows[-1]) + 1 if n == budget else len(u)  # up to the last sample kept
         kept.append(_gather([(cls, picked)]))
         doms.append(np.column_stack((0.0 + s0 * u[rows, d], xb[rows], -1.0 + 2.0 * u[rows, d + 1])))
-    rng.bit_generator.state = state
-    rng.bit_generator.advance((d + 2) * tries)
     return _gather([(rec, slice(None)) for rec in kept]), np.concatenate(doms), tries
 
 
@@ -730,7 +728,8 @@ def verify_rfm(obstacle: Obstacle, phase: Phase, s0: float = 1.0,
 
     Each try of the rejection draw takes one row of d + 2 raw doubles from
     the generator, and the draw classifies its candidates in chunks of rows
-    (see ``_draw``).  The Jacobians, checks, rows and failure lists are array
+    (see ``_draw``); the injectivity pairs read on from the last chunk
+    drawn.  The Jacobians, checks, rows and failure lists are array
     passes over the samples' record; a grazing sample gets no Jacobian (NaN
     in its row) and fails no check.  A budget that is not an integer in
     1..MAX_BUDGET, a seed that is not a nonnegative integer and an s0 that

@@ -288,7 +288,7 @@ def test_every_library_exception_carries_an_exit_code():
         for name, cls in inspect.getmembers(module, inspect.isclass):
             if issubclass(cls, BaseException) and cls.__module__ == module.__name__:
                 found[name] = cls
-    assert len(found) == 21  # GrazemapError and its 20 subclasses
+    assert len(found) == 20  # GrazemapError and its 19 subclasses
     for name, cls in found.items():
         assert issubclass(cls, grazemap.GrazemapError), name
         assert cls.exit_code in (1, 3), name

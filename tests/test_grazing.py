@@ -293,10 +293,7 @@ def test_symmetric_zeta():
     assert np.max(np.abs(fd - (-2.0 * lam.T @ lam @ b))) < 1e-6
 
 
-def test_symmetric_zeta_domain_and_surface_guard():
-    obs = gm.Obstacle(gm.SymmetricH.from_hcoeffs(2, [1.0], sdomain=0.01), radius=0.6)
-    with pytest.raises(gm.grazing.HDomainExceeded):
-        gm.symmetric_zeta(obs, [-1.0, 0.0], [0.3, 0.0])
+def test_symmetric_zeta_surface_guard():
     with pytest.raises(gm.UnsupportedSurface):
         gm.symmetric_zeta(quartic_vsq(), [-1.0, 0.0], [0.1, 0.0])
 
@@ -453,15 +450,36 @@ def test_symmetric_zeta_batch_equals_per_point(obs):
     assert np.array_equal(gf.value(obs, pts), np.array([gf.value(obs, p) for p in pts]))
 
 
-def test_symmetric_zeta_batch_names_the_first_row_outside():
-    obs = gm.Obstacle(gm.SymmetricH.from_hcoeffs(2, [1.0], sdomain=0.01), radius=0.6)
+_ZETA_OUTSIDE = {
+    # Zeta read no obstacle check: [5, 0] gave 35.0, a NaN or None entry nan.
+    "value-far": (lambda gf, obs: gf.value(obs, [5.0, 0.0]), gm.DomainExceeded,
+                  r"^\|xbar\| = 5\.0 exceeds declared radius 0\.5$"),
+    "gradient-far": (lambda gf, obs: gf.gradient(obs, [[0.1, 0.0], [0.0, 0.6]]),
+                     gm.DomainExceeded, r"^\|xbar\| = 0\.6 exceeds declared radius 0\.5$"),
+    "value-nan": (lambda gf, obs: gf.value(obs, [np.nan, 0.0]), gm.InvalidArgument,
+                  r"^point has a NaN or None entry$"),
+    "value-none-row": (lambda gf, obs: gf.value(obs, [[0.1, 0.1], [None, 0.0]]),
+                       gm.InvalidArgument, r"^point has a NaN or None entry$"),
+    "gradient-nan": (lambda gf, obs: gf.gradient(obs, [np.nan, 0.0]), gm.InvalidArgument,
+                     r"^point has a NaN or None entry$"),
+    "float-far": (lambda gf, obs: gf._value_grad(obs, 0.0, -0.7), gm.DomainExceeded,
+                  r"^\|xbar\| = 0\.7 exceeds declared radius 0\.5$"),
+}
+
+
+@pytest.mark.parametrize("case", list(_ZETA_OUTSIDE))
+def test_symmetric_zeta_checks_the_obstacle_domain_before_evaluating(monkeypatch, case):
+    obs = gm.Obstacle(gm.SymmetricH.from_hcoeffs(2, [1.0]), radius=0.5)
     gf = gm.SymmetricZeta(bbar=[-1.0, 0.0])
-    pts = np.array([[0.05, 0.0], [0.2, 0.0], [0.3, 0.0]])
-    with pytest.raises(gm.grazing.HDomainExceeded) as err:
-        gf.value(obs, pts)
-    with pytest.raises(gm.grazing.HDomainExceeded) as first:
-        gf.value(obs, pts[1])
-    assert str(err.value) == str(first.value)
+    call, error, match = _ZETA_OUTSIDE[case]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the profile was evaluated before the domain check")
+
+    for name in ("h", "h_ratio", "h_ratio_prime"):
+        monkeypatch.setattr(gm.SymmetricH, name, refuse)
+    with pytest.raises(error, match=match):
+        call(gf, obs)
 
 
 # Zeta is defined on symmetric profiles only.
@@ -512,31 +530,28 @@ def test_value_and_gradient_equals_value_and_gradient(name, gf):
 
 @pytest.mark.parametrize("name,gf", _ZOO_GRAZING,
                          ids=[f"{name}-{type(gf).__name__}" for name, gf in _ZOO_GRAZING])
-def test_float_value_equals_the_float_jet_value(name, gf):
-    # The seed roots' float value is the corrector's, bit for bit: the root
-    # solve of a seed scan line reads the value of ``_value_grad``.
+def test_float_value_equals_the_float_jet_value(monkeypatch, name, gf):
+    # The seed roots' float value is the corrector's, bit for bit: each of the
+    # four seed scan lines hands ``_scan_roots`` one function, the batched
+    # ``value`` on the line's grid and the value of ``_value_grad`` on a float.
     obs = surface_zoo()[name]
-    for t_axis in (1, 0):
-        line = grazing._ScanLine(gf, obs, t_axis, SEED_OFFSET, 0.3)
-        for v in np.random.default_rng(13).uniform(-0.3, 0.3, 20).tolist():
-            p = [SEED_OFFSET, SEED_OFFSET]
-            p[1 - t_axis] = v
-            value = line._f(v)
+    lines, real = [], grazing._scan_roots
+
+    def capture(f, grid, tol):
+        lines.append(f)
+        return real(f, grid, tol)
+
+    monkeypatch.setattr(grazing, "_scan_roots", capture)
+    grazing._detect_orientation(gf, obs, 0.3)
+    assert len(lines) == 4
+    vs = np.random.default_rng(13).uniform(-0.3, 0.3, 20)
+    for f, (t_axis, offset) in zip(lines, [(1, SEED_OFFSET), (1, -SEED_OFFSET),
+                                           (0, SEED_OFFSET), (0, -SEED_OFFSET)]):
+        pts = grazing._on_line(vs, 1 - t_axis, offset)
+        assert f(vs).tobytes() == gf.value(obs, pts).tobytes()
+        for v, p in zip(vs.tolist(), pts.tolist()):
+            value = f(v)
             assert type(value) is float and value == gf._value_grad(obs, *p)[0]
-
-
-def test_float_zeta_names_the_point_past_the_profile_domain():
-    obs = gm.Obstacle(gm.SymmetricH.from_hcoeffs(2, [1.0], sdomain=0.01), radius=0.6)
-    gf = gm.SymmetricZeta(bbar=[-1.0, 0.0])
-    assert gf._value_grad(obs, 0.05, 0.0)[0] == pytest.approx(gf.value(obs, [0.05, 0.0]))
-    with pytest.raises(gm.grazing.HDomainExceeded) as err:
-        gf._value_grad(obs, 0.2, 0.0)
-    with pytest.raises(gm.grazing.HDomainExceeded) as ref:
-        gf.value(obs, [0.2, 0.0])
-    assert str(err.value) == str(ref.value)
-    with pytest.raises(gm.grazing.HDomainExceeded) as grad:
-        gf.gradient(obs, [0.2, 0.0])
-    assert str(grad.value) == str(ref.value)
 
 
 @pytest.mark.parametrize("name", [name for name in surface_zoo() if name != "exp-flat"])
@@ -677,12 +692,14 @@ def test_slice_crossing_bits_are_pinned(key):
 def test_trace_checks_the_domain_once_per_corrector_evaluation(monkeypatch):
     # A float evaluation (a corrector iterate or a seed root trial) makes one
     # float radius check, ``_check_at``, and never the array check
-    # ``_check_domain``.  Each of the four seed scan lines is one batched
-    # ``value``, which checks twice, for F and grad F, and makes no float
-    # evaluation.  Only the two seed roots are solved for, on the value of
-    # ``_value_grad``: the bracketed secant takes 13 trials on each, where
-    # halving a grid step of 0.6 / 1023 below 1e-13 took 33.  The apex check
-    # is one more float evaluation, outside all of these.
+    # ``_check_domain``.  Each of the four seed scan lines is one
+    # ``_scan_roots`` call: one batched ``value`` on its grid, which checks
+    # twice, for F and grad F, and a float solve of every root it sees.  On
+    # cusp/side the lines across axis 1 see one root each and those across
+    # axis 0 none, so two roots are solved, on the value of ``_value_grad``:
+    # the bracketed secant takes 13 trials on each, where halving a grid step
+    # of 0.6 / 1023 below 1e-13 took 33.  The apex check is one more float
+    # evaluation, outside all of these.
     calls = dict.fromkeys(("check_at", "check_domain", "value", "gradient", "float"), 0)
 
     def counting(key, real):
@@ -708,14 +725,15 @@ def test_trace_checks_the_domain_once_per_corrector_evaluation(monkeypatch):
         monkeypatch.setattr(gm.SphericalGrazing, name,
                             counting(key, getattr(gm.SphericalGrazing, name)))
     monkeypatch.setattr(grazing, "_correct", delta(grazing._correct, corrections))
-    monkeypatch.setattr(grazing._ScanLine, "__init__",
-                        delta(grazing._ScanLine.__init__, scans))
+    monkeypatch.setattr(grazing, "_scan_roots", delta(grazing._scan_roots, scans))
     monkeypatch.setattr(grazing, "_bracket_root", delta(grazing._bracket_root, roots))
     gm.trace_grazing_curve(gm.SphericalGrazing(bbar=[-1.0, 0.0]), quartic_vsq(), window=0.3)
     assert sum(c["float"] for c in corrections) > 1000
     assert all(c["check_at"] == c["float"] and c["check_domain"] == 0 for c in corrections)
     assert len(scans) == 4
-    assert all(c["value"] == 1 and c["check_domain"] == 2 and c["check_at"] == 0 for c in scans)
+    assert all(c["value"] == 1 and c["check_domain"] == 2 for c in scans)
+    assert [c["float"] for c in scans] == [13, 13, 0, 0]
+    assert all(c["check_at"] == c["float"] for c in scans)
     assert [c["float"] for c in roots] == [13] * 2
     assert all(c["check_at"] == c["float"] and c["check_domain"] == 0 for c in roots)
     assert calls["float"] == sum(c["float"] for c in corrections) + 2 * 13 + 1
@@ -819,15 +837,21 @@ def test_bad_grazing_arguments_are_refused_before_any_evaluation(monkeypatch, ca
         call(obs, gf)
 
 
-@pytest.mark.parametrize("gf", [gm.SphericalGrazing(bbar=[-1.0, 0.2]),
-                                gm.PlanarGrazing(thetabar=[0.6, 0.8])], ids=["spherical", "planar"])
-def test_batch_gradient_rows_equal_single_points(gf):
-    # SphericalGrazing.gradient of a batch raised numpy's matmul ValueError.
-    obs = quartic_vsq()
-    pts = np.random.default_rng(8).uniform(-0.4, 0.4, (5, 2))
-    batch = gf.gradient(obs, pts)
-    assert batch.shape == (5, 2)
-    assert batch.tobytes() == np.array([gf.gradient(obs, p) for p in pts]).tobytes()
+@pytest.mark.parametrize("obs,gf", [
+    (quartic_vsq(), gm.SphericalGrazing(bbar=[-1.0, 0.2])),
+    (quartic_vsq(), gm.PlanarGrazing(thetabar=[0.6, 0.8])),
+    (surface_zoo()["symmetric-h"], gm.SymmetricZeta(bbar=[-1.0, 0.2])),
+    (surface_zoo()["exp-flat"], gm.SymmetricZeta(bbar=[-1.0, 0.2])),
+], ids=["spherical", "planar", "zeta", "zeta-flat"])
+def test_batch_gradient_rows_equal_single_points(obs, gf):
+    # A batch's gradient raised numpy's matmul ValueError (spherical, and
+    # zeta at m >= 3) or a builtin TypeError (zeta at m = 2).
+    for m in (2, 3, 5):
+        pts = np.random.default_rng(8).uniform(-0.4, 0.4, (m, 2))
+        pts[1] = 0.0  # the apex row, where zeta's gradient is -2 L^T L bbar
+        batch = gf.gradient(obs, pts)
+        assert batch.shape == (m, 2)
+        assert batch.tobytes() == np.array([gf.gradient(obs, p) for p in pts]).tobytes()
 
 
 def test_a_zero_window_still_finds_no_seed(tmp_path, capsys):
@@ -873,10 +897,9 @@ def _eager_orientation(gf, obstacle, window):
     (lambda: gm.Obstacle(gm.SymmetricH.exp_flat(2), radius=0.6), [-1.0, 0.0], "tie"),
 ], ids=["rounded-near", "rounded-oblique", "rounded-behind", "flat-tie"])
 def test_seed_choice_equals_the_eager_reference(make_obs, bbar, rival):
-    # The scan solves for a root only when it has a rival to beat; the choice
-    # must be the one made with every root solved for.  Each case has a rival:
-    # a scan line with several roots, two axes with as few extra roots, or
-    # two axes that score alike in full.
+    # The scan's choice against a reference written apart from it, on cases
+    # where the scores must be compared in full: a scan line with several
+    # roots, two axes with as few extra roots, or two axes that score alike.
     obs, gf = make_obs(), gm.SphericalGrazing(bbar=bbar)
     want, scores, roots = _eager_orientation(gf, obs, 0.3)
     if rival == "line":

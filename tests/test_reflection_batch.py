@@ -230,8 +230,7 @@ def test_verify_rfm_equals_per_sample_reference(ids, budget, draw):
     assert len(verdict.fd_failures) == len(fd_failures)
     assert verdict.injectivity_failures == injectivity == []
     assert verdict.passed == (summary[1] > 0 and not bound_failures and not fd_failures)
-    # The draw against the per-try loop: its rows, its tries and where it
-    # leaves the generator, which the injectivity pairs read on from.
+    # The draw against the per-try loop: its rows and its tries.
     d = obstacle.dim_tangential
     rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
     _, dom, tries = _draw(obstacle, phase, rng, obstacle.radius - FD_STEP, 1.0, budget)
@@ -239,7 +238,6 @@ def test_verify_rfm_equals_per_sample_reference(ids, budget, draw):
     assert tries == ref_tries == verdict.tries
     assert dom.tobytes() == _flat([sample[:3] for sample in samples]).tobytes()
     assert dom.shape == (len(samples), d + 2)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
     if draw == "try cap":
         assert verdict.n_samples < budget and verdict.tries == 200 * budget
     else:
