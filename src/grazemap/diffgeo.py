@@ -237,6 +237,8 @@ class MultiPoly:
     single-point result bit for bit: both raise each coordinate to its
     exponent with the C library's ``pow`` and multiply and add in the same
     order, and a single point whose power overflows reads its batch row.
+
+    Two polynomials are equal, and hash alike, when their dim and terms are.
     """
 
     __slots__ = ("dim", "terms", "_compiled", "_derivs", "_jet")
@@ -257,6 +259,14 @@ class MultiPoly:
                                for expo, c in self.terms.items())
         self._derivs = None
         self._jet = None
+
+    def __eq__(self, other):
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
+        return self.dim == other.dim and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.dim, frozenset(self.terms.items())))
 
     def _eval_batch(self, x: np.ndarray) -> np.ndarray:
         if x.shape[1] != self.dim:
@@ -436,7 +446,7 @@ class PolynomialSurface:
     """F given exactly by a multi-index polynomial over xbar."""
 
     dim: int
-    poly: MultiPoly = field(compare=False)
+    poly: MultiPoly
 
     @classmethod
     def from_terms(cls, dim: int, terms) -> "PolynomialSurface":
@@ -508,13 +518,23 @@ class SymmetricH:
 
     ``value``, ``gradient`` and ``hessian`` take one point (dim,) or a batch
     (m, dim); ``h`` and ``h_ratio`` take a float s or an array.  Each batch
-    entry equals the single-point result bit for bit.
+    entry equals the single-point result bit for bit.  Two profiles are
+    equal when dim, L (by value), hcoeffs and flat are.
     """
 
     dim: int
-    lam: np.ndarray = field(compare=False)
+    lam: np.ndarray
     hcoeffs: tuple[float, ...] | None = None
     flat: bool = False
+
+    def __eq__(self, other):  # lam by value: an array has no truth value
+        if type(other) is not SymmetricH:
+            return NotImplemented
+        return ((self.dim, self.hcoeffs, self.flat) == (other.dim, other.hcoeffs, other.flat)
+                and np.array_equal(self.lam, other.lam))
+
+    def __hash__(self):
+        return hash((self.dim, tuple(np.ravel(self.lam).tolist()), self.hcoeffs, self.flat))
 
     @classmethod
     def from_hcoeffs(cls, dim: int, hcoeffs, lam=None) -> "SymmetricH":

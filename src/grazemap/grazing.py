@@ -78,7 +78,9 @@ class SphericalGrazing:
     def value(self, obstacle: Obstacle, x):
         """H at one point (d,) -> float, or per row of a batch (m, d) -> (m,)."""
         _check_vector(self, obstacle)
-        return obstacle.value(x) - 1.0 - _rowdot(obstacle.gradient(x), x - self.bbar)
+        x = obstacle._check_domain(x)
+        return (obstacle._on_surface(obstacle.surface.value, x, ()) - 1.0
+                - _rowdot(obstacle._gradient(x), x - self.bbar))
 
     def gradient(self, obstacle: Obstacle, x) -> np.ndarray:
         """grad H at one point (d,) -> (d,), or per row of a batch (m, d) -> (m, d)."""

@@ -18,9 +18,11 @@ results bit for bit.  A boundary point is assembled once, one
 ``boundary_point``, ``grad_psi`` and ``gradient`` evaluation per point, and
 its record feeds the margin, the label, both covectors, the flow points and
 the Jacobian.  ``verify_rfm``, the ``reflect`` table and the grid seed of
-``invert_flow`` run as array passes; the Newton loop of ``invert_flow`` runs
-generated straight-line float code, one ``Obstacle._jet_at`` per iterate,
-after its argument checks on the float lists it builds.  ``reflected_phase_at``
+``invert_flow`` run as array passes, the grid seed's flow points over the lit
+mesh rows alone; the Newton loop of ``invert_flow`` runs generated
+straight-line float code, bound once per obstacle-phase pair, with one
+``Obstacle._jet_at`` and one generated elimination per iterate, after its
+argument checks on the float lists it builds.  ``reflected_phase_at``
 reads its value and gradient from the record of the converged point.
 """
 
@@ -444,10 +446,24 @@ def _newton_source(d: int, kind: str) -> str:
     return "\n".join(lines)
 
 
+_newton_bound = (None, None, None)  # (obstacle, phase, kernel) of the last bind
+
+
 def _newton_kernel(obstacle: Obstacle, phase: Phase):
     """(record, residual, augmented) of ``_newton_source``, run by ``_generate``
     with the obstacle's jet and the phase's theta, source, or ``grad_psi`` and
-    ``_xi_jacobian`` bound as names."""
+    ``_xi_jacobian`` bound as names.
+
+    ``_generate`` runs only when the pair is not the one bound last.  That
+    pair and its kernel are one module tuple, compared by identity and
+    replaced in one assignment: an obstacle equal to another but not the
+    same object gets its own kernel, and a thread reads either the old
+    tuple or the new one.  A phase's theta or source is read when its pair
+    is bound."""
+    global _newton_bound
+    last_obstacle, last_phase, kernel = _newton_bound
+    if last_obstacle is obstacle and last_phase is phase:
+        return kernel
     names = {"jet_at": obstacle._jet_at, "array": np.array, "nan_margin": _nan_margin}
     if isinstance(phase, PlanePhase):
         kind, names["theta"] = "plane", phase.theta.tolist()
@@ -460,30 +476,52 @@ def _newton_kernel(obstacle: Obstacle, phase: Phase):
         names.update(grad_psi=phase.grad_psi, xi_jacobian=_xi_jacobian, phase=phase,
                      obstacle=obstacle, covector=BoundaryCovector)
     ns = _generate(_newton_source(obstacle.dim_tangential, kind), names)
-    return ns["record"], ns["residual"], ns["augmented"]
+    kernel = ns["record"], ns["residual"], ns["augmented"]
+    _newton_bound = (obstacle, phase, kernel)
+    return kernel
+
+
+@lru_cache(maxsize=8)
+def _solve_source(n: int) -> str:
+    """Straight-line float source of ``_solve`` for n equations: ``solve(rows)``
+    unpacks the augmented rows into locals a{i}_{j} and eliminates on them,
+    step by step in the order of a row loop.  The pivot search is a
+    chain of strict comparisons that keeps the first row of largest abs; the
+    exchange swaps the two rows' locals from column k on, the columns a later
+    step reads.  A zero pivot returns None by a bare return, so the only
+    constants are ints."""
+    a = [[f"a{i}_{j}" for j in range(n + 1)] for i in range(n)]
+    seq = ", ".join
+    lines = ["def solve(rows):", f"    [{seq(f'[{seq(row)}]' for row in a)}] = rows"]
+    for k in range(n):
+        head = f"p, big = {k}," if k < n - 1 else "big ="  # the last step has no rival row
+        lines.append(f"    {head} abs({a[k][k]})")
+        for i in range(k + 1, n):
+            lines += [f"    if abs({a[i][k]}) > big:", f"        p, big = {i}, abs({a[i][k]})"]
+        lines += ["    if big == 0:", "        return"]
+        for i in range(k + 1, n):
+            lines += [f"    {'if' if i == k + 1 else 'elif'} p == {i}:",
+                      f"        {seq(a[k][k:] + a[i][k:])} = {seq(a[i][k:] + a[k][k:])}"]
+        for i in range(n):  # Gauss-Jordan: clear column k in every other row
+            if i != k:
+                lines.append(f"    m = {a[i][k]} / {a[k][k]}")
+                lines += [f"    {a[i][j]} = {a[i][j]} - m * {a[k][j]}" for j in range(k + 1, n + 1)]
+    lines.append(f"    return [{seq(f'{a[k][n]} / {a[k][k]}' for k in range(n))}]")
+    return "\n".join(lines)
+
+
+@lru_cache(maxsize=8)
+def _solver(n: int):
+    """``solve`` of ``_solve_source(n)``, generated on first use."""
+    return _generate(_solve_source(n), {})["solve"]
 
 
 def _solve(rows: list):
-    """x with a x = b from the augmented rows [a | b] (overwritten), by
-    elimination with partial pivoting; None when a pivot is exactly zero.
-    The pivot is the first row of largest abs (a NaN is never larger)."""
-    n = len(rows)
-    for k in range(n):
-        p, big = k, abs(rows[k][k])
-        for i in range(k + 1, n):
-            if abs(rows[i][k]) > big:
-                p, big = i, abs(rows[i][k])
-        if big == 0.0:
-            return None
-        rows[k], rows[p] = rows[p], rows[k]
-        pivot = rows[k]
-        for i in range(n):  # Gauss-Jordan: clear column k in every other row
-            if i != k:
-                row = rows[i]
-                m = row[k] / pivot[k]
-                for j in range(k + 1, n + 1):
-                    row[j] -= m * pivot[j]
-    return [row[n] / row[k] for k, row in enumerate(rows)]
+    """x with a x = b from the augmented rows [a | b], by elimination with
+    partial pivoting; None when a pivot is exactly zero.  The pivot is the
+    first row of largest abs (a NaN is never larger).  Runs the generated
+    straight-line code for len(rows) equations."""
+    return _solver(len(rows))(rows)
 
 
 def _checked_y(y, d: int) -> list:
@@ -524,10 +562,10 @@ def invert_flow(obstacle: Obstacle, phase: Phase, y, seed=None) -> tuple[float, 
     flow map, seeded by a coarse grid search over (s, xbar) when no seed is given.
     Near-grazing seeds are refused: the inverse is merely continuous there
     and the Newton system degenerates.  The loop runs the generated float
-    code of ``_newton_source``, one ``record`` per iterate.  A y that is not d + 2 finite real numbers
-    of shape (d + 2,), and a seed that is not a finite real s with d finite
-    real numbers for xbar, raise ``InvalidArgument`` before anything is
-    evaluated.
+    code of ``_newton_source``, one ``record`` and one ``_solve`` per iterate.
+    A y that is not d + 2 finite real numbers of shape (d + 2,), and a seed
+    that is not a finite real s with d finite real numbers for xbar, raise
+    ``InvalidArgument`` before anything is evaluated.
     """
     s, xs, t, _ = _invert(obstacle, phase, y, seed)
     return s, np.array(xs), t
@@ -595,24 +633,27 @@ def _grid_seed(obstacle: Obstacle, phase: Phase, y_space):
     """(s, xbar) on the seed grid whose flow point lies nearest y_space; the
     first in mesh-then-s order on ties, None when no mesh point is lit.
 
-    One classification of the whole in-disk mesh; the errors of unlit mesh
-    points are masked to inf before one flattened argmin.
+    One classification of the whole in-disk mesh; flow points and their
+    distances are formed for the lit mesh rows alone, in mesh order, before
+    one flattened argmin that maps back through the lit rows' indices.
     """
     d = obstacle.dim_tangential
     axes = [np.linspace(-obstacle.radius, obstacle.radius, GRID_N_X)] * d
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     mesh = mesh[np.linalg.norm(mesh, axis=1) <= obstacle.radius]
     cls = classify_boundary_point(obstacle, phase, mesh)
+    lit = np.flatnonzero(~(cls.margin < GRAZING_FLOOR))
+    if not lit.size:
+        return None
     s_grid = np.linspace(S_RANGE[0], S_RANGE[1], GRID_N_S)
-    diff = cls.image(s_grid[:, None, None]) - y_space
+    diff = _gather([(cls, lit)]).image(s_grid[:, None, None]) - y_space
     # _rowdot is the dot np.linalg.norm takes of one vector, row by row.
     err = np.sqrt(_rowdot(diff, diff)).T
-    err[cls.margin < GRAZING_FLOOR] = np.inf
     k = int(np.argmin(err))
     if not err.flat[k] < np.inf:
         return None
     i, j = divmod(k, GRID_N_S)
-    return s_grid[j], mesh[i]
+    return s_grid[j], mesh[lit[i]]
 
 
 def reflected_phase_at(obstacle: Obstacle, phase: Phase, y, seed=None):

@@ -694,7 +694,7 @@ def test_trace_checks_the_domain_once_per_corrector_evaluation(monkeypatch):
     # float radius check, ``_check_at``, and never the array check
     # ``_check_domain``.  Each of the four seed scan lines is one
     # ``_scan_roots`` call: one batched ``value`` on its grid, which checks
-    # twice, for F and grad F, and a float solve of every root it sees.  On
+    # once for both F and grad F, and a float solve of every root it sees.  On
     # cusp/side the lines across axis 1 see one root each and those across
     # axis 0 none, so two roots are solved, on the value of ``_value_grad``:
     # the bracketed secant takes 13 trials on each, where halving a grid step
@@ -731,7 +731,7 @@ def test_trace_checks_the_domain_once_per_corrector_evaluation(monkeypatch):
     assert sum(c["float"] for c in corrections) > 1000
     assert all(c["check_at"] == c["float"] and c["check_domain"] == 0 for c in corrections)
     assert len(scans) == 4
-    assert all(c["value"] == 1 and c["check_domain"] == 2 for c in scans)
+    assert all(c["value"] == 1 and c["check_domain"] == 1 for c in scans)
     assert [c["float"] for c in scans] == [13, 13, 0, 0]
     assert all(c["check_at"] == c["float"] for c in scans)
     assert [c["float"] for c in roots] == [13] * 2
@@ -739,7 +739,7 @@ def test_trace_checks_the_domain_once_per_corrector_evaluation(monkeypatch):
     assert calls["float"] == sum(c["float"] for c in corrections) + 2 * 13 + 1
     assert calls["check_at"] == calls["float"]
     assert calls["gradient"] == 0
-    assert calls["check_domain"] == 2 * calls["value"]
+    assert calls["check_domain"] == calls["value"]
 
 
 @pytest.mark.parametrize("make_obs", [quartic_vsq, rounded_quartic], ids=["cusp", "rounded"])

@@ -14,13 +14,15 @@ stalled damping reports the iterations it took.
 
 import hashlib
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import grazemap as gm
 from grazemap import reflection
-from grazemap.reflection import _newton_kernel, _solve, _spatial_block
+from grazemap.reflection import _newton_kernel, _newton_source, _solve, _spatial_block
 
 from conftest import quartic_vsq, rounded_quartic
 
@@ -246,13 +248,89 @@ def test_solve_matches_the_max_key_pivot_search_bit_for_bit():
     cases.append(np.array([[1.0, 0.0, 1.0], [-1.0, 1.0, 0.0]]))  # first pivot tied at 1
     results = []
     for a in cases:
-        got_rows, want_rows = a.tolist(), a.tolist()
-        got, want = _solve(got_rows), _solve_by_max(want_rows)
+        got, want = _solve(a.tolist()), _solve_by_max(a.tolist())
         assert _bits(got) == _bits(want)
-        assert [_bits(r) for r in got_rows] == [_bits(r) for r in want_rows]
         results.append(got)
     assert sum(x is None for x in results) >= 10
     assert sum(x is not None and any(np.isnan(x)) for x in results) >= 10
+
+
+def _newton_binds(monkeypatch):
+    """The Newton sources ``_generate`` runs from here on, with no pair bound."""
+    sources, real = [], reflection._generate
+
+    def spy(source, names):
+        if source.startswith("def record"):
+            sources.append(source)
+        return real(source, names)
+
+    monkeypatch.setattr(reflection, "_generate", spy)
+    monkeypatch.setattr(reflection, "_newton_bound", (None, None, None))
+    return sources
+
+
+def test_a_pair_is_bound_once(sphere, side_source, monkeypatch):
+    binds = _newton_binds(monkeypatch)
+    y = gm.flow_map(sphere, side_source, 0.7, [-0.2, 0.1], 0.3).y
+    gm.invert_flow(sphere, side_source, y)
+    gm.reflected_phase_at(sphere, side_source, y, seed=(0.6, [-0.18, 0.12]))
+    assert binds == [_newton_source(2, "spherical")]
+
+
+def test_kernels_are_keyed_by_identity(side_source, monkeypatch):
+    # The quartic differs from the quadric in its polynomial alone, and the
+    # two generic caps compare equal (a GenericSmooth leaves its function out
+    # of equality) though their surfaces differ: each gets its own kernel and
+    # its own inverse.
+    binds = _newton_binds(monkeypatch)
+    caps = [gm.polynomial_obstacle(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0}, radius=0.5),
+            gm.polynomial_obstacle(2, {(0, 0): 1.0, (4, 0): -1.0, (0, 2): -1.0}, radius=0.5),
+            *(gm.Obstacle(gm.GenericSmooth(2, f), radius=0.5) for f in (
+                lambda x: 1.0 - x[0] ** 2 - 2.0 * x[1] ** 4,
+                lambda x: 1.0 - 2.0 * x[0] ** 2 - x[1] ** 2))]
+    assert caps[2] == caps[3]
+    x = np.array([-0.2, 0.1])
+    for obstacle in caps:
+        y = gm.flow_map(obstacle, side_source, 0.7, x, 0.3).y
+        s, xb, t = gm.invert_flow(obstacle, side_source, y, seed=(0.6, [-0.18, 0.12]))
+        assert abs(s - 0.7) < 1e-10 and np.max(np.abs(xb - x)) < 1e-10 and abs(t - 0.3) < 1e-10
+    assert len(binds) == len(caps)
+
+
+def test_threads_on_two_pairs_get_the_serial_bits(sphere, side_source):
+    # Each thread's pair displaces the other's from the one-entry kernel
+    # cache over and over; every result keeps its serial bits.
+    pairs = [(sphere, side_source), (rounded_quartic(), gm.PlanePhase(theta=[0.0, 1.0, 0.0]))]
+
+    def run(obstacle, phase):
+        out = []
+        for x in _lit(obstacle, phase, 0.05, 4):
+            y = gm.flow_map(obstacle, phase, 0.5, x, 0.2).y
+            seed = (0.55, x + 0.003)
+            s, xb, t = gm.invert_flow(obstacle, phase, y, seed=seed)
+            value, grad = gm.reflected_phase_at(obstacle, phase, y, seed=seed)
+            out.append(_bits([s, *xb.tolist(), t, value, *grad.tolist()]))
+        return out
+
+    serial = [run(*pair) for pair in pairs]
+    start, results = threading.Barrier(len(pairs)), [[] for _ in pairs]
+
+    def worker(k):
+        start.wait()
+        for _ in range(25):
+            results[k].append(run(*pairs[k]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(pairs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[bits] * 25 for bits in serial]
 
 
 def test_a_singular_block_raises_no_convergence(sphere, side_source, monkeypatch):

@@ -531,6 +531,15 @@ def test_grid_seed_equals_reference_double_loop(obstacle, phase):
         assert s == s_ref and np.array_equal(xb, xb_ref)
 
 
+def test_grid_seed_is_none_on_a_dark_mesh(sphere):
+    # A plane wave travelling up meets the cap from below: every mesh point
+    # has margin -1, so no flow point is formed and the inversion has no seed.
+    dark = gm.PlanePhase(theta=[1.0, 0.0, 0.0])
+    assert _grid_seed(sphere, dark, np.array([1.5, 0.1, 0.0])) is None
+    with pytest.raises(gm.OutsideRange, match="^grid search found no admissible seed$"):
+        gm.invert_flow(sphere, dark, [1.5, 0.1, 0.0, 0.0])
+
+
 # grad F is counted at ``Obstacle._gradient``, which ``gradient`` calls after
 # its domain check and ``classify_boundary_point`` calls directly.
 COUNTED = ((gm.Obstacle, "boundary_point"), (gm.SphericalPhase, "grad_psi"),

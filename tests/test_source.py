@@ -12,7 +12,8 @@ import numpy as np
 
 import grazemap as gm
 from grazemap import diffgeo
-from grazemap.reflection import _newton_source
+from grazemap import reflection
+from grazemap.reflection import _newton_source, _solve_source
 
 from conftest import quartic_vsq, rounded_quartic, surface_zoo
 
@@ -147,8 +148,8 @@ def _non_int_constants(source):
 def test_generated_sources_hold_only_int_constants(monkeypatch):
     # Values are names bound in the namespace, never text: the jet kernels of
     # the test zoo, of polynomials with -0.0, nan and inf coefficients, of the
-    # zero polynomial and of a sum split into statements, and the Newton
-    # kernel of every dimension 1..4 and phase kind.
+    # zero polynomial and of a sum split into statements, the Newton kernel
+    # of every dimension 1..4 and phase kind, and the solver of 2..5 equations.
     sources, real = [], diffgeo._generate
 
     def spy(source, names):
@@ -168,12 +169,13 @@ def test_generated_sources_hold_only_int_constants(monkeypatch):
     assert len(sources) == len(polys)
     sources += [_newton_source(d, kind) for d in range(1, 5)
                 for kind in ("plane", "spherical", "convex")]
+    sources += [_solve_source(n) for n in range(2, 6)]
     assert [_non_int_constants(source) for source in sources] == [[]] * len(sources)
 
 
 def test_each_generated_source_compiles_once(monkeypatch):
     # Twenty fresh parses of one spec compile its jet kernel once, and
-    # inversions over them one Newton kernel per phase kind.
+    # inversions over them one Newton kernel per phase kind and one solver.
     compiled = []
 
     def counting(source, *args):
@@ -182,6 +184,7 @@ def test_each_generated_source_compiles_once(monkeypatch):
 
     monkeypatch.setattr(diffgeo, "_generated", {})
     monkeypatch.setattr(diffgeo, "compile", counting, raising=False)
+    reflection._solver.cache_clear()
     specs = ROOT / "specs"
     for _ in range(20):
         obstacle = gm.parse_obstacle(str(specs / "rounded_quartic.obstacle"))
@@ -191,5 +194,6 @@ def test_each_generated_source_compiles_once(monkeypatch):
             s, _, _ = gm.invert_flow(obstacle, phase, y, seed=(0.45, [-0.19, 0.11]))
             assert abs(s - 0.5) < 1e-10
     assert [source.split("(")[0] for source in compiled] == ["def kernel", "def record",
-                                                            "def record"]
-    assert compiled[1:] == [_newton_source(2, "spherical"), _newton_source(2, "plane")]
+                                                            "def solve", "def record"]
+    assert compiled[1:] == [_newton_source(2, "spherical"), _solve_source(3),
+                            _newton_source(2, "plane")]

@@ -235,6 +235,21 @@ def test_leading_byte_order_mark_is_ignored(tmp_path):
     assert bom == plain and bom.surface.poly.terms == plain.surface.poly.terms
 
 
+def test_spec_surfaces_compare_by_what_they_are(tmp_path):
+    quadric = gm.polynomial_obstacle(2, {(0, 0): 1, (2, 0): -1, (0, 2): -1})
+    quartic = gm.polynomial_obstacle(2, {(0, 0): 1, (4, 0): -1, (0, 2): -1})
+    assert quadric != quartic and hash(quadric) != hash(quartic)
+    for spec in sorted(SPECS.glob("*.obstacle")):
+        first, again = parse_obstacle(str(spec)), parse_obstacle(str(spec))
+        assert first is not again and first == again and hash(first) == hash(again)
+    # An anisotropic profile and the same profile rotated by a quarter turn.
+    profile = "dim = 3\nkind = symmetric-h\nhcoeffs = 1 0.5\nradius = 0.5\n"
+    plain = parse_obstacle(write(tmp_path, "plain.obstacle", profile + "lambda = 1 0 0 2\n"))
+    turned = parse_obstacle(write(tmp_path, "turned.obstacle", profile + "lambda = 0 -1 2 0\n"))
+    assert plain != turned
+    assert plain == parse_obstacle(write(tmp_path, "again.obstacle", profile + "lambda = 1 0 0 2\n"))
+
+
 @pytest.mark.parametrize("spec", sorted(p.name for p in SPECS.iterdir()))
 def test_sample_specs_parse(spec):
     path = str(SPECS / spec)
