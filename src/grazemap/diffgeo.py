@@ -87,6 +87,13 @@ def _vector(values, name: str, n: int | None = None) -> np.ndarray:
     return np.array(xs)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, an array its caller has just built, made read-only: the vectors and
+    matrices a frozen record keeps, which kernels read when they bind."""
+    a.flags.writeable = False
+    return a
+
+
 def _as_points(x) -> np.ndarray:
     """x as a float array with at least one axis; complex and string entries,
     which the cast would change or parse, and ragged nesting raise
@@ -223,12 +230,14 @@ class MultiPoly:
     coefficients; no approximation enters anywhere.  Construction compiles
     the terms once: per term, the coefficient and the (variable, exponent)
     pairs with a nonzero exponent.  The first and second derivative
-    polynomials are built on the first ``gradient``/``hessian`` call and
-    kept.
+    polynomials are built on the first evaluation and kept.
 
-    One point is evaluated by the jet kernel (``_kernel``), a straight-line
-    function generated on the first single-point call and kept; a batch by
-    ``_eval_batch``, one array pass per term.
+    Every evaluation runs straight-line code that ``_jet_lines`` writes from
+    the term lists of F and its derivatives: a single point runs the jet
+    kernel (``_kernel``), generated on the first single-point call and kept,
+    and a batch runs its batch twin (``_batch_kernel``), generated on the
+    first batch call and kept, each to the order the call needs.  The
+    grazing functions' float doors inline the jet kernel's lines.
 
     ``value``, ``gradient`` and ``hessian`` take one point (dim,) and return
     a float, (dim,) and (dim, dim), or a batch (m, dim) and return (m,),
@@ -241,7 +250,7 @@ class MultiPoly:
     Two polynomials are equal, and hash alike, when their dim and terms are.
     """
 
-    __slots__ = ("dim", "terms", "_compiled", "_derivs", "_jet")
+    __slots__ = ("dim", "terms", "_compiled", "_derivs", "_lines", "_jet", "_batch")
 
     def __init__(self, dim: int, terms):
         self.dim = int(dim)
@@ -257,8 +266,7 @@ class MultiPoly:
         self.terms = {e: c for e, c in clean.items() if c != 0.0}
         self._compiled = tuple((c, tuple((i, e) for i, e in enumerate(expo) if e))
                                for expo, c in self.terms.items())
-        self._derivs = None
-        self._jet = None
+        self._derivs = self._lines = self._jet = self._batch = None
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -267,20 +275,6 @@ class MultiPoly:
 
     def __hash__(self):
         return hash((self.dim, frozenset(self.terms.items())))
-
-    def _eval_batch(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[1] != self.dim:
-            raise InvalidArgument(f"batch has shape {x.shape}, expected (m, {self.dim})")
-        total = np.zeros(len(x))
-        for coeff, powers in self._compiled:
-            prod = coeff
-            for i, e in powers:
-                # float_power calls pow() per entry, as ``float ** int`` does;
-                # ``np.power`` may take a vectorized path that differs in the
-                # last bit.
-                prod = prod * np.float_power(x[:, i], e)
-            total = total + prod
-        return total
 
     def _derivatives(self):
         # Built in locals and published in one assignment, so a thread that
@@ -292,25 +286,31 @@ class MultiPoly:
             self._derivs = (grad, hess)
         return self._derivs
 
-    def _kernel(self):
-        """The jet kernel ``kernel(x0, ..., x_{dim-1}, order)``: F for order
-        0, (F, [dF/dx_i]) for order 1 and (F, [dF/dx_i], [[d2F/dx_i dx_j]])
-        for order 2, as Python floats.
+    def _jet_lines(self, batch: bool = False) -> tuple[list, dict]:
+        """The statements of the jet of F, per order, and the coefficients
+        they name: ([(statements, returned), ...] for orders 0, 1 and 2,
+        {name: float}), on floats or, for ``batch``, on columns (m,).  Order
+        0 assigns f, order 1 g0, g1, ... and order 2 h{i}_{j} for i <= j;
+        ``returned`` is what that order returns, F, (F, [dF/dx_i]) or (F,
+        [dF/dx_i], [[d2F/dx_i dx_j]]), each Hessian entry named once for both
+        of its places.
 
-        Generated from the term lists of F and its cached derivative
-        polynomials and run by ``_generate``.  Each power is computed once,
-        just before the first polynomial that reads it, so a lower order
-        computes none it does not use.  Each polynomial is 0 + c * p * ... +
-        ... in ``_compiled`` order, the order ``_eval_batch`` multiplies and
-        adds in, so every entry equals the batch row bit for bit; the leading
-        0 turns a lone -0.0 product into 0.0 as the batch's zero start does,
-        and an empty sum adds a bound 0.0, so it is a float.  Coefficients are
-        names (``_generate``); exponents are ints.  A sum is split into
-        statements of _SUM_CHUNK terms, within the compiler's nesting limit.
-        Built in locals and published in one assignment, as the derivative
-        cache is.
+        Each power of x{i} is computed once, just before the first polynomial
+        that reads it, so a lower order computes none it does not use: as
+        ``x{i} ** e`` on floats and as ``float_power(x{i}, e)`` on columns,
+        which calls pow() per entry as ``float ** int`` does (``np.power`` may
+        take a vectorized path that differs in the last bit).  Each polynomial
+        is 0 + c * p * ... + ... in ``_compiled`` order on floats, and the same
+        sum started from a bound zero column z on a batch: the leading zero
+        turns a lone -0.0 product into 0.0, and an empty sum adds a bound 0.0,
+        so it is a float or a column.  So every float entry equals its batch
+        row bit for bit.  Coefficients are names (``_generate``); exponents
+        are ints.  A sum is split into statements of _SUM_CHUNK terms, within
+        the compiler's nesting limit.  Both sets are written in one pass on
+        first use and kept, published in one assignment as the derivative
+        cache is; the caller copies the names before it binds more.
         """
-        if self._jet is None:
+        if self._lines is None:
             grad, hess = self._derivatives()
             dims = range(self.dim)
             g = "[" + ", ".join(f"g{i}" for i in dims) + "]"
@@ -319,10 +319,11 @@ class MultiPoly:
             orders = [([("f", self)], "f"),
                       ([(f"g{i}", grad[i]) for i in dims], f"f, {g}"),
                       ([(f"h{i}_{j}", p) for (i, j), p in hess.items()], f"f, {g}, {h}")]
-            names = {}  # the namespace the source runs in: coefficient name -> float
+            names = {}  # coefficient name -> float
             powers = set()  # the (variable, exponent) pairs computed so far
-            lines = [f"def kernel({''.join(f'x{i}, ' for i in dims)}order):"]
-            for order, (polys, returned) in enumerate(orders):
+            steps = ([], [])  # (statements, returned) per order, on floats and on columns
+            for polys, returned in orders:
+                lines = ([], [])
                 for name, poly in polys:
                     terms = []
                     for coeff, factors in poly._compiled or ((0.0, ()),):
@@ -331,35 +332,83 @@ class MultiPoly:
                         for i, e in factors:
                             if (i, e) not in powers:
                                 powers.add((i, e))
-                                lines.append(f"    p{i}_{e} = x{i} ** {e}")
+                                lines[0].append(f"p{i}_{e} = x{i} ** {e}")
+                                lines[1].append(f"p{i}_{e} = float_power(x{i}, {e})")
                         terms.append(" * ".join([k] + [f"p{i}_{e}" for i, e in factors]))
-                    head = "0"
-                    for at in range(0, len(terms), _SUM_CHUNK):
-                        chunk = terms[at:at + _SUM_CHUNK]
-                        lines.append(f"    {name} = {' + '.join([head] + chunk)}")
-                        head = name
-                lines.append(f"    if order == {order}:\n        return {returned}")
-            self._jet = _generate("\n".join(lines), names)["kernel"]
+                    for out, head in zip(lines, ("0", "z")):
+                        for at in range(0, len(terms), _SUM_CHUNK):
+                            out.append(f"{name} = {' + '.join([head] + terms[at:at + _SUM_CHUNK])}")
+                            head = name
+                for out, statements in zip(steps, lines):
+                    out.append((statements, returned))
+            self._lines = (*steps, names)
+        floats, columns, names = self._lines
+        return columns if batch else floats, names
+
+    def _generate_kernel(self, batch: bool):
+        """``_jet_lines``' statements as a function that returns after the
+        order it is asked for, run by ``_generate``: ``kernel`` on floats,
+        ``batch`` on columns."""
+        steps, names = self._jet_lines(batch)
+        args = "".join(f"x{i}, " for i in range(self.dim))
+        lines = [f"def batch(m, {args}order):\n    z = zeros(m)" if batch
+                 else f"def kernel({args}order):"]
+        for order, (statements, returned) in enumerate(steps):
+            lines += [f"    {line}" for line in statements]
+            lines.append(f"    if order == {order}:\n        return {returned}")
+        names = {**names, "zeros": np.zeros, "float_power": np.float_power}
+        return _generate("\n".join(lines), names)["batch" if batch else "kernel"]
+
+    def _kernel(self):
+        """The jet kernel ``kernel(x0, ..., x_{dim-1}, order)``: F for order
+        0, (F, [dF/dx_i]) for order 1 and (F, [dF/dx_i], [[d2F/dx_i dx_j]])
+        for order 2, as Python floats, from ``_jet_lines``.  Built on first
+        use and published in one assignment, as the derivative cache is.
+        """
+        if self._jet is None:
+            self._jet = self._generate_kernel(batch=False)
         return self._jet
 
-    def _at_point(self, x: np.ndarray, order: int):
-        """Entry ``order`` of the jet kernel at one point x (dim,): F, grad F
-        or hess F, as a float or lists.  Where a power overflows, on which
-        ``float ** int`` raises, the entry of the one-row batch, which reads
-        inf for it."""
-        if x.shape != (self.dim,):
-            raise InvalidArgument(f"point has shape {x.shape}, expected ({self.dim},)")
-        try:
-            jet = self._kernel()(*x.tolist(), order)
-        except OverflowError:
-            return (self.value, self.gradient, self.hessian)[order](x[None])[0].tolist()
-        return jet if order == 0 else jet[order]
+    def _batch_kernel(self):
+        """The jet kernel's batch twin ``batch(m, x0, ..., order)`` on m
+        rows, each x{i} a column (m,): the same entries as arrays (m,).  Built
+        on first use, as ``_kernel`` is."""
+        if self._batch is None:
+            self._batch = self._generate_kernel(batch=True)
+        return self._batch
 
-    def value(self, x):
+    def _jet_of(self, x, order: int) -> tuple:
+        """(F, grad F, hess F) up to entry ``order`` at one point (dim,), as a
+        float and arrays (dim,) and (dim, dim), or at a batch (m, dim), as
+        arrays (m,), (m, dim) and (m, dim, dim): one call of the jet kernel or
+        of its batch twin.  A point whose power overflows, on which ``float
+        ** int`` raises, reads its one-row batch, which reads inf for it."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2:
-            return self._at_point(x, 0)
-        return self._eval_batch(x)
+            if x.shape != (self.dim,):
+                raise InvalidArgument(f"point has shape {x.shape}, expected ({self.dim},)")
+            try:
+                jet = self._kernel()(*x.tolist(), order)
+            except OverflowError:
+                f, *rest = self._jet_of(x[None], order)
+                return (float(f[0]), *(a[0] for a in rest))
+            return (jet,) if order == 0 else (jet[0], *map(np.array, jet[1:]))
+        if x.shape[1] != self.dim:
+            raise InvalidArgument(f"batch has shape {x.shape}, expected (m, {self.dim})")
+        jet = self._batch_kernel()(len(x), *x.T, order)
+        if order == 0:
+            return (jet,)
+        out = (jet[0], np.column_stack(jet[1]))
+        if order == 2:
+            h = np.empty((len(x), self.dim, self.dim))
+            for i, row in enumerate(jet[2]):
+                for j, entry in enumerate(row):
+                    h[:, i, j] = entry
+            out += (h,)
+        return out
+
+    def value(self, x):
+        return self._jet_of(x, 0)[0]
 
     def derivative(self, var: int) -> "MultiPoly":
         out: dict[tuple[int, ...], float] = {}
@@ -374,22 +423,10 @@ class MultiPoly:
         return MultiPoly(self.dim, out)
 
     def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2:
-            return np.array(self._at_point(x, 1))
-        grad, _ = self._derivatives()
-        return np.column_stack([g._eval_batch(x) for g in grad])
+        return self._jet_of(x, 1)[1]
 
     def hessian(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2:
-            return np.array(self._at_point(x, 2))
-        _, hess = self._derivatives()
-        h = np.zeros((len(x), self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                h[:, i, j] = h[:, j, i] = hess[i, j]._eval_batch(x)
-        return h
+        return self._jet_of(x, 2)[2]
 
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -527,6 +564,9 @@ class SymmetricH:
     hcoeffs: tuple[float, ...] | None = None
     flat: bool = False
 
+    def __post_init__(self):
+        object.__setattr__(self, "lam", _read_only(np.array(self.lam, dtype=float)))
+
     def __eq__(self, other):  # lam by value: an array has no truth value
         if type(other) is not SymmetricH:
             return NotImplemented
@@ -538,14 +578,14 @@ class SymmetricH:
 
     @classmethod
     def from_hcoeffs(cls, dim: int, hcoeffs, lam=None) -> "SymmetricH":
-        lam = np.eye(dim) if lam is None else np.asarray(lam, dtype=float)
+        lam = np.eye(dim) if lam is None else lam
         surf = cls(dim=dim, lam=lam, hcoeffs=tuple(float(c) for c in hcoeffs), flat=False)
         surf._validate()
         return surf
 
     @classmethod
     def exp_flat(cls, dim: int, lam=None) -> "SymmetricH":
-        lam = np.eye(dim) if lam is None else np.asarray(lam, dtype=float)
+        lam = np.eye(dim) if lam is None else lam
         surf = cls(dim=dim, lam=lam, hcoeffs=None, flat=True)
         surf._validate()
         return surf
@@ -753,6 +793,14 @@ class Obstacle:
     def _gradient(self, x: np.ndarray) -> np.ndarray:
         """``gradient`` at a point or batch that ``_check_domain`` has passed."""
         return self._on_surface(self.surface.gradient, x, (self.surface.dim,))
+
+    def _value_gradient(self, x: np.ndarray) -> tuple:
+        """(``value``, ``gradient``) at a point or batch that ``_check_domain``
+        has passed: one jet of a polynomial surface, or the two surface calls
+        of the other families; bit for bit what the two methods return."""
+        if isinstance(self.surface, PolynomialSurface):
+            return self.surface.poly._jet_of(x, 1)
+        return self._on_surface(self.surface.value, x, ()), self._gradient(x)
 
     def hessian(self, x) -> np.ndarray:
         """hess F at one point (d,) -> (d, d), or per row of a batch (m, d) -> (m, d, d)."""

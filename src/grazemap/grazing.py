@@ -22,7 +22,8 @@ import numpy as np
 
 from .diffgeo import (J_MAX_DEFAULT, GrazemapError, InvalidArgument, MultiPoly, NotNormalized,
                       Obstacle, PolynomialSurface, SymmetricH, UnsupportedSurface, ZeroVector,
-                      _as_points, _finite, _matvec, _per_row, _rowdot, _vector, rotate_coordinates)
+                      _as_points, _finite, _generate, _matvec, _per_row, _read_only, _rowdot,
+                      _vector, rotate_coordinates)
 from .phases import BoundaryCovector, Phase, PlanePhase, SphericalPhase, xi_incoming
 from .reflection import classify_boundary_point
 
@@ -63,6 +64,43 @@ class NotHomogeneous(GrazemapError, ValueError):
 # Grazing defining functions
 # ---------------------------------------------------------------------------
 
+def _surface_door(obstacle: Obstacle, tail: str, names: dict):
+    """The float door of a grazing function built on the surface jet, run by
+    ``_generate``: ``door(x0, x1)`` computes f, g0, g1, h0_0, h0_1 and h1_1,
+    the jet of F at the plane point, then runs ``tail``, the statements that
+    return the grazing function's (value, d/dx0, d/dx1) from them and from
+    ``names``.  The Hessian is symmetric bit for bit on every surface, so the
+    tail reads h0_1 for both off-diagonal entries.
+
+    On a polynomial surface the jet kernel's order-2 statements
+    (``MultiPoly._jet_lines``) are inlined after the radius test of
+    ``Obstacle._check_at``, written as ``hypot(x0, x1) > lim`` with lim the
+    bound ``_check_radius`` compares with; only a point beyond it calls
+    ``_check_radius``, which raises its ``DomainExceeded``.  A power that
+    overflows, on which ``float ** int`` raises, takes ``Obstacle._jet_at``
+    as the other surfaces always do, which reads the batch row there.  So
+    every output equals the jet path's bit for bit.
+    """
+    jet_at = "f, (g0, g1), ((h0_0, h0_1), (_, h1_1)) = jet_at([x0, x1], 2)"
+    names = {**names, "jet_at": obstacle._jet_at}
+    if isinstance(obstacle.surface, PolynomialSurface):
+        steps, coeffs = obstacle.surface.poly._jet_lines()
+        head = ["if hypot(x0, x1) > lim:", "    check_radius(hypot(x0, x1))", "try:",
+                *(f"    {line}" for lines, _ in steps for line in lines),
+                "except OverflowError:", f"    {jet_at}"]
+        names.update(coeffs, hypot=math.hypot, lim=obstacle.radius * (1.0 + 1e-12),
+                     check_radius=obstacle._check_radius)
+    else:
+        head = [jet_at]
+    source = "\n    ".join(["def door(x0, x1):", *head, *tail.split("\n")])
+    return _generate(source, names)["door"]
+
+
+# The tails of ``_surface_door``: the float arithmetic of H and grad H.
+_SPHERICAL_TAIL = """d0, d1 = x0 - b0, x1 - b1
+return f - 1 - (g0 * d0 + g1 * d1), -(h0_0 * d0 + h0_1 * d1), -(h0_1 * d0 + h1_1 * d1)"""
+_PLANAR_TAIL = "return -(g0 * t0 + g1 * t1), -(h0_0 * t0 + h0_1 * t1), -(h0_1 * t0 + h1_1 * t1)"
+
 @dataclass(frozen=True)
 class SphericalGrazing:
     """H(xbar) = F(xbar) - 1 - grad F(xbar) . (xbar - bbar), for a source at (1, bbar).
@@ -73,14 +111,15 @@ class SphericalGrazing:
     bbar: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "bbar", _vector(self.bbar, "bbar"))
+        object.__setattr__(self, "bbar", _read_only(_vector(self.bbar, "bbar")))
 
     def value(self, obstacle: Obstacle, x):
-        """H at one point (d,) -> float, or per row of a batch (m, d) -> (m,)."""
+        """H at one point (d,) -> float, or per row of a batch (m, d) -> (m,),
+        from one domain check and one surface jet of F and grad F."""
         _check_vector(self, obstacle)
         x = obstacle._check_domain(x)
-        return (obstacle._on_surface(obstacle.surface.value, x, ()) - 1.0
-                - _rowdot(obstacle._gradient(x), x - self.bbar))
+        f, g = obstacle._value_gradient(x)
+        return f - 1.0 - _rowdot(g, x - self.bbar)
 
     def gradient(self, obstacle: Obstacle, x) -> np.ndarray:
         """grad H at one point (d,) -> (d,), or per row of a batch (m, d) -> (m, d)."""
@@ -88,12 +127,12 @@ class SphericalGrazing:
         x = _as_points(x)
         return _matvec(-obstacle.hessian(x), x - self.bbar)
 
-    def _value_grad(self, obstacle: Obstacle, x0: float, x1: float) -> tuple:
-        """(H, dH/dx0, dH/dx1) at one plane point, on floats from one surface jet."""
-        f, (g0, g1), ((h00, h01), (h10, h11)) = obstacle._jet_at([x0, x1], 2)
+    def _door(self, obstacle: Obstacle):
+        """The float door ``(x0, x1) -> (H, dH/dx0, dH/dx1)`` at one plane
+        point (``_surface_door``), with bbar read now."""
+        _check_vector(self, obstacle)
         b0, b1 = self.bbar.tolist()
-        d0, d1 = x0 - b0, x1 - b1
-        return f - 1.0 - (g0 * d0 + g1 * d1), -(h00 * d0 + h01 * d1), -(h10 * d0 + h11 * d1)
+        return _surface_door(obstacle, _SPHERICAL_TAIL, {"b0": b0, "b1": b1})
 
 
 @dataclass(frozen=True)
@@ -107,7 +146,7 @@ class PlanarGrazing:
     thetabar: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "thetabar", _vector(self.thetabar, "thetabar"))
+        object.__setattr__(self, "thetabar", _read_only(_vector(self.thetabar, "thetabar")))
 
     def value(self, obstacle: Obstacle, x):
         """g at one point (d,) -> float, or per row of a batch (m, d) -> (m,)."""
@@ -118,11 +157,12 @@ class PlanarGrazing:
         _check_vector(self, obstacle)
         return -obstacle.hessian(x) @ self.thetabar
 
-    def _value_grad(self, obstacle: Obstacle, x0: float, x1: float) -> tuple:
-        """(g, dg/dx0, dg/dx1) at one plane point, on floats from one surface jet."""
-        _, (g0, g1), ((h00, h01), (h10, h11)) = obstacle._jet_at([x0, x1], 2)
+    def _door(self, obstacle: Obstacle):
+        """The float door ``(x0, x1) -> (g, dg/dx0, dg/dx1)`` at one plane
+        point (``_surface_door``), with thetabar read now."""
+        _check_vector(self, obstacle)
         t0, t1 = self.thetabar.tolist()
-        return -(g0 * t0 + g1 * t1), -(h00 * t0 + h01 * t1), -(h10 * t0 + h11 * t1)
+        return _surface_door(obstacle, _PLANAR_TAIL, {"t0": t0, "t1": t1})
 
 
 @dataclass(frozen=True)
@@ -136,7 +176,7 @@ class SymmetricZeta:
     bbar: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "bbar", _vector(self.bbar, "bbar"))
+        object.__setattr__(self, "bbar", _read_only(_vector(self.bbar, "bbar")))
 
     def value(self, obstacle: Obstacle, x):
         """zeta at one point (d,) -> float, or per row of a batch (m, d) -> (m,),
@@ -170,11 +210,15 @@ class SymmetricZeta:
         out[live] = _per_row(np.array(scale)) * _matvec(ltl, rows[live]) - 2.0 * ltl @ self.bbar
         return out[0] if x.ndim == 1 else out
 
-    def _value_grad(self, obstacle: Obstacle, x0: float, x1: float) -> tuple:
-        """(zeta, dzeta/dx0, dzeta/dx1) at one plane point: ``value`` and
-        ``gradient`` there, as floats."""
-        x = np.array([x0, x1])
-        return self.value(obstacle, x), *self.gradient(obstacle, x).tolist()
+    def _door(self, obstacle: Obstacle):
+        """The float door ``(x0, x1) -> (zeta, dzeta/dx0, dzeta/dx1)`` at one
+        plane point: ``value`` and ``gradient`` there, as floats."""
+        _check_vector(self, obstacle)
+
+        def door(x0, x1):
+            x = np.array([x0, x1])
+            return self.value(obstacle, x), *self.gradient(obstacle, x).tolist()
+        return door
 
 
 GrazingFunction = SphericalGrazing | PlanarGrazing | SymmetricZeta
@@ -428,12 +472,13 @@ def _detect_orientation(gf, obstacle, window):
     Each of the four scan lines, across an axis at +-SEED_OFFSET, is one
     ``_scan_roots`` call: one batched ``value`` on its grid, and each root
     solved to LINE_ROOT_TOL by the bracketed secant on the float value of
-    ``gf._value_grad``.  The axes are scored by their extra roots, then by
-    the sum of the two nearest roots' distances from the apex; the least
-    score wins, axis 1 first on ties.
+    gf's door (``gf._door``, taken once here).  The axes are scored by their
+    extra roots, then by the sum of the two nearest roots' distances from
+    the apex; the least score wins, axis 1 first on ties.
     """
     lim = min(window, math.sqrt(max(obstacle.radius**2 - SEED_OFFSET**2, 0.0)) * 0.999)
     grid = np.linspace(-lim, lim, LINE_SCAN_N)
+    door = gf._door(obstacle)
     scored = []
     for t_axis in (1, 0) if lim > 0.0 else ():
         lines = []
@@ -441,7 +486,7 @@ def _detect_orientation(gf, obstacle, window):
             def f(v, t_axis=t_axis, offset=offset):
                 if np.ndim(v):
                     return gf.value(obstacle, _on_line(v, 1 - t_axis, offset))
-                return gf._value_grad(obstacle, *((v, offset) if t_axis else (offset, v)))[0]
+                return door(*((v, offset) if t_axis else (offset, v)))[0]
             lines.append(_scan_roots(f, grid, LINE_ROOT_TOL))
         if all(lines):
             nearest = [min(roots, key=abs) for roots in lines]
@@ -453,7 +498,7 @@ def _detect_orientation(gf, obstacle, window):
     return t_axis, *nearest
 
 
-def _correct(gf, obstacle, point, tol, axis=None):
+def _correct(door, point, tol, axis=None):
     """Newton correction back onto the zero set, along the gradient or, when
     ``axis`` is given, along that coordinate axis only.
 
@@ -469,35 +514,39 @@ def _correct(gf, obstacle, point, tol, axis=None):
     derivative ends the iteration.  At most 40 gradient steps or 80 axis steps.
 
     Each iterate is evaluated once, value and gradient together, on floats
-    (``gf._value_grad``, the one float door).  The point is a pair of floats.  Returns
+    by ``door`` (a grazing function's ``_door``, taken once by the caller):
+    (x0, x1) -> (f, df/dx0, df/dx1).  The point is a pair of floats.  Returns
     (point, |residual|, gradient there) as a list, a float and a list, or
     None when the residual stays above ``tol``.
     """
-    p = list(point)
-    f, *grad = gf._value_grad(obstacle, *p)
+    x0, x1 = point
+    f, g0, g1 = door(x0, x1)
     for _ in range(40 if axis is None else 80):
         if f == 0.0:
-            return p, 0.0, grad
+            return [x0, x1], 0.0, [g0, g1]
         if axis is None:
-            g2 = grad[0] * grad[0] + grad[1] * grad[1]
+            g2 = g0 * g0 + g1 * g1
             if g2 == 0.0:
                 break
             r = f / g2
-            p_new = [p[0] - grad[0] * r, p[1] - grad[1] * r]
-        else:
-            if grad[axis] == 0.0:
+            y0, y1 = x0 - g0 * r, x1 - g1 * r
+        elif axis == 0:
+            if g0 == 0.0:
                 break
-            p_new = p.copy()
-            p_new[axis] = p[axis] - f / grad[axis]
-        f_new, *grad_new = gf._value_grad(obstacle, *p_new)
-        if abs(f_new) > tol and abs(f_new) >= abs(f):
+            y0, y1 = x0 - f / g0, x1
+        else:
+            if g1 == 0.0:
+                break
+            y0, y1 = x0, x1 - f / g1
+        f_new, h0, h1 = door(y0, y1)
+        a_new, a = abs(f_new), abs(f)
+        if a_new > tol and a_new >= a:
             break
-        at_floor = abs(f_new) <= tol and abs(f_new) > FLOOR_RATIO * abs(f)
-        p, f, grad = p_new, f_new, grad_new
-        if at_floor:
-            break
+        x0, x1, f, g0, g1 = y0, y1, f_new, h0, h1
+        if a_new <= tol and a_new > FLOOR_RATIO * a:
+            break  # at the floor
     if abs(f) <= tol:
-        return p, abs(f), grad
+        return [x0, x1], abs(f), [g0, g1]
     return None
 
 
@@ -521,16 +570,17 @@ def trace_grazing_curve(gf: GrazingFunction, obstacle: Obstacle, window: float =
     continuation away from it (steps between H_MIN and H_MAX), out to the
     window boundary.  A branch that comes back within one step of its own
     seed has closed a loop, and its continuation stops there.  The tracing
-    runs on floats, the apex check included; each branch's residuals are |f|
-    at its stored vertices, from one batched ``value``.  Bad arguments raise
-    ``InvalidArgument`` first (``_checked_trace_args``), as does a gf
-    whose vector does not have one entry per tangential variable.
+    runs on floats through gf's door, taken once, the apex check included;
+    each branch's residuals are |f| at its stored vertices, from one batched
+    ``value``.  Bad arguments raise ``InvalidArgument`` first
+    (``_checked_trace_args``), as does a gf whose vector does not have one
+    entry per tangential variable.
     """
     window, trace_tol = _checked_trace_args(window, trace_tol)
     if obstacle.dim_tangential != 2:
         raise UnsupportedSurface("curve tracing requires a 3D obstacle (two tangential variables)")
-    _check_vector(gf, obstacle)
-    apex = gf._value_grad(obstacle, 0.0, 0.0)[0]
+    door = gf._door(obstacle)
+    apex = door(0.0, 0.0)[0]
     if abs(apex) > 1e-9:
         raise SeedNotFound(f"apex residual {apex} is nonzero: apex is not a grazing point")
     window = min(window, obstacle.radius / math.sqrt(2.0) * 0.999)
@@ -545,9 +595,9 @@ def trace_grazing_curve(gf: GrazingFunction, obstacle: Obstacle, window: float =
         seed[t_axis] = side * SEED_OFFSET
         seed[g_axis] = root
         # Polish the bracketed root onto the zero set; keep it if that fails.
-        polished = _correct(gf, obstacle, seed, trace_tol, axis=g_axis)
+        polished = _correct(door, seed, trace_tol, axis=g_axis)
         if polished is None:
-            polished = seed, None, gf._value_grad(obstacle, *seed)[1:]
+            polished = seed, None, door(*seed)[1:]
         seed, _, (g0, g1) = polished
 
         # Inward: geometric shrink of the transverse coordinate toward the apex.
@@ -556,7 +606,7 @@ def trace_grazing_curve(gf: GrazingFunction, obstacle: Obstacle, window: float =
         t_val = side * SEED_OFFSET * SHRINK_FACTOR
         while abs(t_val) >= SHRINK_STOP:
             guess[t_axis] = t_val
-            sol = _correct(gf, obstacle, guess, trace_tol, axis=g_axis)
+            sol = _correct(door, guess, trace_tol, axis=g_axis)
             if sol is None:
                 break
             inward.append(sol[0])
@@ -589,7 +639,7 @@ def trace_grazing_curve(gf: GrazingFunction, obstacle: Obstacle, window: float =
                 if math.hypot(*predicted) > obstacle.radius * 0.995:
                     left_domain = True
                     break
-                corrected = _correct(gf, obstacle, predicted, trace_tol)
+                corrected = _correct(door, predicted, trace_tol)
                 if (corrected is not None
                         and math.hypot(corrected[0][0] - c0, corrected[0][1] - c1) > 0.1 * step):
                     accepted = True
@@ -768,12 +818,14 @@ class _SliceCurve:
 
     def k(self, p, u=None):
         """k at a pair of floats (through ``Obstacle._jet_at``) or per row of a
-        batch (m, 2); given unit directions u (m, 2), (k, dk/dr) on the batch."""
+        batch (m, 2); given unit directions u (m, 2), (k, dk/dr) on the batch,
+        from one domain check and one surface jet of F and grad F."""
         batch = isinstance(p, np.ndarray)
         if u is None:
             f = self.obst.value(p) if batch else self.obst._jet_at(p, 0)
         else:
-            f, (g2, g3), (u2, u3) = self.obst.value(p), self.obst.gradient(p).T, u.T
+            f, g = self.obst._value_gradient(self.obst._check_domain(p))
+            (g2, g3), (u2, u3) = g.T, u.T
         k = (f - 1.0) * self.A + ((p[:, 0] if batch else p[0]) - self.a) * self.B
         return k if u is None else (k, self.A * (g2 * u2 + g3 * u3) + u2 * self.B)
 
@@ -807,27 +859,34 @@ class _SliceCurve:
         rule would not do: along the quartic's flat direction F - 1 cancels
         near F = 1, the root is defined only to about 2e-13, and the steps
         never fall below 1e-14.
+
+        The arrays r, k, dk, lo, hi and u hold the live lanes only, and
+        ``lane`` their places: the lanes that stop are dropped after the step
+        that stops them, and their r is written back to its place then.
         """
         r = hi.copy()
         k, dk = self.k(self.center + r[:, None] * u, u)
-        todo = np.arange(len(r))
+        out, lane = r.copy(), np.arange(len(r))
+        live = (k != 0.0) & (hi - lo >= SLICE_ROOT_TOL)
         for _ in range(SLICE_NEWTON_MAX):
-            todo = todo[(k[todo] != 0.0) & (hi[todo] - lo[todo] >= SLICE_ROOT_TOL)]
-            if not todo.size:
-                break
+            if not live.all():
+                out[lane[~live]] = r[~live]
+                lane, r, k, dk, lo, hi, u = (a[live] for a in (lane, r, k, dk, lo, hi, u))
+                if not lane.size:
+                    break
             with np.errstate(divide="ignore", invalid="ignore"):
-                r_new = r[todo] - k[todo] / dk[todo]
-            mid = ~((lo[todo] < r_new) & (r_new < hi[todo]))
-            r_new[mid] = 0.5 * (lo[todo[mid]] + hi[todo[mid]])
-            k_new, dk_new = self.k(self.center + r_new[:, None] * u[todo], u[todo])
+                r_new = r - k / dk
+            mid = ~((lo < r_new) & (r_new < hi))
+            r_new[mid] = 0.5 * (lo[mid] + hi[mid])
+            k_new, dk_new = self.k(self.center + r_new[:, None] * u, u)
             neg = k_new < 0.0
-            hi[todo[neg]], lo[todo[~neg]] = r_new[neg], r_new[~neg]
-            floor = np.abs(k_new) > FLOOR_RATIO * np.abs(k[todo])
-            take = ~floor | (np.abs(k_new) < np.abs(k[todo]))
-            r[todo[take]] = r_new[take]
-            k[todo[~floor]], dk[todo[~floor]] = k_new[~floor], dk_new[~floor]
-            todo = todo[~floor]
-        return r
+            hi, lo = np.where(neg, r_new, hi), np.where(neg, lo, r_new)
+            floor = np.abs(k_new) > FLOOR_RATIO * np.abs(k)
+            r = np.where(~floor | (np.abs(k_new) < np.abs(k)), r_new, r)
+            k, dk = k_new, dk_new
+            live = ~floor & (k != 0.0) & (hi - lo >= SLICE_ROOT_TOL)
+        out[lane] = r
+        return out
 
 
 def _event_sides(grid, vals, events) -> np.ndarray:
@@ -862,7 +921,7 @@ def slice_grazing_count(obstacle: Obstacle, bbar, x2_star: float) -> SliceCount:
     (``_event_sides``), so the counts solve no crossing.  ``points``, when
     first read, refines each crossing angle to 1e-13 by the bracketed
     secant, each trial angle one lane of ``_SliceCurve.points`` valued by
-    ``gf._value_grad``.  Bad arguments raise ``InvalidArgument`` first.
+    the grazing function's door.  Bad arguments raise ``InvalidArgument`` first.
     """
     if obstacle.dim_tangential != 2:
         raise UnsupportedSurface("slice counts require a 3D obstacle")
@@ -888,8 +947,10 @@ def slice_grazing_count(obstacle: Obstacle, bbar, x2_star: float) -> SliceCount:
     sides = _event_sides(grid, vals, events)
 
     def crossings() -> np.ndarray:
+        door = gf._door(obst_r)
+
         def h(phi):
-            return gf._value_grad(obst_r, *curve.points([phi])[0].tolist())[0]
+            return door(*curve.points([phi])[0].tolist())[0]
 
         phis = [_refine(h, grid, vals, i, 1e-13) for i in events]
         return _matvec(q.T, curve.points(phis) if phis else np.zeros((0, 2)))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffgeo import (DomainExceeded, GrazemapError, InvalidArgument, Obstacle, _as_points,
-                      _outer, _per_row, _richardson, _rowdot)
+                      _outer, _per_row, _read_only, _richardson, _rowdot)
 
 
 class SourceOnBoundary(GrazemapError, ValueError):
@@ -59,7 +59,7 @@ class PlanePhase:
     theta: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
+        object.__setattr__(self, "theta", _read_only(np.array(self.theta, dtype=float)))
         n = np.linalg.norm(self.theta)
         if abs(n - 1.0) > 1e-12:
             raise PhaseValidationError(f"|theta| = {n}, expected a unit vector")
@@ -78,7 +78,7 @@ class SphericalPhase:
     source: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "source", np.asarray(self.source, dtype=float))
+        object.__setattr__(self, "source", _read_only(np.array(self.source, dtype=float)))
 
     def psi(self, x) -> float:
         r = float(np.linalg.norm(np.asarray(x, dtype=float) - self.source))

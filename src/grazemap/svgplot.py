@@ -30,12 +30,22 @@ class SvgCanvas:
         return px, py
 
     def polyline(self, points: np.ndarray, color: str, width: float = 1.5) -> None:
-        if len(points) == 0:
+        """One polyline through points (k, 2), or one per line of a stack
+        (r, k, 2).  Every point is mapped in one array pass, with ``_map``'s
+        operations in its order, and each line's coordinates are formatted
+        by one ``%`` of a ``%.6g,%.6g`` pattern, the digits ``_fmt`` writes."""
+        points = np.asarray(points, dtype=float)
+        if points.size == 0:
             return
-        coords = " ".join("{},{}".format(_fmt(px), _fmt(py))
-                          for px, py in (self._map(x, y) for x, y in points))
-        self.body.append(f'<polyline fill="none" stroke="{color}" '
-                         f'stroke-width="{_fmt(width)}" points="{coords}"/>')
+        span = SIZE - 2 * MARGIN
+        w = self.window if self.window > 0 else 1.0
+        mapped = np.empty(points.shape)
+        mapped[..., 0] = MARGIN + (points[..., 0] + w) / (2 * w) * span
+        mapped[..., 1] = MARGIN + (w - points[..., 1]) / (2 * w) * span
+        lines = mapped.reshape(-1, points.shape[-2] * 2).tolist()
+        pattern = " ".join(["%.6g,%.6g"] * points.shape[-2])
+        head = f'<polyline fill="none" stroke="{color}" stroke-width="{_fmt(width)}" points="'
+        self.body += [head + pattern % tuple(line) + '"/>' for line in lines]
 
     def axes(self, xlabel: str, ylabel: str) -> None:
         x0, y0 = self._map(-self.window, 0.0)
@@ -68,8 +78,7 @@ def curve_svg(curve, sheet: np.ndarray | None = None) -> str:
     canvas = SvgCanvas(window=curve.window)
     canvas.axes("x2", "x3")
     if sheet is not None:
-        for ray in sheet:
-            canvas.polyline(ray[:, 1:3], color="#cccccc", width=0.6)
+        canvas.polyline(sheet[..., 1:3], color="#cccccc", width=0.6)
     for k, branch in enumerate(curve.branches):
         canvas.polyline(branch.vertices, color=_COLORS[k % len(_COLORS)])
     return canvas.render()

@@ -386,7 +386,7 @@ def _bits(a):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_jet_kernel_equals_the_batch_term_loop_byte_for_byte(d):
-    # The batch methods run _eval_batch, one array pass per term; the
+    # The batch methods run the generated kernel's batch twin; the
     # single-point methods and the float jet run the generated kernel.  Bytes,
     # not ==, so that the sign of a zero and the place of each nan count too.
     rng = np.random.default_rng(11 + d)
@@ -497,9 +497,9 @@ def test_the_flat_profile_ratios_read_inf_where_a_power_overflows():
 
 
 def test_parsing_and_batch_evaluation_build_no_jet_kernel():
-    # The kernel is built on the first single-point call, not by parsing
-    # (the phase's outside check included) or by the batch paths, which
-    # never need it.
+    # The float kernel is built on the first single-point call, not by
+    # parsing (the phase's outside check included) or by the batch paths,
+    # which run its batch twin.
     specs = Path(__file__).resolve().parents[1] / "specs"
     obs = gm.parse_obstacle(str(specs / "rounded_quartic.obstacle"))
     gm.parse_phase(str(specs / "top_source.phase"), obstacle=obs)

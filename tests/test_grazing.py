@@ -462,7 +462,7 @@ _ZETA_OUTSIDE = {
                        gm.InvalidArgument, r"^point has a NaN or None entry$"),
     "gradient-nan": (lambda gf, obs: gf.gradient(obs, [np.nan, 0.0]), gm.InvalidArgument,
                      r"^point has a NaN or None entry$"),
-    "float-far": (lambda gf, obs: gf._value_grad(obs, 0.0, -0.7), gm.DomainExceeded,
+    "float-far": (lambda gf, obs: gf._door(obs)(0.0, -0.7), gm.DomainExceeded,
                   r"^\|xbar\| = 0\.7 exceeds declared radius 0\.5$"),
 }
 
@@ -490,7 +490,7 @@ _ZOO_GRAZING = ([(name, gf) for name in surface_zoo()
 
 
 def _term_scales(gf, obs, p):
-    """For each output of ``gf._value_grad`` at p, a bound on the magnitudes
+    """For each output of gf's float door at p, a bound on the magnitudes
     of the terms its float formula adds: rounding moves it a few ulps of that."""
     if isinstance(gf, gm.SphericalGrazing):
         d = np.abs(p - gf.bbar)
@@ -517,8 +517,9 @@ def test_value_and_gradient_equals_value_and_gradient(name, gf):
     obs = surface_zoo()[name]
     pts = np.vstack([np.zeros((1, 2)), sample_disk(np.random.default_rng(12), 0.4, 60)])
     values = gf.value(obs, pts)
+    door = gf._door(obs)
     for p, value in zip(pts, values):
-        got = gf._value_grad(obs, *p.tolist())
+        got = door(*p.tolist())
         assert all(type(v) is float for v in got)
         want = np.concatenate(([value], gf.gradient(obs, p)))
         if isinstance(gf, gm.SymmetricZeta):
@@ -528,12 +529,113 @@ def test_value_and_gradient_equals_value_and_gradient(name, gf):
             assert np.all(np.abs(np.array(got) - want) <= bound)
 
 
+def _jet_path(gf, obs, x0, x1):
+    """(value, d/dx0, d/dx1) of a surface-jet grazing function at one plane
+    point by the surface's float jet and the grazing function's arithmetic,
+    written apart from its door."""
+    f, (g0, g1), ((h00, h01), (h10, h11)) = obs._jet_at([x0, x1], 2)
+    if isinstance(gf, gm.PlanarGrazing):
+        t0, t1 = gf.thetabar.tolist()
+        return -(g0 * t0 + g1 * t1), -(h00 * t0 + h01 * t1), -(h10 * t0 + h11 * t1)
+    b0, b1 = gf.bbar.tolist()
+    d0, d1 = x0 - b0, x1 - b1
+    return f - 1.0 - (g0 * d0 + g1 * d1), -(h00 * d0 + h01 * d1), -(h10 * d0 + h11 * d1)
+
+
+def _bits(values):
+    """The bytes of a float sequence, every nan read as one nan."""
+    a = np.array(values, dtype=float)
+    a[np.isnan(a)] = math.nan
+    return a.tobytes()
+
+
+# Every polynomial surface the zoo and the slice counts use, with the
+# obstacle the cusp/top slice count rotates to, and a two-variable
+# polynomial of 3150 terms, whose sums the door splits into statements.
+_DOOR_OBSTACLES = {
+    **surface_zoo(),
+    "quartic-mixed": quartic_mixed_vsq(),
+    "planar-cusp": planar_cusp_obstacle(),
+    "planar-c1": planar_c1_obstacle(),
+    "rounded": rounded_quartic(),
+    "cusp-top-rotated": gm.rotate_coordinates(quartic_vsq(), [0.0, 1.0])[0],
+    "terms-3150": gm.Obstacle(gm.PolynomialSurface(2, MultiPoly(2, {
+        e: float(c) for e, c in zip(np.ndindex(63, 50),
+                                    np.random.default_rng(14).normal(size=3150))})), radius=0.5),
+}
+
+
+_DOOR_KINDS = {"spherical": gm.SphericalGrazing(bbar=[-1.0, 0.2]),
+               "planar": gm.PlanarGrazing(thetabar=[0.6, 0.8])}
+
+
+def _counting_jets(monkeypatch):
+    """The points ``Obstacle._jet_at`` is called at from here on."""
+    calls, real = [], gm.Obstacle._jet_at
+
+    def counted(self, xs, order):
+        calls.append(list(xs))
+        return real(self, xs, order)
+
+    monkeypatch.setattr(gm.Obstacle, "_jet_at", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", list(_DOOR_KINDS))
+@pytest.mark.parametrize("name", list(_DOOR_OBSTACLES))
+def test_the_door_equals_the_jet_path_bit_for_bit(monkeypatch, name, kind):
+    # Both grazing functions built on the surface jet, at the apex, inside
+    # the disk, on its rim and just past it within the radius tolerance, and
+    # at a NaN point, which no radius test refuses.  A polynomial door
+    # inlines the jet kernel and never calls ``_jet_at``; the others go
+    # through it, once per evaluation.
+    obs, gf = _DOOR_OBSTACLES[name], _DOOR_KINDS[kind]
+    r = obs.radius
+    pts = [[0.0, 0.0], *sample_disk(np.random.default_rng(15), 0.9 * r, 40).tolist(),
+           [0.0, -r], [0.6 * r, 0.8 * r], [r * (1.0 + 0.5e-12), 0.0], [math.nan, 0.1]]
+    ref = [_jet_path(gf, obs, *p) for p in pts]
+    jets = _counting_jets(monkeypatch)
+    door = gf._door(obs)
+    got = [door(*p) for p in pts]
+    assert all(type(v) is float for row in got for v in row)
+    assert _bits(got) == _bits(ref)
+    assert len(jets) == (0 if isinstance(obs.surface, gm.PolynomialSurface) else len(pts))
+    if name == "terms-3150":
+        assert len(obs.surface.poly.terms) == 3150
+
+
+@pytest.mark.parametrize("kind", list(_DOOR_KINDS))
+def test_the_door_falls_back_on_overflow_and_refuses_a_point_outside(monkeypatch, kind):
+    # x0 ** 4 overflows at |x0| = 1e80, where the jet path reads the batch
+    # row (F = -inf): the door takes ``_jet_at`` there, once, and only
+    # there, and returns the jet path's bits.  A point just past the radius
+    # tolerance raises the ``DomainExceeded`` of ``_check_radius``, naming
+    # its |xbar|; one just inside it does not.
+    gf, terms = _DOOR_KINDS[kind], {(0, 0): 1.0, (4, 0): -1.0, (0, 2): -1.0}
+    obs = gm.polynomial_obstacle(2, terms, radius=1e100)
+    pts = [[0.3, 0.1], [1e80, 0.0], [-1e80, 1.0]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = [_jet_path(gf, obs, *p) for p in pts]
+        jets = _counting_jets(monkeypatch)
+        door = gf._door(obs)
+        for p, want in zip(pts, ref):
+            jets.clear()
+            assert _bits(door(*p)) == _bits(want), p
+            assert jets == ([] if p == pts[0] else [p])
+    door = gf._door(gm.polynomial_obstacle(2, terms, radius=0.5))
+    edge = 0.5 * (1.0 + 2e-12)
+    for p in ([0.0, edge], [-edge, 0.0], [0.3, 0.4000000001]):
+        with pytest.raises(gm.DomainExceeded, match=r"^\|xbar\| = \S+ exceeds declared radius 0\.5$"):
+            door(*p)
+    door(0.0, 0.5 * (1.0 + 0.5e-12))
+
+
 @pytest.mark.parametrize("name,gf", _ZOO_GRAZING,
                          ids=[f"{name}-{type(gf).__name__}" for name, gf in _ZOO_GRAZING])
 def test_float_value_equals_the_float_jet_value(monkeypatch, name, gf):
     # The seed roots' float value is the corrector's, bit for bit: each of the
     # four seed scan lines hands ``_scan_roots`` one function, the batched
-    # ``value`` on the line's grid and the value of ``_value_grad`` on a float.
+    # ``value`` on the line's grid and the value of ``gf._door`` on a float.
     obs = surface_zoo()[name]
     lines, real = [], grazing._scan_roots
 
@@ -545,13 +647,14 @@ def test_float_value_equals_the_float_jet_value(monkeypatch, name, gf):
     grazing._detect_orientation(gf, obs, 0.3)
     assert len(lines) == 4
     vs = np.random.default_rng(13).uniform(-0.3, 0.3, 20)
+    door = gf._door(obs)
     for f, (t_axis, offset) in zip(lines, [(1, SEED_OFFSET), (1, -SEED_OFFSET),
                                            (0, SEED_OFFSET), (0, -SEED_OFFSET)]):
         pts = grazing._on_line(vs, 1 - t_axis, offset)
         assert f(vs).tobytes() == gf.value(obs, pts).tobytes()
         for v, p in zip(vs.tolist(), pts.tolist()):
             value = f(v)
-            assert type(value) is float and value == gf._value_grad(obs, *p)[0]
+            assert type(value) is float and value == door(*p)[0]
 
 
 @pytest.mark.parametrize("name", [name for name in surface_zoo() if name != "exp-flat"])
@@ -690,17 +793,18 @@ def test_slice_crossing_bits_are_pinned(key):
 
 
 def test_trace_checks_the_domain_once_per_corrector_evaluation(monkeypatch):
-    # A float evaluation (a corrector iterate or a seed root trial) makes one
-    # float radius check, ``_check_at``, and never the array check
-    # ``_check_domain``.  Each of the four seed scan lines is one
-    # ``_scan_roots`` call: one batched ``value`` on its grid, which checks
-    # once for both F and grad F, and a float solve of every root it sees.  On
-    # cusp/side the lines across axis 1 see one root each and those across
-    # axis 0 none, so two roots are solved, on the value of ``_value_grad``:
-    # the bracketed secant takes 13 trials on each, where halving a grid step
-    # of 0.6 / 1023 below 1e-13 took 33.  The apex check is one more float
-    # evaluation, outside all of these.
-    calls = dict.fromkeys(("check_at", "check_domain", "value", "gradient", "float"), 0)
+    # A float evaluation (a corrector iterate or a seed root trial) is one
+    # call of the door, which makes one float radius test, ``math.hypot``
+    # against the radius, and never the array check ``_check_domain``.  Each
+    # of the four seed scan lines is one ``_scan_roots`` call: one batched
+    # ``value`` on its grid, which checks once for both F and grad F, and a
+    # float solve of every root it sees.  On cusp/side the lines across axis
+    # 1 see one root each and those across axis 0 none, so two roots are
+    # solved, on the value of the door: the bracketed secant takes 13 trials
+    # on each, where halving a grid step of 0.6 / 1023 below 1e-13 took 33.
+    # The apex check is one more float evaluation, outside all of these.
+    calls = dict.fromkeys(("hypot", "check_domain", "value", "gradient", "float"), 0)
+    evaluations = []  # the change of every count during each door call
 
     def counting(key, real):
         def counted(*args, **kwargs):
@@ -717,27 +821,31 @@ def test_trace_checks_the_domain_once_per_corrector_evaluation(monkeypatch):
             return out
         return wrapped
 
+    def door(self, obstacle):
+        return counting("float", delta(real_door(self, obstacle), evaluations))
+
     corrections, scans, roots = [], [], []
-    monkeypatch.setattr(gm.Obstacle, "_check_at", counting("check_at", gm.Obstacle._check_at))
+    real_door = gm.SphericalGrazing._door
+    monkeypatch.setattr(math, "hypot", counting("hypot", math.hypot))
     monkeypatch.setattr(gm.Obstacle, "_check_domain",
                         counting("check_domain", gm.Obstacle._check_domain))
-    for key, name in (("value", "value"), ("gradient", "gradient"), ("float", "_value_grad")):
-        monkeypatch.setattr(gm.SphericalGrazing, name,
-                            counting(key, getattr(gm.SphericalGrazing, name)))
+    for key in ("value", "gradient"):
+        monkeypatch.setattr(gm.SphericalGrazing, key, counting(key, getattr(gm.SphericalGrazing, key)))
+    monkeypatch.setattr(gm.SphericalGrazing, "_door", door)
     monkeypatch.setattr(grazing, "_correct", delta(grazing._correct, corrections))
     monkeypatch.setattr(grazing, "_scan_roots", delta(grazing._scan_roots, scans))
     monkeypatch.setattr(grazing, "_bracket_root", delta(grazing._bracket_root, roots))
     gm.trace_grazing_curve(gm.SphericalGrazing(bbar=[-1.0, 0.0]), quartic_vsq(), window=0.3)
+    assert len(evaluations) == calls["float"]
+    assert all(e["hypot"] == 1 and e["check_domain"] == 0 for e in evaluations)
     assert sum(c["float"] for c in corrections) > 1000
-    assert all(c["check_at"] == c["float"] and c["check_domain"] == 0 for c in corrections)
+    assert all(c["check_domain"] == 0 for c in corrections)
     assert len(scans) == 4
     assert all(c["value"] == 1 and c["check_domain"] == 1 for c in scans)
     assert [c["float"] for c in scans] == [13, 13, 0, 0]
-    assert all(c["check_at"] == c["float"] for c in scans)
     assert [c["float"] for c in roots] == [13] * 2
-    assert all(c["check_at"] == c["float"] and c["check_domain"] == 0 for c in roots)
+    assert all(c["check_domain"] == 0 for c in roots)
     assert calls["float"] == sum(c["float"] for c in corrections) + 2 * 13 + 1
-    assert calls["check_at"] == calls["float"]
     assert calls["gradient"] == 0
     assert calls["check_domain"] == calls["value"]
 
@@ -746,7 +854,7 @@ def test_trace_checks_the_domain_once_per_corrector_evaluation(monkeypatch):
 @pytest.mark.parametrize("gf", [gm.SphericalGrazing(bbar=[-1.0, 0.0]),
                                 gm.PlanarGrazing(thetabar=[1.0, 0.0])], ids=["spherical", "plane"])
 def test_single_points_take_the_float_door(monkeypatch, make_obs, gf):
-    # One point is evaluated through the float door (``_value_grad``,
+    # One point is evaluated through a float door (``gf._door``,
     # ``Obstacle._jet_at``): the apex check, the slice curve's F(x2*, 0) and
     # its center check included.  The array check sees batches only.
     ndims = []
@@ -872,6 +980,7 @@ def _eager_orientation(gf, obstacle, window):
     lim = min(window, math.sqrt(obstacle.radius**2 - SEED_OFFSET**2) * 0.999)
     grid = np.linspace(-lim, lim, LINE_SCAN_N)
     roots, scored = {}, []
+    door = gf._door(obstacle)
     for t_axis in (1, 0):
         for offset in (SEED_OFFSET, -SEED_OFFSET):
             def f(v, t_axis=t_axis, offset=offset):
@@ -879,7 +988,7 @@ def _eager_orientation(gf, obstacle, window):
                 p = grazing._on_line(v, 1 - t_axis, offset)
                 if np.ndim(v):
                     return gf.value(obstacle, p)
-                return gf._value_grad(obstacle, *p.tolist())[0]
+                return door(*p.tolist())[0]
             roots[t_axis, offset] = grazing._scan_roots(f, grid, LINE_ROOT_TOL)
         lines = [roots[t_axis, SEED_OFFSET], roots[t_axis, -SEED_OFFSET]]
         if all(lines):
@@ -1128,11 +1237,15 @@ def test_cusp_trace_corrections_stop_at_the_rounding_floor(monkeypatch):
     # shrinking ~5%, so a corrector that waits for |H| to stop falling runs
     # to its 40-step cap (41 evaluations; 4624 for the whole trace).
     calls, per_correction = [0], []
-    real_vg, real_correct = gm.SphericalGrazing._value_grad, grazing._correct
+    real_door, real_correct = gm.SphericalGrazing._door, grazing._correct
 
-    def value_grad(self, obstacle, x0, x1):
-        calls[0] += 1
-        return real_vg(self, obstacle, x0, x1)
+    def door(self, obstacle):
+        real = real_door(self, obstacle)
+
+        def counted(x0, x1):
+            calls[0] += 1
+            return real(x0, x1)
+        return counted
 
     def correct(*args, **kwargs):
         before = calls[0]
@@ -1140,7 +1253,7 @@ def test_cusp_trace_corrections_stop_at_the_rounding_floor(monkeypatch):
         per_correction.append(calls[0] - before)
         return out
 
-    monkeypatch.setattr(gm.SphericalGrazing, "_value_grad", value_grad)
+    monkeypatch.setattr(gm.SphericalGrazing, "_door", door)
     monkeypatch.setattr(grazing, "_correct", correct)
     gm.trace_grazing_curve(gm.SphericalGrazing(bbar=[-1.0, 0.0]), quartic_vsq(), window=0.3)
     assert calls[0] <= 1500
@@ -1156,17 +1269,17 @@ class _PowerRoot:
     def __init__(self, m):
         self.m, self.calls = m, 0
 
-    def _value_grad(self, obstacle, x0, x1):
+    def door(self, x0, x1):
         self.calls += 1
         u = x0 * self.a0 + x1 * self.a1 - 0.25
         du = self.m * u ** (self.m - 1)
         return u ** self.m, du * self.a0, du * self.a1
 
 
-def _correct_to_stall(gf, obstacle, point, tol, axis=None):
+def _correct_to_stall(door, point, tol, axis=None):
     """The corrector that stops only when a step fails to lower |f|."""
     p = list(point)
-    f, *grad = gf._value_grad(obstacle, *p)
+    f, *grad = door(*p)
     for _ in range(40 if axis is None else 80):
         if f == 0.0:
             return p, 0.0, grad
@@ -1180,7 +1293,7 @@ def _correct_to_stall(gf, obstacle, point, tol, axis=None):
                 break
             p_new = p.copy()
             p_new[axis] = p[axis] - f / grad[axis]
-        f_new, *grad_new = gf._value_grad(obstacle, *p_new)
+        f_new, *grad_new = door(*p_new)
         if abs(f_new) >= abs(f):
             if abs(f_new) <= tol:
                 p, f, grad = p_new, f_new, grad_new
@@ -1197,8 +1310,8 @@ def test_floor_stop_never_cuts_a_multiple_root_convergence(m, axis):
     # evaluations for m = 9 along an axis).  Any floor ratio of 0.444 or
     # below cuts one of these runs short.
     gf, ref_gf = _PowerRoot(m), _PowerRoot(m)
-    got = _correct(gf, None, [0.1, -0.2], 1e-10, axis=axis)
-    ref = _correct_to_stall(ref_gf, None, [0.1, -0.2], 1e-10, axis=axis)
+    got = _correct(gf.door, [0.1, -0.2], 1e-10, axis=axis)
+    ref = _correct_to_stall(ref_gf.door, [0.1, -0.2], 1e-10, axis=axis)
     assert got[0] == ref[0] and got[1] == ref[1]
     assert gf.calls == ref_gf.calls
     assert got[1] < 1e-20

@@ -407,3 +407,34 @@ def test_bad_arguments_are_refused_before_any_evaluation(sphere, side_source, mo
     for fn in (gm.invert_flow, gm.reflected_phase_at):
         with pytest.raises(gm.InvalidArgument, match=match):
             fn(sphere, side_source, y, seed=seed)
+
+
+def test_kernel_bound_vectors_cannot_go_stale():
+    # A Newton kernel or a grazing door reads theta, source, bbar, thetabar
+    # or L when it binds, so each is a read-only copy of what was passed: an
+    # in-place write raises, and writing to the array passed in changes
+    # nothing.  Before, writing a bound phase's theta in place made
+    # invert_flow return s = 0.5668, xbar = (-0.372, 0.132) for a target of
+    # the new direction, a point of neither phase.
+    sphere = gm.sphere_obstacle(2, radius=0.5)
+    passed = np.array([0.0, 1.0, 0.0])
+    ph = gm.PlanePhase(theta=passed)
+    y = gm.flow_map(sphere, ph, 0.5, [-0.2, 0.1], 0.3).y
+    assert gm.invert_flow(sphere, ph, y)[0] == pytest.approx(0.5, abs=1e-12)  # binds ph
+    new = [-0.6, 0.8, 0.0]
+    with pytest.raises(ValueError, match="read-only"):
+        ph.theta[:] = new
+    passed[:] = new
+    assert ph.theta.tolist() == [0.0, 1.0, 0.0]
+    target = gm.flow_map(sphere, gm.PlanePhase(theta=new), 0.5, [-0.2, 0.1], 0.3).y
+    s, xbar, t = gm.invert_flow(sphere, ph, target)
+    assert np.allclose(gm.flow_map(sphere, ph, s, xbar, t).y, target, atol=1e-10)
+    s, xbar, t = gm.invert_flow(sphere, gm.PlanePhase(theta=new), target)
+    assert np.allclose([s, *xbar, t], [0.5, -0.2, 0.1, 0.3], atol=1e-10)
+    for owner, name in ((gm.SphericalPhase(source=[1.0, -1.0, 0.0]), "source"),
+                        (gm.SphericalGrazing(bbar=[-1.0, 0.0]), "bbar"),
+                        (gm.PlanarGrazing(thetabar=[1.0, 0.0]), "thetabar"),
+                        (gm.SymmetricH.from_hcoeffs(2, [1.0], lam=[[1.0, 0.0], [0.2, 0.9]]), "lam"),
+                        (gm.SymmetricH.exp_flat(2), "lam")):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(owner, name)[0] = 7.0

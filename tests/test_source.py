@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import grazemap as gm
-from grazemap import diffgeo
+from grazemap import diffgeo, grazing
 from grazemap import reflection
 from grazemap.reflection import _newton_source, _solve_source
 
@@ -146,10 +146,12 @@ def _non_int_constants(source):
 
 
 def test_generated_sources_hold_only_int_constants(monkeypatch):
-    # Values are names bound in the namespace, never text: the jet kernels of
-    # the test zoo, of polynomials with -0.0, nan and inf coefficients, of the
-    # zero polynomial and of a sum split into statements, the Newton kernel
-    # of every dimension 1..4 and phase kind, and the solver of 2..5 equations.
+    # Values are names bound in the namespace, never text: the jet kernels and
+    # their batch twins of the test zoo, of polynomials with -0.0, nan and inf
+    # coefficients, of the zero polynomial and of a sum split into
+    # statements, the float doors of both surface-jet grazing functions on
+    # every 2-D obstacle among them, the Newton kernel of every dimension
+    # 1..4 and phase kind, and the solver of 2..5 equations.
     sources, real = [], diffgeo._generate
 
     def spy(source, names):
@@ -157,6 +159,7 @@ def test_generated_sources_hold_only_int_constants(monkeypatch):
         return real(source, names)
 
     monkeypatch.setattr(diffgeo, "_generate", spy)
+    monkeypatch.setattr(grazing, "_generate", spy)
     rng = np.random.default_rng(3)
     polys = [o.surface.poly for o in (*surface_zoo().values(), quartic_vsq(), rounded_quartic())
              if isinstance(o.surface, gm.PolynomialSurface)]
@@ -164,9 +167,16 @@ def test_generated_sources_hold_only_int_constants(monkeypatch):
               gm.MultiPoly(3, {}),
               gm.MultiPoly(2, {e: float(rng.normal()) for e in np.ndindex(25, 25)})]
     for poly in polys:
-        poly._jet = None
+        poly._jet = poly._batch = None
         poly._kernel()
-    assert len(sources) == len(polys)
+        poly._batch_kernel()
+    assert len(sources) == 2 * len(polys)
+    obstacles = [*surface_zoo().values(), quartic_vsq(), rounded_quartic()]
+    obstacles += [gm.Obstacle(gm.PolynomialSurface(2, p), radius=1.0) for p in polys if p.dim == 2]
+    for obs in obstacles:
+        gm.SphericalGrazing(bbar=[-1.0, 0.2])._door(obs)
+        gm.PlanarGrazing(thetabar=[0.6, 0.8])._door(obs)
+    assert len(sources) == 2 * len(polys) + 2 * len(obstacles)
     sources += [_newton_source(d, kind) for d in range(1, 5)
                 for kind in ("plane", "spherical", "convex")]
     sources += [_solve_source(n) for n in range(2, 6)]
@@ -174,8 +184,9 @@ def test_generated_sources_hold_only_int_constants(monkeypatch):
 
 
 def test_each_generated_source_compiles_once(monkeypatch):
-    # Twenty fresh parses of one spec compile its jet kernel once, and
-    # inversions over them one Newton kernel per phase kind and one solver.
+    # Twenty fresh parses of one spec compile its jet kernel and its batch
+    # twin once each, and inversions over them one Newton kernel per phase
+    # kind and one solver.
     compiled = []
 
     def counting(source, *args):
@@ -193,7 +204,8 @@ def test_each_generated_source_compiles_once(monkeypatch):
             y = gm.flow_map(obstacle, phase, 0.5, [-0.2, 0.1], 0.3).y
             s, _, _ = gm.invert_flow(obstacle, phase, y, seed=(0.45, [-0.19, 0.11]))
             assert abs(s - 0.5) < 1e-10
-    assert [source.split("(")[0] for source in compiled] == ["def kernel", "def record",
-                                                            "def solve", "def record"]
-    assert compiled[1:] == [_newton_source(2, "spherical"), _solve_source(3),
+    assert [source.split("(")[0] for source in compiled] == ["def batch", "def kernel",
+                                                            "def record", "def solve",
+                                                            "def record"]
+    assert compiled[2:] == [_newton_source(2, "spherical"), _solve_source(3),
                             _newton_source(2, "plane")]
